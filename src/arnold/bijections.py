@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .families import FlipClass, is_cud_b, is_cud_d, is_vs_b, is_vs_d
 from .signed_perm import Cycle, CycleForm, SignedPerm, peaks, valleys
-from .trees import EMPTY, Node
+from .trees import EMPTY, Node, labels
 
 
 class MalformedSequenceError(ValueError):
@@ -218,18 +218,9 @@ def _remove_empty_pair(t: Node, label: int) -> Node:
     if t.children is None:
         raise MissingPeakError(f"label {label} not found")
     left, right = t.children
-    if label in _labels(left):
+    if label in labels(left):
         return Node(t.label, (_remove_empty_pair(left, label), right))
     return Node(t.label, (left, _remove_empty_pair(right, label)))
-
-
-def _labels(t) -> frozenset[int]:
-    if t is EMPTY:
-        return frozenset()
-    out = {t.label}
-    if t.children is not None:
-        out |= _labels(t.children[0]) | _labels(t.children[1])
-    return frozenset(out)
 
 
 def _paired_peaks(w: tuple[int, ...], start: int) -> list[int]:

@@ -31,7 +31,7 @@ from .signed_perm import (
     stat_spk,
     valley_values,
 )
-from .trees import EMPTY, Node
+from .trees import EMPTY, Node, SizeCapExceededError
 
 FAMILIES = (
     "alternating",
@@ -47,10 +47,6 @@ FAMILIES = (
 )
 
 DEFAULT_FAMILY_CAP = 8
-
-
-class SizeCapExceededError(ValueError):
-    pass
 
 
 class IllegalFlipError(ValueError):
@@ -286,21 +282,26 @@ def _build_class(members: list[tuple[int, ...]]) -> FlipClass:
     return FlipClass(members[0], tuple(members), smaxes.pop(), spks.pop())
 
 
+def _flip_components(items: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
+    """Group a flip-closed list of windows into flip classes; each class
+    keeps the order of `items`."""
+    index = {w: i for i, w in enumerate(items)}
+    uf = _UnionFind(len(items))
+    for i, w in enumerate(items):
+        for img in legal_flips(w):
+            uf.union(i, index[img])
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for i, w in enumerate(items):
+        groups.setdefault(uf.find(i), []).append(w)
+    return list(groups.values())
+
+
 @lru_cache(maxsize=None)
 def flip_classes(n: int) -> tuple[FlipClass, ...]:
     """All flip equivalence classes of signed windows of size n, each with
     its sorted member list; constancy of smax and spk is checked here."""
     _check_size(n)
-    all_windows = list(windows(n))
-    index = {w: i for i, w in enumerate(all_windows)}
-    uf = _UnionFind(len(all_windows))
-    for i, w in enumerate(all_windows):
-        for img in legal_flips(w):
-            uf.union(i, index[img])
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for i, w in enumerate(all_windows):
-        groups.setdefault(uf.find(i), []).append(w)
-    classes = [_build_class(g) for g in groups.values()]
+    classes = [_build_class(g) for g in _flip_components(list(windows(n)))]
     classes.sort(key=lambda c: c.canon)
     return tuple(classes)
 
@@ -310,15 +311,7 @@ def unsigned_flip_classes(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Flip classes of ordinary permutations, as sorted member tuples."""
     _check_size(n)
     perms = sorted(permutations(range(1, n + 1)))
-    index = {p: i for i, p in enumerate(perms)}
-    uf = _UnionFind(len(perms))
-    for i, p in enumerate(perms):
-        for img in legal_flips(p):
-            uf.union(i, index[img])
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for i, p in enumerate(perms):
-        groups.setdefault(uf.find(i), []).append(p)
-    out = [tuple(sorted(g)) for g in groups.values()]
+    out = [tuple(sorted(g)) for g in _flip_components(perms)]
     out.sort()
     return tuple(out)
 
@@ -651,30 +644,28 @@ def psi_vs_bridge(p: SignedPerm) -> StepRecord:
     raise ValueError("bridge step needs first entry n or -n")
 
 
-def recurrence_step_cud(n: int, k: int, side: str) -> StepReport:
+def _recurrence_step(kind: str, n: int, k: int, side: str, psi_b, psi_d) -> StepReport:
     """Apply the one-step map to every member of the indexed family."""
     if side == "d":
         if not 1 < k <= n:
             raise IndexOutOfRangeError("type-D step needs 1 < k <= n")
-        records = tuple(psi_cud_d(cf) for cf in enumerate_indexed("cud-d", n, k))
+        records = tuple(psi_d(m) for m in enumerate_indexed(f"{kind}-d", n, k))
     elif side == "b":
         if not 1 <= k < n:
             raise IndexOutOfRangeError("type-B step needs 1 <= k < n")
-        records = tuple(psi_cud_b(cf) for cf in enumerate_indexed("cud-b", n, k))
+        records = tuple(psi_b(m) for m in enumerate_indexed(f"{kind}-b", n, k))
     else:
         raise ValueError("side must be 'b' or 'd'")
-    return StepReport("cud", side, n, k, records)
+    return StepReport(kind, side, n, k, records)
+
+
+def recurrence_step_cud(n: int, k: int, side: str) -> StepReport:
+    """Apply the cycle-family one-step map to every member of cud-`side`
+    with index k."""
+    return _recurrence_step("cud", n, k, side, psi_cud_b, psi_cud_d)
 
 
 def recurrence_step_vs(n: int, k: int, side: str) -> StepReport:
-    if side == "d":
-        if not 1 < k <= n:
-            raise IndexOutOfRangeError("type-D step needs 1 < k <= n")
-        records = tuple(psi_vs_d(p) for p in enumerate_indexed("vs-d", n, k))
-    elif side == "b":
-        if not 1 <= k < n:
-            raise IndexOutOfRangeError("type-B step needs 1 <= k < n")
-        records = tuple(psi_vs_b(p) for p in enumerate_indexed("vs-b", n, k))
-    else:
-        raise ValueError("side must be 'b' or 'd'")
-    return StepReport("vs", side, n, k, records)
+    """Apply the valley-family one-step map to every member of vs-`side`
+    with index k."""
+    return _recurrence_step("vs", n, k, side, psi_vs_b, psi_vs_d)

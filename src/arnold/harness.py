@@ -2,19 +2,20 @@
 exhaustive enumeration at desk scale, against golden tables where the
 expected values are fixed numbers.
 
-Each check returns a CheckResult; a pass/fail check fails exactly when it
-collected at least one mismatch record.  Report-only checks never fail:
-they exist to record findings (currently, for how many members the
-per-object tree/npk exponent identity holds at each size).
+Each check function is registered with `@check`, which fixes its id, claim
+and default ceiling; `verify` wraps its list of mismatch records in a
+CheckResult, and a pass/fail check fails exactly when that list is not
+empty.  Report-only checks never fail: they exist to record findings
+(currently, for how many members the per-object tree/npk exponent
+identity holds at each size).
 """
 from __future__ import annotations
 
 import json
-import os
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from itertools import permutations
 from pathlib import Path
@@ -23,7 +24,7 @@ from typing import Callable, Iterable
 from . import bijections as bij
 from . import families as fam
 from . import trees as tr
-from .families import SizeCapExceededError
+from .trees import SizeCapExceededError
 from .laurent import LaurentPoly
 from .signed_perm import (
     SignedPerm,
@@ -69,7 +70,22 @@ class RegisteredCheck:
     check_id: str
     claim: str
     default_max_n: int
+    run: Callable[..., list[str]]
     report_only: bool = False
+
+
+CHECKS: list[RegisteredCheck] = []
+
+
+def check(check_id: str, claim: str, default_max_n: int, report_only: bool = False):
+    """Register the decorated function as a check; the registry keeps
+    definition order, which is the order `verify_all` reports in."""
+
+    def register(fn: Callable[..., list[str]]) -> Callable[..., list[str]]:
+        CHECKS.append(RegisteredCheck(check_id, claim, default_max_n, fn, report_only))
+        return fn
+
+    return register
 
 
 def _load_golden(name: str, golden_dir: str | None):
@@ -94,13 +110,10 @@ def _poly_of_counts(stat_counts: dict[int, int], n: int) -> LaurentPoly:
     return LaurentPoly(coeffs)
 
 
-def _emp_poly(emp_counts: dict[int, int]) -> LaurentPoly:
-    return LaurentPoly(dict(emp_counts))
-
-
 # ---------------------------------------------------------------------------
 # triangle and table checks
 
+@check("table-arnold", "numeric double triangle matches the stored table", 5)
 def check_table_arnold(n_max: int, golden_dir: str | None = None) -> list[str]:
     golden = _load_golden("table1.json", golden_dir)
     top = min(n_max, len(golden["rows"]))
@@ -116,6 +129,7 @@ def check_table_arnold(n_max: int, golden_dir: str | None = None) -> list[str]:
     return details
 
 
+@check("table-polys", "polynomial double triangle matches the stored table", 5)
 def check_table_polys(n_max: int, golden_dir: str | None = None) -> list[str]:
     golden = _load_golden("table2.json", golden_dir)
     top = min(n_max, len(golden["rows"]))
@@ -129,6 +143,7 @@ def check_table_polys(n_max: int, golden_dir: str | None = None) -> list[str]:
     return details
 
 
+@check("poly-at-1", "polynomials evaluated at 1 give the numeric triangle", 10)
 def check_poly_at_1(n_max: int, golden_dir: str | None = None) -> list[str]:
     polys = arnold_hoffman(n_max)
     nums = arnold_numbers(n_max)
@@ -140,6 +155,7 @@ def check_poly_at_1(n_max: int, golden_dir: str | None = None) -> list[str]:
     return details
 
 
+@check("row-sums-springer", "row sums give the Springer numbers", 5)
 def check_row_sums_springer(n_max: int, golden_dir: str | None = None) -> list[str]:
     golden = _load_golden("table1.json", golden_dir)
     top = min(n_max, len(golden["springer_b"]))
@@ -152,6 +168,7 @@ def check_row_sums_springer(n_max: int, golden_dir: str | None = None) -> list[s
     return details
 
 
+@check("hoffman-q", "t*Q_n equals the positive-side row sum", 10)
 def check_hoffman_q(n_max: int, golden_dir: str | None = None) -> list[str]:
     return [
         f"n={r.n}: t*Q_n differs from the positive-side row sum"
@@ -160,6 +177,7 @@ def check_hoffman_q(n_max: int, golden_dir: str | None = None) -> list[str]:
     ]
 
 
+@check("hoffman-p", "P_n - t*Q_n equals the negative-side row sum", 10)
 def check_hoffman_p(n_max: int, golden_dir: str | None = None) -> list[str]:
     return [
         f"n={r.n}: P_n - t*Q_n differs from the negative-side row sum"
@@ -168,6 +186,7 @@ def check_hoffman_p(n_max: int, golden_dir: str | None = None) -> list[str]:
     ]
 
 
+@check("entringer-alternating", "triangle entries count alternating permutations by first entry", 8)
 def check_entringer_alternating(n_max: int, golden_dir: str | None = None) -> list[str]:
     from .triangles import entringer
 
@@ -186,6 +205,7 @@ def check_entringer_alternating(n_max: int, golden_dir: str | None = None) -> li
     return details
 
 
+@check("snakes-arnold", "snake counts by first entry reproduce the triangle", 5)
 def check_snakes_arnold(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
     rows = arnold_numbers(n_max)
@@ -205,8 +225,10 @@ def check_snakes_arnold(n_max: int, golden_dir: str | None = None) -> list[str]:
 # refined-family theorems
 
 def _compare_family_polys(
-    n_max: int, dist_of_n: Callable[[int], Counter], label: str
+    n_max: int, dist_of_n: Callable[[int], Counter], b_label: str, d_label: str
 ) -> list[str]:
+    """Compare a Counter over (side, index, statistic s) with the refined
+    triangle, each member contributing t^(n+1-2s) to its cell."""
     details = []
     polys = arnold_hoffman(n_max)
     for n in range(1, n_max + 1):
@@ -219,19 +241,21 @@ def _compare_family_polys(
         for k in range(1, n + 1):
             got_b = _poly_of_counts(grouped.get(("b", n - k + 1), {}), n)
             if got_b != row.value(k):
-                details.append(f"{label} B n={n} k={k}: {got_b} != {row.value(k)}")
+                details.append(f"{b_label} n={n} k={k}: {got_b} != {row.value(k)}")
             got_d = _poly_of_counts(grouped.get(("d", n - k + 1), {}), n)
             if got_d != row.value(-k):
-                details.append(f"{label} D n={n} k={k}: {got_d} != {row.value(-k)}")
+                details.append(f"{d_label} n={n} k={k}: {got_d} != {row.value(-k)}")
     return details
 
 
+@check("thm-cud", "cycle-up-down npk polynomials reproduce the refined triangle", 7)
 def check_thm_cud(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _compare_family_polys(n_max, fam.cud_distribution, "cud")
+    return _compare_family_polys(n_max, fam.cud_distribution, "cud B", "cud D")
 
 
+@check("thm-vs", "valley-family neg polynomials reproduce the refined triangle", 7)
 def check_thm_vs(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _compare_family_polys(n_max, fam.vs_distribution, "vs")
+    return _compare_family_polys(n_max, fam.vs_distribution, "vs B", "vs D")
 
 
 def _fl_distribution(n: int) -> Counter:
@@ -242,58 +266,36 @@ def _fl_distribution(n: int) -> Counter:
     return counts
 
 
+@check("thm-fl", "flip-class spk polynomials reproduce the refined triangle", 6)
 def check_thm_fl(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _compare_family_polys(n_max, _fl_distribution, "fl")
+    return _compare_family_polys(n_max, _fl_distribution, "fl B", "fl D")
 
 
+@lru_cache(maxsize=None)
 def _tree_distribution(n: int) -> Counter:
+    """Counter over (side, rightmost label, labelled leaves) of the trees of
+    size n, side "b" for an empty rightmost leaf.  A tree with L labelled
+    leaves has n + 1 - 2L empty ones."""
     counts: Counter = Counter()
     for t in tr.gen_trees(n):
         c = tr.classify(t)
         side = "b" if c.kind == "o" else "d"
-        counts[(side, c.rightmost_label, c.emp)] += 1
+        counts[(side, c.rightmost_label, (n + 1 - c.emp) // 2)] += 1
     return counts
 
 
+@check("thm-trees", "tree emp polynomials reproduce the refined triangle", 7)
 def check_thm_trees(n_max: int, golden_dir: str | None = None) -> list[str]:
-    details = []
-    polys = arnold_hoffman(n_max)
-    for n in range(1, n_max + 1):
-        dist = _tree_distribution(n)
-        grouped: dict[tuple[str, int], dict[int, int]] = {}
-        for (side, idx, emp), c in dist.items():
-            grouped.setdefault((side, idx), {}).setdefault(emp, 0)
-            grouped[(side, idx)][emp] += c
-        row = polys[n - 1]
-        for k in range(1, n + 1):
-            got_o = _emp_poly(grouped.get(("b", n - k + 1), {}))
-            if got_o != row.value(k):
-                details.append(f"trees-o n={n} k={k}: {got_o} != {row.value(k)}")
-            got_s = _emp_poly(grouped.get(("d", n - k + 1), {}))
-            if got_s != row.value(-k):
-                details.append(f"trees-s n={n} k={k}: {got_s} != {row.value(-k)}")
-    return details
+    return _compare_family_polys(n_max, _tree_distribution, "trees-o", "trees-s")
 
 
 # ---------------------------------------------------------------------------
 # bijection checks
 
-def _tree_counts_by_index(n: int) -> Counter:
-    counts: Counter = Counter()
-    for t in tr.gen_trees(n):
-        c = tr.classify(t)
-        counts[(c.kind, c.rightmost_label)] += 1
-    return counts
-
-
 def _check_bijection_into_trees(
-    n_max: int,
-    family: str,
-    mapping: Callable,
-    index_of: Callable,
-    kind: str,
-    label: str,
+    n_max: int, family: str, mapping: Callable, kind: str
 ) -> list[str]:
+    side = "b" if kind == "o" else "d"
     details = []
     for n in range(1, n_max + 1):
         members = fam.enumerate_family(family, n)
@@ -301,52 +303,50 @@ def _check_bijection_into_trees(
         for m in members:
             t = mapping(m)
             c = tr.classify(t)
+            index = fam.family_index(family, m)
             if not tr.is_complete_increasing(t, n):
-                details.append(f"{label} n={n}: invalid image tree for {m}")
+                details.append(f"{family} n={n}: invalid image tree for {m}")
                 continue
-            if c.kind != kind or c.rightmost_label != index_of(m):
+            if c.kind != kind or c.rightmost_label != index:
                 details.append(
-                    f"{label} n={n}: {m} lands at ({c.kind},{c.rightmost_label}), "
-                    f"expected ({kind},{index_of(m)})"
+                    f"{family} n={n}: {m} lands at ({c.kind},{c.rightmost_label}), "
+                    f"expected ({kind},{index})"
                 )
             images.append(t)
         if len(set(images)) != len(images):
-            details.append(f"{label} n={n}: images collide")
-        tree_counts = _tree_counts_by_index(n)
-        by_index = Counter(index_of(m) for m in members)
+            details.append(f"{family} n={n}: images collide")
+        trees = _tree_distribution(n)
+        by_index = Counter(fam.family_index(family, m) for m in members)
         for k in range(1, n + 1):
-            if by_index.get(k, 0) != tree_counts.get((kind, k), 0):
+            n_trees = sum(cnt for (s, idx, _), cnt in trees.items() if (s, idx) == (side, k))
+            if by_index.get(k, 0) != n_trees:
                 details.append(
-                    f"{label} n={n} k={k}: {by_index.get(k, 0)} members vs "
-                    f"{tree_counts.get((kind, k), 0)} trees"
+                    f"{family} n={n} k={k}: {by_index.get(k, 0)} members vs {n_trees} trees"
                 )
     return details
 
 
+@check("bij-cud-b", "type-B cycle map is an index-preserving bijection to empty-ended trees", 6)
 def check_bij_cud_b(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _check_bijection_into_trees(
-        n_max, "cud-b", bij.phi_cud_b, lambda cf: cf.cycles[-1].leader, "o", "cud-b"
-    )
+    return _check_bijection_into_trees(n_max, "cud-b", bij.phi_cud_b, "o")
 
 
+@check("bij-cud-d", "type-D cycle map is an index-preserving bijection to labelled-ended trees", 6)
 def check_bij_cud_d(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _check_bijection_into_trees(
-        n_max, "cud-d", bij.phi_cud_d, lambda cf: cf.cycles[-1].leader, "*", "cud-d"
-    )
+    return _check_bijection_into_trees(n_max, "cud-d", bij.phi_cud_d, "*")
 
 
+@check("bij-vs-b", "type-B valley map is an index-preserving bijection", 6)
 def check_bij_vs_b(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _check_bijection_into_trees(
-        n_max, "vs-b", bij.phi_vs_b, lambda p: p.window[0], "o", "vs-b"
-    )
+    return _check_bijection_into_trees(n_max, "vs-b", bij.phi_vs_b, "o")
 
 
+@check("bij-vs-d", "type-D valley map is an index-preserving bijection", 6)
 def check_bij_vs_d(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _check_bijection_into_trees(
-        n_max, "vs-d", bij.phi_vs_d, lambda p: -p.window[0], "*", "vs-d"
-    )
+    return _check_bijection_into_trees(n_max, "vs-d", bij.phi_vs_d, "*")
 
 
+@check("bij-fl", "flip-class map is well defined and bijective", 6)
 def check_bij_fl(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
     for n in range(1, n_max + 1):
@@ -368,7 +368,7 @@ def check_bij_fl(n_max: int, golden_dir: str | None = None) -> list[str]:
             images.append(t)
         if len(set(images)) != len(images):
             details.append(f"fl n={n}: class images collide")
-        total_trees = sum(_tree_counts_by_index(n).values())
+        total_trees = sum(_tree_distribution(n).values())
         if len(images) != total_trees:
             details.append(f"fl n={n}: {len(images)} classes vs {total_trees} trees")
     return details
@@ -380,6 +380,7 @@ def _path_labels(t) -> frozenset[int]:
     )
 
 
+@check("cor-rightmost-cycle-min", "rightmost-path labels are the cycle minima", 6)
 def check_cor_rightmost_cycle_min(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
     for n in range(1, n_max + 1):
@@ -392,6 +393,7 @@ def check_cor_rightmost_cycle_min(n_max: int, golden_dir: str | None = None) -> 
     return details
 
 
+@check("cor-rightmost-ltr-min", "rightmost-path labels are the left-to-right minima", 6)
 def check_cor_rightmost_ltr_min(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
     for n in range(1, n_max + 1):
@@ -404,6 +406,7 @@ def check_cor_rightmost_ltr_min(n_max: int, golden_dir: str | None = None) -> li
     return details
 
 
+@check("lemma-emp-spk", "emp equals n - 2*spk + 1 on every flip class", 6)
 def check_lemma_emp_spk(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
     for n in range(1, n_max + 1):
@@ -414,6 +417,7 @@ def check_lemma_emp_spk(n_max: int, golden_dir: str | None = None) -> list[str]:
     return details
 
 
+@check("lemma-peak-leaf", "double-empty nodes of the min-split tree are the peaks", 7)
 def check_lemma_peak_leaf(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
     for n in range(1, n_max + 1):
@@ -435,6 +439,7 @@ def check_lemma_peak_leaf(n_max: int, golden_dir: str | None = None) -> list[str
     return details
 
 
+@check("knuth-flip-euler", "unsigned flip classes are counted by Euler numbers", 7)
 def check_knuth_flip_euler(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
     euler = euler_numbers(n_max)
@@ -459,12 +464,13 @@ def check_knuth_flip_euler(n_max: int, golden_dir: str | None = None) -> list[st
 def _verify_step_partition(
     records: Iterable[fam.StepRecord],
     expected: dict[str, tuple[str, int, int, int]],
-    target_sets: dict[tuple[str, int, int], set],
     label: str,
 ) -> list[str]:
     """Check case targets and statistic shifts, then exact coverage of each
-    target set with no collisions."""
+    indexed family the expected cases name, with no collisions."""
     details = []
+    keys = dict.fromkeys(target[:3] for target in expected.values())
+    target_sets = {key: set(fam.enumerate_indexed(*key)) for key in keys}
     seen: dict[tuple[str, int, int], set] = {key: set() for key in target_sets}
     for rec in records:
         if rec.case not in expected:
@@ -497,110 +503,84 @@ def _verify_step_partition(
     return details
 
 
-def _target_set(family: str, n: int, k: int) -> set:
-    return set(fam.enumerate_indexed(family, n, k))
+def _check_recstep(
+    n_max: int,
+    kind: str,
+    step: Callable[[int, int, str], fam.StepReport],
+    bridge: Callable[[object], fam.StepRecord],
+    d_cases: tuple[str, str],
+    b_cases: tuple[str, ...],
+) -> list[str]:
+    """Check the one-step maps of a pair of indexed families.  `d_cases`
+    names the type-D step's case that drops to size n-1, then the one that
+    stays; `b_cases` names the type-B step's dropping case, then every case
+    that stays at size n."""
+    fb, fd = f"{kind}-b", f"{kind}-d"
+    d_drop, d_stay = d_cases
+    b_drop, *b_stay = b_cases
+    details = []
+    for n in range(2, n_max + 1):
+        for k in range(2, n + 1):
+            expected = {d_drop: (fb, n - 1, k - 1, -1), d_stay: (fd, n, k - 1, 0)}
+            details += _verify_step_partition(
+                step(n, k, "d").records, expected, f"{fd} n={n} k={k}"
+            )
+        for k in range(1, n):
+            expected = {b_drop: (fd, n - 1, k, 0), **dict.fromkeys(b_stay, (fb, n, k + 1, 0))}
+            details += _verify_step_partition(
+                step(n, k, "b").records, expected, f"{fb} n={n} k={k}"
+            )
+        bridge_images = {bridge(m).image for m in fam.enumerate_indexed(fb, n, n)}
+        if bridge_images != set(fam.enumerate_indexed(fd, n, n)):
+            details.append(f"{kind} bridge n={n}: images differ from the type-D family")
+    return details
 
 
+@check("recstep-cud", "cycle-family one-step maps partition their targets", 6)
 def check_recstep_cud(n_max: int, golden_dir: str | None = None) -> list[str]:
-    details = []
-    for n in range(2, n_max + 1):
-        for k in range(2, n + 1):
-            report = fam.recurrence_step_cud(n, k, "d")
-            expected = {
-                "i": ("cud-b", n - 1, k - 1, -1),
-                "ii": ("cud-d", n, k - 1, 0),
-            }
-            targets = {
-                ("cud-b", n - 1, k - 1): _target_set("cud-b", n - 1, k - 1),
-                ("cud-d", n, k - 1): _target_set("cud-d", n, k - 1),
-            }
-            details += _verify_step_partition(
-                report.records, expected, targets, f"cud-d n={n} k={k}"
-            )
-        for k in range(1, n):
-            report = fam.recurrence_step_cud(n, k, "b")
-            expected = {
-                "i": ("cud-d", n - 1, k, 0),
-                "ii": ("cud-b", n, k + 1, 0),
-                "iii": ("cud-b", n, k + 1, 0),
-            }
-            targets = {
-                ("cud-d", n - 1, k): _target_set("cud-d", n - 1, k),
-                ("cud-b", n, k + 1): _target_set("cud-b", n, k + 1),
-            }
-            details += _verify_step_partition(
-                report.records, expected, targets, f"cud-b n={n} k={k}"
-            )
-        bridge_sources = fam.enumerate_indexed("cud-b", n, n)
-        bridge_images = {fam.psi_cud_bridge(cf).image for cf in bridge_sources}
-        if bridge_images != _target_set("cud-d", n, n):
-            details.append(f"cud bridge n={n}: images differ from the type-D family")
-    return details
+    return _check_recstep(
+        n_max, "cud", fam.recurrence_step_cud, fam.psi_cud_bridge, ("i", "ii"), ("i", "ii", "iii")
+    )
 
 
+@check("recstep-vs", "valley-family one-step maps partition their targets", 6)
 def check_recstep_vs(n_max: int, golden_dir: str | None = None) -> list[str]:
+    return _check_recstep(
+        n_max, "vs", fam.recurrence_step_vs, fam.psi_vs_bridge, ("1", "2"), ("1", "1b", "2")
+    )
+
+
+def _check_constant_on_classes(n_max: int, name: str, stat: Callable) -> list[str]:
+    """Check that stat, applied to each member window, gives the value the
+    flip class records under `name`."""
     details = []
-    for n in range(2, n_max + 1):
-        for k in range(2, n + 1):
-            report = fam.recurrence_step_vs(n, k, "d")
-            expected = {
-                "1": ("vs-b", n - 1, k - 1, -1),
-                "2": ("vs-d", n, k - 1, 0),
-            }
-            targets = {
-                ("vs-b", n - 1, k - 1): _target_set("vs-b", n - 1, k - 1),
-                ("vs-d", n, k - 1): _target_set("vs-d", n, k - 1),
-            }
-            details += _verify_step_partition(
-                report.records, expected, targets, f"vs-d n={n} k={k}"
-            )
-        for k in range(1, n):
-            report = fam.recurrence_step_vs(n, k, "b")
-            expected = {
-                "1": ("vs-d", n - 1, k, 0),
-                "1b": ("vs-b", n, k + 1, 0),
-                "2": ("vs-b", n, k + 1, 0),
-            }
-            targets = {
-                ("vs-d", n - 1, k): _target_set("vs-d", n - 1, k),
-                ("vs-b", n, k + 1): _target_set("vs-b", n, k + 1),
-            }
-            details += _verify_step_partition(
-                report.records, expected, targets, f"vs-b n={n} k={k}"
-            )
-        bridge_sources = fam.enumerate_indexed("vs-b", n, n)
-        bridge_images = {fam.psi_vs_bridge(p).image for p in bridge_sources}
-        if bridge_images != _target_set("vs-d", n, n):
-            details.append(f"vs bridge n={n}: images differ from the type-D family")
+    for n in range(1, n_max + 1):
+        try:
+            for cls in fam.flip_classes(n):
+                values = {stat(w) for w in cls.members}
+                if values != {getattr(cls, name)}:
+                    details.append(f"n={n}: class {cls.canon} has {name} values {values}")
+        except ValueError as exc:
+            details.append(f"n={n}: {exc}")
     return details
 
 
+@check("smax-well-defined", "smax is constant on every flip class", 6)
 def check_smax_well_defined(n_max: int, golden_dir: str | None = None) -> list[str]:
-    details = []
-    for n in range(1, n_max + 1):
-        try:
-            for cls in fam.flip_classes(n):
-                values = {stat_smax(w) for w in cls.members}
-                if values != {cls.smax}:
-                    details.append(f"n={n}: class {cls.canon} has smax values {values}")
-        except ValueError as exc:
-            details.append(f"n={n}: {exc}")
-    return details
+    return _check_constant_on_classes(n_max, "smax", stat_smax)
 
 
+@check("spk-well-defined", "spk is constant on every flip class", 6)
 def check_spk_well_defined(n_max: int, golden_dir: str | None = None) -> list[str]:
-    details = []
-    for n in range(1, n_max + 1):
-        try:
-            for cls in fam.flip_classes(n):
-                values = {stat_spk(SignedPerm(w)) for w in cls.members}
-                if values != {cls.spk}:
-                    details.append(f"n={n}: class {cls.canon} has spk values {values}")
-        except ValueError as exc:
-            details.append(f"n={n}: {exc}")
-    return details
+    return _check_constant_on_classes(n_max, "spk", lambda w: stat_spk(SignedPerm(w)))
 
 
+@check(
+    "report-emp-npk-perobject",
+    "where the per-object emp/npk exponent identity holds",
+    6,
+    report_only=True,
+)
 def check_report_emp_npk(n_max: int, golden_dir: str | None = None) -> list[str]:
     """Report-only: where does emp(tree image) equal n+1-2*npk per object?"""
     findings = []
@@ -618,68 +598,7 @@ def check_report_emp_npk(n_max: int, golden_dir: str | None = None) -> list[str]
 
 
 # ---------------------------------------------------------------------------
-# registry
-
-CHECKS: tuple[RegisteredCheck, ...] = (
-    RegisteredCheck("table-arnold", "numeric double triangle matches the stored table", 5),
-    RegisteredCheck("table-polys", "polynomial double triangle matches the stored table", 5),
-    RegisteredCheck("poly-at-1", "polynomials evaluated at 1 give the numeric triangle", 10),
-    RegisteredCheck("row-sums-springer", "row sums give the Springer numbers", 5),
-    RegisteredCheck("hoffman-q", "t*Q_n equals the positive-side row sum", 10),
-    RegisteredCheck("hoffman-p", "P_n - t*Q_n equals the negative-side row sum", 10),
-    RegisteredCheck("entringer-alternating", "triangle entries count alternating permutations by first entry", 8),
-    RegisteredCheck("snakes-arnold", "snake counts by first entry reproduce the triangle", 5),
-    RegisteredCheck("thm-cud", "cycle-up-down npk polynomials reproduce the refined triangle", 7),
-    RegisteredCheck("thm-vs", "valley-family neg polynomials reproduce the refined triangle", 7),
-    RegisteredCheck("thm-fl", "flip-class spk polynomials reproduce the refined triangle", 6),
-    RegisteredCheck("thm-trees", "tree emp polynomials reproduce the refined triangle", 7),
-    RegisteredCheck("bij-cud-b", "type-B cycle map is an index-preserving bijection to empty-ended trees", 6),
-    RegisteredCheck("bij-cud-d", "type-D cycle map is an index-preserving bijection to labelled-ended trees", 6),
-    RegisteredCheck("bij-vs-b", "type-B valley map is an index-preserving bijection", 6),
-    RegisteredCheck("bij-vs-d", "type-D valley map is an index-preserving bijection", 6),
-    RegisteredCheck("bij-fl", "flip-class map is well defined and bijective", 6),
-    RegisteredCheck("cor-rightmost-cycle-min", "rightmost-path labels are the cycle minima", 6),
-    RegisteredCheck("cor-rightmost-ltr-min", "rightmost-path labels are the left-to-right minima", 6),
-    RegisteredCheck("lemma-emp-spk", "emp equals n - 2*spk + 1 on every flip class", 6),
-    RegisteredCheck("lemma-peak-leaf", "double-empty nodes of the min-split tree are the peaks", 7),
-    RegisteredCheck("knuth-flip-euler", "unsigned flip classes are counted by Euler numbers", 7),
-    RegisteredCheck("recstep-cud", "cycle-family one-step maps partition their targets", 6),
-    RegisteredCheck("recstep-vs", "valley-family one-step maps partition their targets", 6),
-    RegisteredCheck("smax-well-defined", "smax is constant on every flip class", 6),
-    RegisteredCheck("spk-well-defined", "spk is constant on every flip class", 6),
-    RegisteredCheck("report-emp-npk-perobject", "where the per-object emp/npk exponent identity holds", 6, report_only=True),
-)
-
-_CHECK_FUNCS: dict[str, Callable[..., list[str]]] = {
-    "table-arnold": check_table_arnold,
-    "table-polys": check_table_polys,
-    "poly-at-1": check_poly_at_1,
-    "row-sums-springer": check_row_sums_springer,
-    "hoffman-q": check_hoffman_q,
-    "hoffman-p": check_hoffman_p,
-    "entringer-alternating": check_entringer_alternating,
-    "snakes-arnold": check_snakes_arnold,
-    "thm-cud": check_thm_cud,
-    "thm-vs": check_thm_vs,
-    "thm-fl": check_thm_fl,
-    "thm-trees": check_thm_trees,
-    "bij-cud-b": check_bij_cud_b,
-    "bij-cud-d": check_bij_cud_d,
-    "bij-vs-b": check_bij_vs_b,
-    "bij-vs-d": check_bij_vs_d,
-    "bij-fl": check_bij_fl,
-    "cor-rightmost-cycle-min": check_cor_rightmost_cycle_min,
-    "cor-rightmost-ltr-min": check_cor_rightmost_ltr_min,
-    "lemma-emp-spk": check_lemma_emp_spk,
-    "lemma-peak-leaf": check_lemma_peak_leaf,
-    "knuth-flip-euler": check_knuth_flip_euler,
-    "recstep-cud": check_recstep_cud,
-    "recstep-vs": check_recstep_vs,
-    "smax-well-defined": check_smax_well_defined,
-    "spk-well-defined": check_spk_well_defined,
-    "report-emp-npk-perobject": check_report_emp_npk,
-}
-
+# running registered checks
 
 def check_ids() -> tuple[str, ...]:
     return tuple(spec.check_id for spec in CHECKS)
@@ -699,7 +618,7 @@ def verify(check_id: str, max_n: int | None = None, golden_dir: str | None = Non
     if n_max < 1:
         raise SizeCapExceededError("max_n must be at least 1")
     start = time.perf_counter()
-    details = _CHECK_FUNCS[check_id](n_max, golden_dir)
+    details = spec.run(n_max, golden_dir)
     elapsed = time.perf_counter() - start
     if spec.report_only:
         status = "report-only"
@@ -709,17 +628,15 @@ def verify(check_id: str, max_n: int | None = None, golden_dir: str | None = Non
 
 
 def verify_all(max_n: int | None = None, golden_dir: str | None = None) -> list[CheckResult]:
-    """Run every registered check at its default ceiling, capped by max_n.
-    Results come back in registry order regardless of execution order."""
+    """Run every registered check, in registry order, at its default
+    ceiling capped by max_n."""
     if max_n is not None and max_n < 1:
         raise SizeCapExceededError("max_n must be at least 1")
-    plan = [
-        (spec.check_id, spec.default_max_n if max_n is None else min(spec.default_max_n, max_n))
+    return [
+        verify(
+            spec.check_id,
+            spec.default_max_n if max_n is None else min(spec.default_max_n, max_n),
+            golden_dir,
+        )
         for spec in CHECKS
     ]
-    threads = int(os.environ.get("ARNOLD_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(verify, cid, n, golden_dir) for cid, n in plan]
-            return [f.result() for f in futures]
-    return [verify(cid, n, golden_dir) for cid, n in plan]

@@ -7,7 +7,7 @@ bijection of {-n..-1, 1..n} via sigma(-i) = -sigma(i).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 
@@ -94,7 +94,7 @@ class Cycle:
 class CycleForm:
     cycles: tuple[Cycle, ...]
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(len({abs(e) for e in c.entries}) for c in self.cycles)
 

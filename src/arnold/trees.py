@@ -11,6 +11,9 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 
+TREE_CAP = 10
+
+
 class SizeCapExceededError(ValueError):
     pass
 
@@ -29,28 +32,6 @@ EMPTY = _EmptyLeaf()
 class Node:
     label: int
     children: tuple[object, object] | None = None  # None means labelled leaf
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
-
-    @property
-    def left(self):
-        assert self.children is not None
-        return self.children[0]
-
-    @property
-    def right(self):
-        assert self.children is not None
-        return self.children[1]
-
-
-def leaf(label: int) -> Node:
-    return Node(label)
-
-
-def node(label: int, left, right) -> Node:
-    return Node(label, (left, right))
 
 
 def _gen(labels: tuple[int, ...]) -> Iterator:
@@ -72,15 +53,15 @@ def _gen(labels: tuple[int, ...]) -> Iterator:
                 yield Node(root, (lt, rt))
 
 
-def gen_trees(n: int, cap: int = 10) -> Iterator[Node]:
+def gen_trees(n: int) -> Iterator[Node]:
     """All complete increasing binary trees on labels 1..n, each once.
 
     Deterministic order: left-subtree label subsets by ascending bitmask.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > cap:
-        raise SizeCapExceededError(f"n={n} exceeds tree generation cap {cap}")
+    if n > TREE_CAP:
+        raise SizeCapExceededError(f"n={n} exceeds tree generation cap {TREE_CAP}")
     yield from _gen(tuple(range(1, n + 1)))
 
 

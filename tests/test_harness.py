@@ -41,13 +41,10 @@ EXPECTED_IDS = (
 
 
 def test_registry_is_complete():
-    from arnold.harness import _CHECK_FUNCS
-
     assert check_ids() == EXPECTED_IDS
     assert all(spec.claim for spec in CHECKS)
     # every registered claim is backed by an executable check
-    assert set(_CHECK_FUNCS) == set(EXPECTED_IDS)
-    assert all(callable(fn) for fn in _CHECK_FUNCS.values())
+    assert all(callable(spec.run) for spec in CHECKS)
 
 
 def test_unknown_check():
@@ -120,8 +117,8 @@ def test_npk_statistic_mismatch_is_reported_precisely():
                 counts[(side, cf.cycles[-1].leader, tops + (side == "d"))] += 1
         return counts
 
-    assert _compare_family_polys(3, ascent_top_distribution, "cud") == []
-    details = _compare_family_polys(4, ascent_top_distribution, "cud")
+    assert _compare_family_polys(3, ascent_top_distribution, "cud B", "cud D") == []
+    details = _compare_family_polys(4, ascent_top_distribution, "cud B", "cud D")
     assert "cud B n=4 k=4: 4t + 8t^3 + 4t^5 != 2t + 8t^3 + 6t^5" in details
     assert all("n=4 k=4" in d for d in details if "B n=" in d)
 
@@ -143,8 +140,7 @@ def test_golden_dir_override_detects_tampering(tmp_path):
     assert verify("table-arnold", 5).status == "pass"
 
 
-def test_thread_pool_keeps_registry_order(monkeypatch):
-    monkeypatch.setenv("ARNOLD_THREADS", "4")
+def test_verify_all_keeps_registry_order():
     results = verify_all(2)
     assert [r.check_id for r in results] == list(EXPECTED_IDS)
     assert all(r.status != "fail" for r in results)
@@ -157,3 +153,81 @@ def test_elapsed_is_recorded():
     payload = result.to_json()
     assert payload["check"] == "table-arnold"
     assert payload["status"] == "pass"
+
+
+# Injected faults: each test breaks one function the harness calls and pins
+# the details its check reports, so that checks sharing a driver keep
+# their failure text.
+
+@pytest.fixture
+def fresh_tree_cache():
+    import arnold.harness as harness
+
+    def clear():
+        cache_clear = getattr(harness._tree_distribution, "cache_clear", None)
+        if cache_clear is not None:
+            cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def test_missing_tree_is_reported(monkeypatch, fresh_tree_cache):
+    import arnold.trees as trees
+
+    real = trees.gen_trees
+
+    def drop_first(n):
+        it = real(n)
+        next(it)
+        yield from it
+
+    monkeypatch.setattr(trees, "gen_trees", drop_first)
+    assert verify("thm-trees", 1).details[0].startswith("trees-s n=1 k=1: 0 != 1")
+    assert verify("bij-fl", 1).details == ("fl n=1: 2 classes vs 1 trees",)
+    assert verify("bij-cud-d", 1).details == ("cud-d n=1 k=1: 1 members vs 0 trees",)
+
+
+def test_unknown_step_case_is_reported(monkeypatch):
+    import dataclasses
+
+    import arnold.families as families
+
+    real = families.psi_vs_b
+
+    def odd_case(p):
+        rec = real(p)
+        return dataclasses.replace(rec, case="zz") if p.window == (1, -2, 3) else rec
+
+    monkeypatch.setattr(families, "psi_vs_b", odd_case)
+    assert verify("recstep-vs", 3).details == (
+        "vs-b n=3 k=1: unexpected case zz for [1,-2,3]",
+        "vs-b n=3 k=1: target ('vs-b', 3, 2) covered with 1 missing, 0 extra",
+    )
+
+
+def test_mislabelled_step_target_is_reported(monkeypatch):
+    import dataclasses
+
+    import arnold.families as families
+
+    real = families.psi_cud_d
+
+    def wrong_index(cf):
+        rec = real(cf)
+        return dataclasses.replace(rec, target_index=rec.target_index + 1)
+
+    monkeypatch.setattr(families, "psi_cud_d", wrong_index)
+    details = verify("recstep-cud", 2).details
+    assert details[0] == "cud-d n=2 k=2: (1)[2,-2] sent to (cud-b,1,2), expected (cud-b,1,1)"
+
+
+def test_class_statistic_mismatch_is_reported(monkeypatch):
+    import arnold.harness as harness
+
+    real_smax = harness.stat_smax
+    monkeypatch.setattr(harness, "stat_smax", lambda w: abs(real_smax(w)))
+    monkeypatch.setattr(harness, "stat_spk", lambda p: 0)
+    assert verify("smax-well-defined", 1).details == ("n=1: class (-1,) has smax values {1}",)
+    assert verify("spk-well-defined", 1).details == ("n=1: class (-1,) has spk values {0}",)

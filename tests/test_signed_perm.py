@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arnold.families import windows
+from arnold.families import enumerate_family, windows
 from arnold.signed_perm import (
     AbsValueOutOfRangeError,
     Cycle,
@@ -102,6 +102,11 @@ class TestCycleForm:
     def test_window_of_bracket_form(self):
         cf = CycleForm((Cycle((1, -1), bracket=True), Cycle((2, -2), bracket=True)))
         assert window_of(cf).window == (-1, -2)
+
+    def test_size_of_bracket_forms(self):
+        for n in range(1, 5):
+            for cf in enumerate_family("cud-d", n):
+                assert cf.n == len(window_of(cf).window) == n
 
 
 class TestValleysPeaks:
