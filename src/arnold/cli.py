@@ -1,8 +1,8 @@
 """Command line front door: triangles, family enumeration, tree maps, and
 the verification suite.
 
-Exit codes for `arnold verify`: 0 all pass, 1 at least one failure, 2 on
-usage or size errors.
+Exit codes for `arnold verify`: 0 all pass, 1 at least one failure or
+crashed check, 2 on usage or size errors.
 """
 from __future__ import annotations
 

@@ -2,11 +2,13 @@
 classes, perfect ranking of signed permutations, and the one-step
 recurrence maps between indexed families.
 
-Reference enumerators sweep all 2^n * n! windows in lexicographic order and
-keep the members of a literal membership predicate; there are no shortcut
-generators.  Statistic-distribution sweeps used by the verification harness
-share the same predicates but organize the sweep by underlying unsigned
-permutation for speed.
+The enumerators are generators: each family is built member by member from
+unsigned permutations (with the sign patterns its rules allow) or, for
+snakes, from prefixes that still obey the snake rules, and comes out in
+window order.  `windows()` and the `is_*` membership predicates are the
+literal definitions and serve as the test oracle.  The statistic
+distributions used by the verification harness are counted per unsigned
+permutation without building the members.
 """
 from __future__ import annotations
 
@@ -14,8 +16,8 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
-from math import factorial
+from itertools import permutations, product
+from math import comb, factorial
 from typing import Iterator, Sequence
 
 from .signed_perm import (
@@ -310,55 +312,144 @@ def flip_classes(n: int) -> tuple[FlipClass, ...]:
 def unsigned_flip_classes(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Flip classes of ordinary permutations, as sorted member tuples."""
     _check_size(n)
-    perms = sorted(permutations(range(1, n + 1)))
+    perms = list(permutations(range(1, n + 1)))
     out = [tuple(sorted(g)) for g in _flip_components(perms)]
     out.sort()
     return tuple(out)
 
 
 # ---------------------------------------------------------------------------
-# family enumeration
+# family generators: each builds only members, in window order
+
+def _perm_cycles(p: tuple[int, ...]) -> list[list[int]]:
+    """Cycles of an unsigned permutation, each read from its least entry,
+    in increasing order of that entry."""
+    n = len(p)
+    seen = [False] * (n + 1)
+    cycles = []
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        x = p[start - 1]
+        while x != start:
+            cyc.append(x)
+            seen[x] = True
+            x = p[x - 1]
+        cycles.append(cyc)
+    return cycles
+
+
+def _up_down_perms(n: int) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
+    """(p, cycles of p) for each permutation of 1..n, in lexicographic
+    order, whose cycles are all up-down."""
+    for p in permutations(range(1, n + 1)):
+        cycles = _perm_cycles(p)
+        if all(_up_down(c) for c in cycles):
+            yield p, cycles
+
+
+def _signings(cycle: list[int]) -> list[tuple[tuple[int, int], ...]]:
+    """The 2^(len-1) signings of a cycle that keep it a paired orbit (the
+    leader positive, every other entry of either sign), each given as the
+    (position, value) entries it writes into the window."""
+    head, *rest = cycle
+    out = []
+    for signs in product((1, -1), repeat=len(rest)):
+        c = (head, *(s * v for s, v in zip(signs, rest)))
+        out.append(tuple((abs(x) - 1, y if x > 0 else -y) for x, y in zip(c, c[1:] + c[:1])))
+    return out
+
+
+def _cud_members(n: int, side: str) -> tuple[CycleForm, ...]:
+    """Cycle-up-down members of type `side`: "a" keeps every entry
+    positive, "b" signs each cycle as a paired orbit, and "d" also needs
+    the cycle with the largest leader to be a fixed point k, which becomes
+    the bracket (k,-k)."""
+    found = []
+    for p, cycles in _up_down_perms(n):
+        if side == "a":
+            found.append(p)
+            continue
+        w = list(p)
+        if side == "d":
+            if len(cycles[-1]) > 1:
+                continue
+            k = cycles.pop()[0]
+            w[k - 1] = -k
+        for signed in product(*map(_signings, cycles)):
+            for writes in signed:
+                for i, v in writes:
+                    w[i] = v
+            found.append(tuple(w))
+    found.sort()
+    return tuple(cycle_form(SignedPerm(w)) for w in found)
+
+
+def _valley_successors(p: tuple[int, ...]) -> list[int]:
+    """Positions of p whose entry follows a valley value: the entries a
+    valley signed permutation over p may negate."""
+    vv = valley_values(p)
+    return [i for i in range(1, len(p)) if p[i - 1] in vv]
+
+
+def _vs_members(n: int, side: str) -> tuple[SignedPerm, ...]:
+    """Valley signed permutations of type `side`.  Type D negates p[0],
+    which must exceed p[1], so p[0] is no valley and p[1] stays positive."""
+    found = []
+    for p in permutations(range(1, n + 1)):
+        head = list(p)
+        if side == "d":
+            if n > 1 and p[0] < p[1]:
+                continue
+            head[0] = -p[0]
+        signable = _valley_successors(p)
+        for signs in product((1, -1), repeat=len(signable)):
+            w = head[:]
+            for i, s in zip(signable, signs):
+                w[i] *= s
+            found.append(tuple(w))
+    found.sort()
+    return tuple(SignedPerm(w) for w in found)
+
+
+def _snakes(n: int, side: str) -> tuple[SignedPerm, ...]:
+    """Snakes of type `side`.  Prefixes grow in the candidate order of
+    `windows`, so members come out in window order, and a prefix is dropped
+    as soon as it breaks the alternation or the rule on its first entries."""
+    found = []
+
+    def extend(prefix: tuple[int, ...], used: frozenset[int]) -> None:
+        i = len(prefix)
+        if i == n:
+            found.append(SignedPerm(prefix))
+            return
+        for v in _candidates(n, used):
+            if i == 0:
+                ok = (v > 0) == (side == "b")
+            elif i == 1 and side == "d":
+                ok = v > -prefix[0]
+            else:
+                ok = (prefix[-1] > v) == ((i % 2 == 1) == (side == "b"))
+            if ok:
+                extend(prefix + (v,), used | {abs(v)})
+
+    extend((), frozenset())
+    return tuple(found)
+
 
 @lru_cache(maxsize=None)
 def _enumerate(family: str, n: int):
     if family == "alternating":
-        return tuple(
-            SignedPerm(p) for p in sorted(permutations(range(1, n + 1))) if is_alternating(p)
-        )
-    if family == "cud-a":
-        out = []
-        for p in sorted(permutations(range(1, n + 1))):
-            cf = cycle_form(SignedPerm(p))
-            if is_cud_b(cf):
-                out.append(cf)
-        return tuple(out)
-    if family == "snakes-b":
-        return tuple(SignedPerm(w) for w in windows(n) if is_snake_b(w))
-    if family == "snakes-d":
-        return tuple(SignedPerm(w) for w in windows(n) if is_snake_d(w))
-    if family == "vs-b":
-        return tuple(SignedPerm(w) for w in windows(n) if is_vs_b(w))
-    if family == "vs-d":
-        return tuple(SignedPerm(w) for w in windows(n) if is_vs_d(w))
-    if family == "cud-b":
-        out = []
-        for w in windows(n):
-            cf = cycle_form(SignedPerm(w))
-            if is_cud_b(cf):
-                out.append(cf)
-        return tuple(out)
-    if family == "cud-d":
-        out = []
-        for w in windows(n):
-            cf = cycle_form(SignedPerm(w))
-            if is_cud_d(cf):
-                out.append(cf)
-        return tuple(out)
+        return tuple(SignedPerm(p) for p in permutations(range(1, n + 1)) if is_alternating(p))
     if family == "fl-b":
         return tuple(c for c in flip_classes(n) if c.smax > 0)
     if family == "fl-d":
         return tuple(c for c in flip_classes(n) if c.smax < 0)
-    raise UnknownFamilyError(family)
+    kind, _, side = family.partition("-")
+    generate = {"snakes": _snakes, "cud": _cud_members, "vs": _vs_members}[kind]
+    return generate(n, side)
 
 
 def enumerate_family(family: str, n: int):
@@ -393,26 +484,8 @@ def enumerate_indexed(family: str, n: int, k: int):
 
 
 # ---------------------------------------------------------------------------
-# fast statistic-distribution sweeps (same predicates, organized per
-# unsigned permutation so the n=7 checks stay inside their time budget)
-
-def _perm_cycles(p: tuple[int, ...]) -> list[list[int]]:
-    n = len(p)
-    seen = [False] * (n + 1)
-    cycles = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        x = p[start - 1]
-        while x != start:
-            cyc.append(x)
-            seen[x] = True
-            x = p[x - 1]
-        cycles.append(cyc)
-    return cycles
-
+# statistic distributions, counted per unsigned permutation without
+# building the members
 
 @lru_cache(maxsize=None)
 def cud_distribution(n: int) -> Counter:
@@ -420,10 +493,7 @@ def cud_distribution(n: int) -> Counter:
     side "b" or "d", index = last-cycle leader."""
     _check_size(n)
     counts: Counter = Counter()
-    for p in permutations(range(1, n + 1)):
-        cycles = _perm_cycles(p)
-        if not all(_up_down(c) for c in cycles):
-            continue
+    for _p, cycles in _up_down_perms(n):
         # an entry's sign is the parity of the mask over the values before
         # it in its cycle; keep those prefixes at the leaves of the cycle's
         # min-split tree, where a negative entry counts toward npk
@@ -457,27 +527,12 @@ def vs_distribution(n: int) -> Counter:
     _check_size(n)
     counts: Counter = Counter()
     for p in permutations(range(1, n + 1)):
-        vv = valley_values(p)
-        val_pos = [i for i in range(n - 1) if p[i] in vv] if n > 1 else []
-        allowed_b = 0
-        allowed_d = 0
-        for i in val_pos:
-            allowed_b |= 1 << (i + 1)
-            if i >= 1:
-                allowed_d |= 1 << (i + 1)
-        sub = allowed_b
-        while True:
-            counts[("b", p[0], sub.bit_count())] += 1
-            if sub == 0:
-                break
-            sub = (sub - 1) & allowed_b
-        if n == 1 or p[0] > p[1]:
-            sub = allowed_d
-            while True:
-                counts[("d", p[0], sub.bit_count() + 1)] += 1
-                if sub == 0:
-                    break
-                sub = (sub - 1) & allowed_d
+        signable = len(_valley_successors(p))
+        for j in range(signable + 1):
+            ways = comb(signable, j)
+            counts[("b", p[0], j)] += ways
+            if n == 1 or p[0] > p[1]:
+                counts[("d", p[0], j + 1)] += ways
     return counts
 
 

@@ -7,7 +7,8 @@ and default ceiling; `verify` wraps its list of mismatch records in a
 CheckResult, and a pass/fail check fails exactly when that list is not
 empty.  Report-only checks never fail: they exist to record findings
 (currently, for how many members the per-object tree/npk exponent
-identity holds at each size).
+identity holds at each size).  `verify_all` reports a check that raises
+with status "error", so one crash does not hide the other results.
 """
 from __future__ import annotations
 
@@ -47,13 +48,13 @@ class UnknownCheckError(ValueError):
 class CheckResult:
     check_id: str
     n_range: tuple[int, int]
-    status: str  # "pass" | "fail" | "report-only"
+    status: str  # "pass" | "fail" | "report-only" | "error"
     details: tuple[str, ...]
     elapsed: float
 
     @property
     def ok(self) -> bool:
-        return self.status != "fail"
+        return self.status not in ("fail", "error")
 
     def to_json(self) -> dict:
         return {
@@ -629,14 +630,20 @@ def verify(check_id: str, max_n: int | None = None, golden_dir: str | None = Non
 
 def verify_all(max_n: int | None = None, golden_dir: str | None = None) -> list[CheckResult]:
     """Run every registered check, in registry order, at its default
-    ceiling capped by max_n."""
+    ceiling capped by max_n.  A check that raises anything but
+    SizeCapExceededError is reported with status "error" and the
+    exception in its details, and the remaining checks still run."""
     if max_n is not None and max_n < 1:
         raise SizeCapExceededError("max_n must be at least 1")
-    return [
-        verify(
-            spec.check_id,
-            spec.default_max_n if max_n is None else min(spec.default_max_n, max_n),
-            golden_dir,
-        )
-        for spec in CHECKS
-    ]
+    results = []
+    for spec in CHECKS:
+        n_max = spec.default_max_n if max_n is None else min(spec.default_max_n, max_n)
+        start = time.perf_counter()
+        try:
+            results.append(verify(spec.check_id, n_max, golden_dir))
+        except SizeCapExceededError:
+            raise
+        except Exception as exc:
+            elapsed = time.perf_counter() - start
+            results.append(CheckResult(spec.check_id, (1, n_max), "error", (repr(exc),), elapsed))
+    return results

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from itertools import permutations
 from math import factorial
 from pathlib import Path
@@ -20,14 +21,20 @@ from arnold.families import (
     family_index,
     flip,
     flip_classes,
+    is_cud_b,
+    is_cud_d,
+    is_snake_b,
+    is_snake_d,
+    is_vs_b,
+    is_vs_d,
     rank,
     unrank,
     unsigned_flip_classes,
     vs_distribution,
     windows,
 )
-from arnold.signed_perm import from_window, stat_smax, stat_spk
-from arnold.triangles import arnold_numbers
+from arnold.signed_perm import SignedPerm, cycle_form, from_window, stat_smax, stat_spk
+from arnold.triangles import arnold_numbers, entringer
 
 GOLDEN = json.loads(
     (Path(__file__).resolve().parents[1] / "src/arnold/golden/small_families.json").read_text()
@@ -255,11 +262,9 @@ class TestFlipClasses:
 
 class TestDistributionSweeps:
     def test_cud_sweep_agrees_with_enumeration(self):
-        from collections import Counter
-
         from arnold.signed_perm import stat_npk
 
-        for n in range(1, 6):
+        for n in range(1, 7):
             want = Counter()
             for side, f in (("b", "cud-b"), ("d", "cud-d")):
                 for cf in enumerate_family(f, n):
@@ -267,11 +272,9 @@ class TestDistributionSweeps:
             assert cud_distribution(n) == want
 
     def test_vs_sweep_agrees_with_enumeration(self):
-        from collections import Counter
-
         from arnold.signed_perm import stat_neg
 
-        for n in range(1, 6):
+        for n in range(1, 7):
             want = Counter()
             for side, f in (("b", "vs-b"), ("d", "vs-d")):
                 for p in enumerate_family(f, n):
@@ -285,15 +288,46 @@ class TestDistributionSweeps:
         assert family_index("vs-d", p) == 2
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_generators_match_literal_filters(n):
+    # the generated families equal, in order, the literal filter over all
+    # signed windows; each window's cycle form is computed once
+    ws = list(windows(n))
+    cfs = [cycle_form(SignedPerm(w)) for w in ws]
+    want = {
+        "snakes-b": [SignedPerm(w) for w in ws if is_snake_b(w)],
+        "snakes-d": [SignedPerm(w) for w in ws if is_snake_d(w)],
+        "cud-a": [cf for w, cf in zip(ws, cfs) if min(w) > 0 and is_cud_b(cf)],
+        "cud-b": [cf for cf in cfs if is_cud_b(cf)],
+        "cud-d": [cf for cf in cfs if is_cud_d(cf)],
+        "vs-b": [SignedPerm(w) for w in ws if is_vs_b(w)],
+        "vs-d": [SignedPerm(w) for w in ws if is_vs_d(w)],
+    }
+    for f, members in want.items():
+        assert list(enumerate_family(f, n)) == members, f
+
+
 def test_permutation_families_per_entry():
-    # type-B snakes by first entry against the triangle, small sizes
-    rows = arnold_numbers(4)
-    for n in range(1, 5):
-        counts = {}
-        for p in enumerate_family("snakes-b", n):
-            counts[p.window[0]] = counts.get(p.window[0], 0) + 1
-        for k in range(1, n + 1):
-            assert counts.get(k, 0) == rows[n - 1].value(k)
+    # per-index counts of every generated family against the triangles:
+    # snakes by first entry read the row left to right, the cycle and
+    # valley families read it right to left, and cud-a gives Entringer
+    # numbers one row down
+    rows = arnold_numbers(7)
+    ent = entringer(8)
+    for n in range(1, 8):
+        row = rows[n - 1]
+        want = {
+            "snakes-b": [row.value(k) for k in range(1, n + 1)],
+            "snakes-d": [row.value(-k) for k in range(1, n + 1)],
+            "cud-b": [row.value(n + 1 - k) for k in range(1, n + 1)],
+            "cud-d": [row.value(-(n + 1 - k)) for k in range(1, n + 1)],
+            "vs-b": [row.value(n + 1 - k) for k in range(1, n + 1)],
+            "vs-d": [row.value(-(n + 1 - k)) for k in range(1, n + 1)],
+            "cud-a": list(ent[n][1:]),
+        }
+        for f, counts in want.items():
+            got = Counter(family_index(f, m) for m in enumerate_family(f, n))
+            assert [got[k] for k in range(1, n + 1)] == counts, (f, n)
 
 
 def test_unsigned_cycle_up_down_counts():

@@ -146,6 +146,53 @@ def test_verify_all_keeps_registry_order():
     assert all(r.status != "fail" for r in results)
 
 
+def _crash(monkeypatch, check_id, exc):
+    """Make one registered check raise `exc`; returns its registry index."""
+    from dataclasses import replace
+
+    import arnold.harness as harness
+
+    def run(*_args):
+        raise exc
+
+    i = check_ids().index(check_id)
+    patched = list(CHECKS)
+    patched[i] = replace(CHECKS[i], run=run)
+    monkeypatch.setattr(harness, "CHECKS", patched)
+    return i
+
+
+def test_crashing_check_is_reported_and_the_rest_still_run(monkeypatch):
+    def summary(r):
+        return (r.check_id, r.n_range, r.status, r.details)
+
+    clean = [summary(r) for r in verify_all(2)]
+    i = _crash(monkeypatch, "thm-vs", RuntimeError("injected"))
+    results = verify_all(2)
+    assert len(results) == len(EXPECTED_IDS) == 27
+    assert summary(results[i]) == ("thm-vs", (1, 2), "error", ("RuntimeError('injected')",))
+    assert not results[i].ok
+    assert results[i].to_json()["status"] == "error"
+    got = [summary(r) for r in results]
+    assert got[:i] + got[i + 1 :] == clean[:i] + clean[i + 1 :]
+
+
+def test_crashing_check_makes_verify_all_exit_one(monkeypatch, capsys):
+    from arnold.cli import main
+
+    _crash(monkeypatch, "thm-vs", ValueError("injected"))
+    assert main(["verify", "--all", "--max-n", "2", "--format", "jsonl"]) == 1
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [row["check"] for row in rows] == list(EXPECTED_IDS)
+    assert [row["status"] for row in rows].count("error") == 1
+
+
+def test_size_cap_still_aborts_verify_all(monkeypatch):
+    _crash(monkeypatch, "table-arnold", SizeCapExceededError("cap"))
+    with pytest.raises(SizeCapExceededError):
+        verify_all(2)
+
+
 def test_elapsed_is_recorded():
     result = verify("table-arnold", 5)
     assert result.elapsed >= 0
