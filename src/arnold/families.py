@@ -6,7 +6,8 @@ The enumerators are generators: each family is built member by member from
 unsigned permutations (with the sign patterns its rules allow) or, for
 snakes, from prefixes that still obey the snake rules, and comes out in
 window order.  `windows()` and the `is_*` membership predicates are the
-literal definitions and serve as the test oracle.  The statistic
+literal definitions and serve as the test oracle.  Flip classes are grown
+by flood fill over every signed window.  The statistic
 distributions used by the verification harness are counted per unsigned
 permutation without building the members.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 from math import comb, factorial
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .signed_perm import (
     Cycle,
@@ -227,34 +228,6 @@ def flip(obj, k: int):
     return SignedPerm(out) if isinstance(obj, SignedPerm) else out
 
 
-def legal_flips(win: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    n = len(win)
-    prefix_min = abs(win[0])
-    for k in range(1, n + 1):
-        if k == 1 or k == n or abs(win[k]) < prefix_min:
-            yield tuple(reversed(win[:k])) + win[k:]
-        if k < n:
-            prefix_min = min(prefix_min, abs(win[k]))
-
-
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 @dataclass(frozen=True)
 class FlipClass:
     canon: tuple[int, ...]
@@ -279,31 +252,48 @@ def _build_class(members: list[tuple[int, ...]]) -> FlipClass:
     members.sort()
     smaxes = {stat_smax(m) for m in members}
     spks = {stat_spk(SignedPerm(m)) for m in members}
-    if len(smaxes) != 1 or len(spks) != 1:
-        raise ValueError(f"class of {members[0]} has non-constant smax/spk")
+    for name, values in (("smax", smaxes), ("spk", spks)):
+        if len(values) != 1:
+            raise ValueError(f"class {members[0]} has {name} values {values}")
     return FlipClass(members[0], tuple(members), smaxes.pop(), spks.pop())
 
 
-def _flip_components(items: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
-    """Group a flip-closed list of windows into flip classes; each class
-    keeps the order of `items`."""
-    index = {w: i for i, w in enumerate(items)}
-    uf = _UnionFind(len(items))
-    for i, w in enumerate(items):
-        for img in legal_flips(w):
-            uf.union(i, index[img])
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for i, w in enumerate(items):
-        groups.setdefault(uf.find(i), []).append(w)
-    return list(groups.values())
+def _flip_components(items: Iterable[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
+    """Group flip-closed windows into classes by flood fill: each class walks
+    its own member list, appending the unseen images of its legal flips (see
+    `flip`; k = 1 is the identity)."""
+    seen: set[tuple[int, ...]] = set()
+    groups = []
+    for start in items:
+        if start in seen:
+            continue
+        seen.add(start)
+        group = [start]
+        for w in group:
+            images = [w[::-1]]
+            low = abs(w[0])
+            for k in range(1, len(w)):
+                a = abs(w[k])
+                if a < low:
+                    low = a
+                    if k > 1:
+                        images.append(w[k - 1 :: -1] + w[k:])
+            for img in images:
+                if img not in seen:
+                    seen.add(img)
+                    group.append(img)
+        groups.append(group)
+    return groups
 
 
 @lru_cache(maxsize=None)
 def flip_classes(n: int) -> tuple[FlipClass, ...]:
     """All flip equivalence classes of signed windows of size n, each with
-    its sorted member list; constancy of smax and spk is checked here."""
+    its sorted member list; constancy of smax and spk is checked here.
+    Windows come unordered, from each permutation with each sign pattern."""
     _check_size(n)
-    classes = [_build_class(g) for g in _flip_components(list(windows(n)))]
+    signed = (w for p in permutations(range(1, n + 1)) for w in product(*((a, -a) for a in p)))
+    classes = [_build_class(g) for g in _flip_components(signed)]
     classes.sort(key=lambda c: c.canon)
     return tuple(classes)
 
@@ -312,8 +302,7 @@ def flip_classes(n: int) -> tuple[FlipClass, ...]:
 def unsigned_flip_classes(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Flip classes of ordinary permutations, as sorted member tuples."""
     _check_size(n)
-    perms = list(permutations(range(1, n + 1)))
-    out = [tuple(sorted(g)) for g in _flip_components(perms)]
+    out = [tuple(sorted(g)) for g in _flip_components(permutations(range(1, n + 1)))]
     out.sort()
     return tuple(out)
 

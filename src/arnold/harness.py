@@ -259,6 +259,13 @@ def check_thm_vs(n_max: int, golden_dir: str | None = None) -> list[str]:
     return _compare_family_polys(n_max, fam.vs_distribution, "vs B", "vs D")
 
 
+def _family_ceiling(n_max: int) -> int:
+    """n_max, refused up front when above the family cap, so that a request
+    such as n_max = 9 does not first build every class up to size 8."""
+    fam._check_size(n_max)
+    return n_max
+
+
 def _fl_distribution(n: int) -> Counter:
     counts: Counter = Counter()
     for cls in fam.flip_classes(n):
@@ -269,7 +276,7 @@ def _fl_distribution(n: int) -> Counter:
 
 @check("thm-fl", "flip-class spk polynomials reproduce the refined triangle", 6)
 def check_thm_fl(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _compare_family_polys(n_max, _fl_distribution, "fl B", "fl D")
+    return _compare_family_polys(_family_ceiling(n_max), _fl_distribution, "fl B", "fl D")
 
 
 @lru_cache(maxsize=None)
@@ -350,7 +357,7 @@ def check_bij_vs_d(n_max: int, golden_dir: str | None = None) -> list[str]:
 @check("bij-fl", "flip-class map is well defined and bijective", 6)
 def check_bij_fl(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
-    for n in range(1, n_max + 1):
+    for n in range(1, _family_ceiling(n_max) + 1):
         classes = fam.flip_classes(n)
         images = []
         for cls in classes:
@@ -410,7 +417,7 @@ def check_cor_rightmost_ltr_min(n_max: int, golden_dir: str | None = None) -> li
 @check("lemma-emp-spk", "emp equals n - 2*spk + 1 on every flip class", 6)
 def check_lemma_emp_spk(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
-    for n in range(1, n_max + 1):
+    for n in range(1, _family_ceiling(n_max) + 1):
         for cls in fam.flip_classes(n):
             emp = tr.count_empty(bij.phi_f(cls))
             if emp != n - 2 * cls.spk + 1:
@@ -443,7 +450,7 @@ def check_lemma_peak_leaf(n_max: int, golden_dir: str | None = None) -> list[str
 @check("knuth-flip-euler", "unsigned flip classes are counted by Euler numbers", 7)
 def check_knuth_flip_euler(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
-    euler = euler_numbers(n_max)
+    euler = euler_numbers(_family_ceiling(n_max))
     for n in range(1, n_max + 1):
         classes = fam.unsigned_flip_classes(n)
         if len(classes) != euler[n - 1]:
@@ -555,7 +562,7 @@ def _check_constant_on_classes(n_max: int, name: str, stat: Callable) -> list[st
     """Check that stat, applied to each member window, gives the value the
     flip class records under `name`."""
     details = []
-    for n in range(1, n_max + 1):
+    for n in range(1, _family_ceiling(n_max) + 1):
         try:
             for cls in fam.flip_classes(n):
                 values = {stat(w) for w in cls.members}

@@ -329,22 +329,26 @@ def stat_smax(word: Sequence[int]) -> int:
     w = tuple(word)
     if not w:
         raise ValueError("smax of empty word")
-    if len({abs(v) for v in w}) != len(w):
+    a = [abs(v) for v in w]
+    if len(set(a)) != len(a):
         raise ValueError("absolute values must be distinct")
-    i = min(range(len(w)), key=lambda j: abs(w[j]))
-    m = w[i]
-    left, right = w[:i], w[i + 1 :]
-    if not left and not right:
-        return m
-    if not left:
-        return m if m > 0 else stat_smax(right)
-    if not right:
-        return m if m > 0 else stat_smax(left)
-    min_l = min(abs(v) for v in left)
-    min_r = min(abs(v) for v in right)
-    if m > 0:
-        return stat_smax(left) if min_l > min_r else stat_smax(right)
-    return stat_smax(left) if min_l < min_r else stat_smax(right)
+    # Meet the positions in increasing |entry|.  The first one met inside the
+    # block w[lo:hi] is its minimum m = w[i]; the next one met there is the
+    # lesser of the two sides' minima, so m > 0 moves to the other side (and
+    # stops if that side is empty) and m < 0 moves to this side.
+    lo, hi, i, m = 0, len(w), -1, None
+    for j in sorted(range(len(w)), key=a.__getitem__):
+        if not lo <= j < hi:
+            continue
+        if m is not None:
+            lo, hi = (lo, i) if (j < i) != (m > 0) else (i + 1, hi)
+            if m > 0:
+                if lo == hi:
+                    return m
+                m = None
+                continue
+        i, m = j, w[j]
+    return m
 
 
 def stat_report(p: SignedPerm) -> dict[str, int | None]:

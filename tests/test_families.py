@@ -227,10 +227,35 @@ class TestFlipClasses:
         assert len(enumerate_family("fl-d", 3)) == 5
 
     def test_members_partition_all_windows(self):
-        for n in range(1, 5):
+        for n in range(1, 7):
             classes = flip_classes(n)
             members = [w for c in classes for w in c.members]
             assert sorted(members) == list(windows(n))
+
+    @staticmethod
+    def _closure(start):
+        """The class of `start` under the public `flip`, found by trying
+        every prefix length on every window reached."""
+        found = {start}
+        todo = [start]
+        while todo:
+            w = todo.pop()
+            for k in range(1, len(w) + 1):
+                try:
+                    img = flip(w, k)
+                except IllegalFlipError:
+                    continue
+                if img not in found:
+                    found.add(img)
+                    todo.append(img)
+        return tuple(sorted(found))
+
+    def test_classes_are_closures_under_literal_flips(self):
+        for n in range(1, 6):
+            for cls in flip_classes(n):
+                assert self._closure(cls.canon) == cls.members, cls.canon
+            for members in unsigned_flip_classes(n):
+                assert self._closure(members[0]) == members, members
 
     def test_class_of_smax_example(self):
         classes = flip_classes(4)

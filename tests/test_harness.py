@@ -278,3 +278,57 @@ def test_class_statistic_mismatch_is_reported(monkeypatch):
     monkeypatch.setattr(harness, "stat_spk", lambda p: 0)
     assert verify("smax-well-defined", 1).details == ("n=1: class (-1,) has smax values {1}",)
     assert verify("spk-well-defined", 1).details == ("n=1: class (-1,) has spk values {0}",)
+
+
+FLIP_CLASS_CHECKS = (
+    "thm-fl",
+    "bij-fl",
+    "lemma-emp-spk",
+    "knuth-flip-euler",
+    "smax-well-defined",
+    "spk-well-defined",
+)
+
+
+@pytest.fixture
+def flip_classes_forbidden(monkeypatch):
+    import arnold.families as families
+
+    def forbidden(n):
+        raise AssertionError(f"flip classes of size {n} built before the cap was checked")
+
+    monkeypatch.delenv("ARNOLD_MAX_N", raising=False)
+    monkeypatch.setattr(families, "flip_classes", forbidden)
+    monkeypatch.setattr(families, "unsigned_flip_classes", forbidden)
+
+
+@pytest.mark.parametrize("check_id", FLIP_CLASS_CHECKS)
+def test_flip_checks_refuse_ceiling_above_cap_up_front(check_id, flip_classes_forbidden):
+    with pytest.raises(SizeCapExceededError, match="n=9 exceeds the configured cap 8"):
+        verify(check_id, 9)
+
+
+def test_cli_refuses_flip_ceiling_above_cap_with_exit_2(capsys, flip_classes_forbidden):
+    from arnold.cli import main
+
+    assert main(["verify", "--check", "bij-fl", "--max-n", "9"]) == 2
+    assert "exceeds the configured cap 8" in capsys.readouterr().err
+
+
+@pytest.fixture
+def fresh_flip_cache():
+    import arnold.families as families
+
+    families.flip_classes.cache_clear()
+    yield
+    families.flip_classes.cache_clear()
+
+
+def test_non_constant_class_statistic_names_it(monkeypatch, fresh_flip_cache):
+    import arnold.families as families
+
+    real = families.stat_spk
+    monkeypatch.setattr(families, "stat_spk", lambda p: real(p) + (p.window[0] == 2))
+    with pytest.raises(ValueError, match=r"^class \(1, 2\) has spk values \{0, 1\}$"):
+        families.flip_classes(2)
+    assert verify("spk-well-defined", 2).details == ("n=2: class (1, 2) has spk values {0, 1}",)

@@ -31,6 +31,30 @@ from arnold.signed_perm import (
 )
 
 
+def _smax_reference(word):
+    """The recursive min-split definition of smax, kept as the reference
+    for `stat_smax`."""
+    w = tuple(word)
+    if not w:
+        raise ValueError("smax of empty word")
+    if len({abs(v) for v in w}) != len(w):
+        raise ValueError("absolute values must be distinct")
+    i = min(range(len(w)), key=lambda j: abs(w[j]))
+    m = w[i]
+    left, right = w[:i], w[i + 1 :]
+    if not left and not right:
+        return m
+    if not left:
+        return m if m > 0 else _smax_reference(right)
+    if not right:
+        return m if m > 0 else _smax_reference(left)
+    min_l = min(abs(v) for v in left)
+    min_r = min(abs(v) for v in right)
+    if m > 0:
+        return _smax_reference(left) if min_l > min_r else _smax_reference(right)
+    return _smax_reference(left) if min_l < min_r else _smax_reference(right)
+
+
 def signed_perms(max_n=6):
     return (
         st.integers(min_value=1, max_value=max_n)
@@ -215,6 +239,17 @@ class TestStatistics:
             stat_smax([])
         with pytest.raises(ValueError):
             stat_smax([1, -1])
+
+    def test_smax_matches_recursive_definition(self):
+        for n in range(1, 7):
+            for w in windows(n):
+                assert stat_smax(w) == _smax_reference(w), w
+        for bad in ([], [1, -1], [2, 3, -2], (4, -1, 1)):
+            with pytest.raises(ValueError) as want:
+                _smax_reference(bad)
+            with pytest.raises(ValueError) as got:
+                stat_smax(bad)
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
     def test_left_to_right_minima(self):
         assert left_to_right_minima((7, 5, 1, 3, 4, 2, 6)) == frozenset({7, 5, 1})
