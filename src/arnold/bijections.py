@@ -13,6 +13,13 @@ at the peak paired with each negated valley successor.
 The flip route: a min-split on absolute values whose child orientation is
 decided by the pivot sign together with which side holds the smaller
 minimum, making the image constant on flip classes.
+
+Each map is computed as a flat code (see `trees`): `*_code` returns the
+tuple, where code[2v-2] and code[2v-1] are the left and right child labels
+of label v, 0 is an empty leaf and (-1, -1) a labelled leaf.  The window
+and flip routes start from `trees.split_code`, the cycle route from
+`trees.block_code`; the sign rules then rewrite slot pairs in place.  The
+tree-valued maps return `trees.tree_of` of that code.
 """
 from __future__ import annotations
 
@@ -20,8 +27,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .families import FlipClass, is_cud_b, is_cud_d, is_vs_b, is_vs_d
-from .signed_perm import Cycle, CycleForm, SignedPerm, peaks, valleys
-from .trees import EMPTY, Node, labels
+from .signed_perm import CycleForm, SignedPerm, peaks, valleys
+from .trees import EMPTY, Node, block_code, split_code, tree_of
 
 
 class MalformedSequenceError(ValueError):
@@ -74,23 +81,42 @@ class NPNode:
     children: tuple[object, object]
 
 
-def _np(label: int, a, b) -> NPNode:
-    kids = sorted((a, b), key=lambda c: (c is EMPTY, getattr(c, "label", 0)))
-    return NPNode(label, (kids[0], kids[1]))
-
-
 def algo1(seq: Sequence[int]):
     """Map a sequence of distinct integers to a non-plane complete
-    increasing tree; all its leaves are empty."""
+    increasing tree; all its leaves are empty.  The block walk runs on the
+    ranks of the entries, so any distinct integers are accepted."""
     s = tuple(seq)
     if len(set(s)) != len(s):
         raise MalformedSequenceError("entries must be distinct")
     if not s:
         return EMPTY
-    if s.index(max(s)) < s.index(min(s)):
-        s = complement(s)
-    left, pivot, right = double_bracket(s)
-    return _np(pivot, algo1(left), algo1(right))
+    ordered = sorted(s)
+    rank = {v: r for r, v in enumerate(ordered, 1)}
+    code = block_code(tuple(rank[v] for v in s))
+
+    def build(r: int):
+        if not r:
+            return EMPTY
+        return NPNode(ordered[r - 1], (build(code[2 * r - 2]), build(code[2 * r - 1])))
+
+    return build(1)
+
+
+def _orient_cycle(code: list[int], entries: Sequence[int]) -> None:
+    """Write the tree of a signed up-down cycle into code: the non-plane
+    tree of its absolute values, in canonical order under a positive
+    entry; a negative entry puts its only child, or the smaller of two, on
+    the right, and turns a pair of empty leaves into a labelled leaf."""
+    kids = block_code(tuple(abs(x) for x in entries))
+    for x in entries:
+        i = 2 * abs(x) - 2
+        small, large = kids[i], kids[i + 1]
+        if x > 0:
+            code[i], code[i + 1] = small, large
+        elif small:
+            code[i], code[i + 1] = large, small
+        else:
+            code[i] = code[i + 1] = -1
 
 
 def algo2(cycle: Sequence[int]) -> Node:
@@ -103,25 +129,12 @@ def algo2(cycle: Sequence[int]) -> Node:
     entries = tuple(cycle)
     if not entries or entries[0] <= 0:
         raise MalformedCycleError("cycle leader must be positive")
-    if len({abs(v) for v in entries}) != len(entries):
+    values = [abs(v) for v in entries]
+    if len(set(values)) != len(entries):
         raise MalformedCycleError("entries must have distinct absolute values")
-    sign = {abs(v): v > 0 for v in entries}
-    np_tree = algo1([abs(v) for v in entries])
-
-    def orient(t) -> object:
-        if t is EMPTY:
-            return EMPTY
-        a, b = t.children
-        positive = sign[t.label]
-        if a is EMPTY and b is EMPTY:
-            return Node(t.label) if not positive else Node(t.label, (EMPTY, EMPTY))
-        if b is EMPTY:
-            child = orient(a)
-            return Node(t.label, (child, EMPTY) if positive else (EMPTY, child))
-        small, large = orient(a), orient(b)  # canonical order: smaller label first
-        return Node(t.label, (small, large) if positive else (large, small))
-
-    return orient(np_tree)
+    code = [0] * (2 * max(values))
+    _orient_cycle(code, entries)
+    return tree_of(code, min(values))
 
 
 def algo2_inverse(t: Node) -> tuple[int, ...]:
@@ -166,61 +179,67 @@ def algo2_inverse(t: Node) -> tuple[int, ...]:
     return tuple(v * sign[v] for v in complement(word(t)))
 
 
-def _graft_chain(parts: list[Node]) -> Node:
-    def graft(t: Node, sub: Node) -> Node:
-        left, right = t.children
-        if right is EMPTY:
-            return Node(t.label, (left, sub))
-        return Node(t.label, (left, graft(right, sub)))
+def _chain_code(cycles: list[Sequence[int]]) -> tuple[int, ...]:
+    """Code of the cycle trees chained along the leaders: the root of each
+    cycle's tree is its leader, whose right child is empty until it takes
+    the next cycle's tree."""
+    code = [0] * (2 * sum(map(len, cycles)))
+    for entries in cycles:
+        _orient_cycle(code, entries)
+    for this, following in zip(cycles, cycles[1:]):
+        code[2 * this[0] - 1] = abs(following[0])
+    return tuple(code)
 
-    out = parts[-1]
-    for t in reversed(parts[:-1]):
-        out = graft(t, out)
-    return out
+
+def phi_cud_b_code(cf: CycleForm) -> tuple[int, ...]:
+    """Flat code of `phi_cud_b`."""
+    if not is_cud_b(cf):
+        raise NotInFamilyError("not a type-B cycle-up-down cycle form")
+    return _chain_code([c.entries for c in cf.cycles])
+
+
+def phi_cud_d_code(cf: CycleForm) -> tuple[int, ...]:
+    """Flat code of `phi_cud_d`: the final (k,-k) cycle is chained as the
+    one-entry cycle (-k), whose tree is the labelled leaf k."""
+    if not is_cud_d(cf):
+        raise NotInFamilyError("not a type-D cycle-up-down cycle form")
+    cycles = [c.entries for c in cf.cycles[:-1]]
+    return _chain_code(cycles + [(-cf.cycles[-1].leader,)])
 
 
 def phi_cud_b(cf: CycleForm) -> Node:
     """Tree image of a type-B cycle-up-down member; the rightmost leaf is
     empty and the rightmost label is the last cycle's leader."""
-    if not is_cud_b(cf):
-        raise NotInFamilyError("not a type-B cycle-up-down cycle form")
-    parts = [algo2(c.entries) for c in cf.cycles]
-    return _graft_chain(parts)
+    return tree_of(phi_cud_b_code(cf))
 
 
 def phi_cud_d(cf: CycleForm) -> Node:
     """Tree image of a type-D cycle-up-down member; the final (k,-k) cycle
     becomes a labelled leaf, so the rightmost leaf is labelled k."""
-    if not is_cud_d(cf):
-        raise NotInFamilyError("not a type-D cycle-up-down cycle form")
-    parts = [algo2(c.entries) for c in cf.cycles[:-1]]
-    parts.append(Node(cf.cycles[-1].leader))
-    return _graft_chain(parts)
+    return tree_of(phi_cud_d_code(cf))
+
+
+def algo3_code(seq: Sequence[int]) -> list[int]:
+    """Flat code of `algo3`, as a list the valley maps edit in place."""
+    code = split_code(seq)
+    code[::2], code[1::2] = code[1::2], code[::2]
+    return code
 
 
 def algo3(seq: Sequence[int]) -> Node:
     """Min-split tree of a sequence of distinct positive integers, with the
     left factor becoming the right subtree; all leaves are empty."""
     s = tuple(seq)
-    left, pivot, right = double_bracket(s)
-    right_sub = algo3(left) if left else EMPTY
-    left_sub = algo3(right) if right else EMPTY
-    return Node(pivot, (left_sub, right_sub))
+    if not s:
+        raise MalformedSequenceError("empty sequence")
+    return tree_of(algo3_code(s), min(s))
 
 
-def _remove_empty_pair(t: Node, label: int) -> Node:
-    if t is EMPTY:
-        raise MissingPeakError(f"label {label} not found")
-    if t.label == label:
-        if t.children != (EMPTY, EMPTY):
-            raise MissingPeakError(f"node {label} does not carry two empty leaves")
-        return Node(label)
-    if t.children is None:
-        raise MissingPeakError(f"label {label} not found")
-    left, right = t.children
-    if label in labels(left):
-        return Node(t.label, (_remove_empty_pair(left, label), right))
-    return Node(t.label, (left, _remove_empty_pair(right, label)))
+def _make_leaf(code: list[int], label: int) -> None:
+    i = 2 * label - 2
+    if code[i] or code[i + 1]:
+        raise MissingPeakError(f"node {label} does not carry two empty leaves")
+    code[i] = code[i + 1] = -1
 
 
 def _paired_peaks(w: tuple[int, ...], start: int) -> list[int]:
@@ -240,54 +259,69 @@ def _paired_peaks(w: tuple[int, ...], start: int) -> list[int]:
     return out
 
 
+def phi_vs_b_code(p: SignedPerm) -> tuple[int, ...]:
+    """Flat code of `phi_vs_b`."""
+    if not is_vs_b(p.window):
+        raise NotInFamilyError("not a type-B valley signed permutation")
+    code = algo3_code(p.abs_window())
+    for peak_value in _paired_peaks(p.window, start=1):
+        _make_leaf(code, peak_value)
+    return tuple(code)
+
+
+def phi_vs_d_code(p: SignedPerm) -> tuple[int, ...]:
+    """Flat code of `phi_vs_d`."""
+    if not is_vs_d(p.window):
+        raise NotInFamilyError("not a type-D valley signed permutation")
+    code = algo3_code(p.abs_window())
+    _make_leaf(code, abs(p.window[0]))
+    for peak_value in _paired_peaks(p.window, start=2):
+        _make_leaf(code, peak_value)
+    return tuple(code)
+
+
 def phi_vs_b(p: SignedPerm) -> Node:
     """Tree image of a type-B valley member: min-split tree of the absolute
     window, then empty-leaf removal at the peak paired with each negated
     valley successor."""
-    if not is_vs_b(p.window):
-        raise NotInFamilyError("not a type-B valley signed permutation")
-    tree = algo3(p.abs_window())
-    for peak_value in _paired_peaks(p.window, start=1):
-        tree = _remove_empty_pair(tree, peak_value)
-    return tree
+    return tree_of(phi_vs_b_code(p))
 
 
 def phi_vs_d(p: SignedPerm) -> Node:
     """Type-D variant: additionally turn the node of |first entry| into a
     labelled leaf, which makes the rightmost leaf labelled."""
-    if not is_vs_d(p.window):
-        raise NotInFamilyError("not a type-D valley signed permutation")
-    tree = algo3(p.abs_window())
-    tree = _remove_empty_pair(tree, abs(p.window[0]))
-    for peak_value in _paired_peaks(p.window, start=2):
-        tree = _remove_empty_pair(tree, peak_value)
-    return tree
+    return tree_of(phi_vs_d_code(p))
+
+
+def tau_flip_code(window: Sequence[int]) -> tuple[int, ...]:
+    """Flat code of `tau_flip` for a signed window.  In the min-split tree
+    each child is the minimum of its side, so a node orients its children
+    by comparing their labels, an empty side counting as +infinity: a
+    positive pivot puts the smaller on the left, a negative one on the
+    right, and a negative pivot with two empty sides is a labelled leaf."""
+    code = split_code([abs(x) for x in window])
+    for x in window:
+        if x > 0:
+            i = 2 * x - 2
+            left, right = code[i], code[i + 1]
+            if right and not 0 < left < right:
+                code[i], code[i + 1] = right, left
+        else:
+            i = -2 * x - 2
+            left, right = code[i], code[i + 1]
+            if not (left or right):
+                code[i] = code[i + 1] = -1
+            elif not right or 0 < left < right:
+                code[i], code[i + 1] = right, left
+    return tuple(code)
 
 
 def tau_flip(p: SignedPerm) -> Node:
     """Min-split tree of a signed window, oriented by pivot sign and the
     side minima; constant on flip equivalence classes."""
-
-    def build(w: tuple[int, ...]):
-        if not w:
-            return EMPTY
-        i = min(range(len(w)), key=lambda j: abs(w[j]))
-        pivot = w[i]
-        left, right = w[:i], w[i + 1 :]
-        if not left and not right:
-            return Node(abs(pivot)) if pivot < 0 else Node(abs(pivot), (EMPTY, EMPTY))
-        min_l = min((abs(v) for v in left), default=None)
-        min_r = min((abs(v) for v in right), default=None)
-        lt, rt = build(left), build(right)
-        # min(empty side) counts as +infinity
-        left_is_smaller = min_r is None or (min_l is not None and min_l < min_r)
-        if (pivot > 0) == left_is_smaller:
-            return Node(abs(pivot), (lt, rt))
-        return Node(abs(pivot), (rt, lt))
-
-    return build(p.window)
+    return tree_of(tau_flip_code(p.window))
 
 
 def phi_f(cls: FlipClass) -> Node:
     """Tree of a flip class, computed from its canonical member."""
-    return tau_flip(SignedPerm(cls.canon))
+    return tree_of(tau_flip_code(cls.canon))

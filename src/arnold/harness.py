@@ -111,6 +111,13 @@ def _poly_of_counts(stat_counts: dict[int, int], n: int) -> LaurentPoly:
     return LaurentPoly(coeffs)
 
 
+def _family_ceiling(n_max: int) -> int:
+    """n_max, refused up front when above the family cap, so that a request
+    such as n_max = 9 does not first sweep every size up to 8."""
+    fam._check_size(n_max)
+    return n_max
+
+
 # ---------------------------------------------------------------------------
 # triangle and table checks
 
@@ -192,7 +199,7 @@ def check_entringer_alternating(n_max: int, golden_dir: str | None = None) -> li
     from .triangles import entringer
 
     details = []
-    rows = entringer(n_max)
+    rows = entringer(_family_ceiling(n_max))
     for n in range(1, n_max + 1):
         counts = Counter()
         for p in permutations(range(1, n + 1)):
@@ -209,7 +216,7 @@ def check_entringer_alternating(n_max: int, golden_dir: str | None = None) -> li
 @check("snakes-arnold", "snake counts by first entry reproduce the triangle", 5)
 def check_snakes_arnold(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
-    rows = arnold_numbers(n_max)
+    rows = arnold_numbers(_family_ceiling(n_max))
     for n in range(1, n_max + 1):
         row = rows[n - 1]
         b_counts = Counter(p.window[0] for p in fam.enumerate_family("snakes-b", n))
@@ -251,19 +258,12 @@ def _compare_family_polys(
 
 @check("thm-cud", "cycle-up-down npk polynomials reproduce the refined triangle", 7)
 def check_thm_cud(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _compare_family_polys(n_max, fam.cud_distribution, "cud B", "cud D")
+    return _compare_family_polys(_family_ceiling(n_max), fam.cud_distribution, "cud B", "cud D")
 
 
-@check("thm-vs", "valley-family neg polynomials reproduce the refined triangle", 7)
+@check("thm-vs", "valley-family neg polynomials reproduce the refined triangle", 8)
 def check_thm_vs(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _compare_family_polys(n_max, fam.vs_distribution, "vs B", "vs D")
-
-
-def _family_ceiling(n_max: int) -> int:
-    """n_max, refused up front when above the family cap, so that a request
-    such as n_max = 9 does not first build every class up to size 8."""
-    fam._check_size(n_max)
-    return n_max
+    return _compare_family_polys(_family_ceiling(n_max), fam.vs_distribution, "vs B", "vs D")
 
 
 def _fl_distribution(n: int) -> Counter:
@@ -294,6 +294,7 @@ def _tree_distribution(n: int) -> Counter:
 
 @check("thm-trees", "tree emp polynomials reproduce the refined triangle", 7)
 def check_thm_trees(n_max: int, golden_dir: str | None = None) -> list[str]:
+    tr.check_tree_size(n_max)
     return _compare_family_polys(n_max, _tree_distribution, "trees-o", "trees-s")
 
 
@@ -301,26 +302,26 @@ def check_thm_trees(n_max: int, golden_dir: str | None = None) -> list[str]:
 # bijection checks
 
 def _check_bijection_into_trees(
-    n_max: int, family: str, mapping: Callable, kind: str
+    n_max: int, family: str, code_map: Callable, kind: str
 ) -> list[str]:
     side = "b" if kind == "o" else "d"
     details = []
-    for n in range(1, n_max + 1):
+    for n in range(1, _family_ceiling(n_max) + 1):
         members = fam.enumerate_family(family, n)
         images = []
         for m in members:
-            t = mapping(m)
-            c = tr.classify(t)
-            index = fam.family_index(family, m)
-            if not tr.is_complete_increasing(t, n):
+            code = code_map(m)
+            if not tr.is_tree_code(code, n):
                 details.append(f"{family} n={n}: invalid image tree for {m}")
                 continue
+            c = tr.classify_code(code)
+            index = fam.family_index(family, m)
             if c.kind != kind or c.rightmost_label != index:
                 details.append(
                     f"{family} n={n}: {m} lands at ({c.kind},{c.rightmost_label}), "
                     f"expected ({kind},{index})"
                 )
-            images.append(t)
+            images.append(code)
         if len(set(images)) != len(images):
             details.append(f"{family} n={n}: images collide")
         trees = _tree_distribution(n)
@@ -336,22 +337,22 @@ def _check_bijection_into_trees(
 
 @check("bij-cud-b", "type-B cycle map is an index-preserving bijection to empty-ended trees", 6)
 def check_bij_cud_b(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _check_bijection_into_trees(n_max, "cud-b", bij.phi_cud_b, "o")
+    return _check_bijection_into_trees(n_max, "cud-b", bij.phi_cud_b_code, "o")
 
 
 @check("bij-cud-d", "type-D cycle map is an index-preserving bijection to labelled-ended trees", 6)
 def check_bij_cud_d(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _check_bijection_into_trees(n_max, "cud-d", bij.phi_cud_d, "*")
+    return _check_bijection_into_trees(n_max, "cud-d", bij.phi_cud_d_code, "*")
 
 
 @check("bij-vs-b", "type-B valley map is an index-preserving bijection", 6)
 def check_bij_vs_b(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _check_bijection_into_trees(n_max, "vs-b", bij.phi_vs_b, "o")
+    return _check_bijection_into_trees(n_max, "vs-b", bij.phi_vs_b_code, "o")
 
 
 @check("bij-vs-d", "type-D valley map is an index-preserving bijection", 6)
 def check_bij_vs_d(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _check_bijection_into_trees(n_max, "vs-d", bij.phi_vs_d, "*")
+    return _check_bijection_into_trees(n_max, "vs-d", bij.phi_vs_d_code, "*")
 
 
 @check("bij-fl", "flip-class map is well defined and bijective", 6)
@@ -361,19 +362,19 @@ def check_bij_fl(n_max: int, golden_dir: str | None = None) -> list[str]:
         classes = fam.flip_classes(n)
         images = []
         for cls in classes:
-            member_trees = {bij.tau_flip(SignedPerm(w)) for w in cls.members}
-            if len(member_trees) != 1:
+            member_codes = {bij.tau_flip_code(w) for w in cls.members}
+            if len(member_codes) != 1:
                 details.append(f"fl n={n}: members of {cls.canon} map to different trees")
                 continue
-            t = member_trees.pop()
-            c = tr.classify(t)
+            code = member_codes.pop()
+            c = tr.classify_code(code)
             want_kind = "o" if cls.smax > 0 else "*"
             if c.kind != want_kind or c.rightmost_label != abs(cls.smax):
                 details.append(
                     f"fl n={n}: class {cls.canon} lands at ({c.kind},{c.rightmost_label}), "
                     f"expected ({want_kind},{abs(cls.smax)})"
                 )
-            images.append(t)
+            images.append(code)
         if len(set(images)) != len(images):
             details.append(f"fl n={n}: class images collide")
         total_trees = sum(_tree_distribution(n).values())
@@ -382,20 +383,14 @@ def check_bij_fl(n_max: int, golden_dir: str | None = None) -> list[str]:
     return details
 
 
-def _path_labels(t) -> frozenset[int]:
-    return frozenset(
-        node.label for node in tr.rightmost_path(t) if isinstance(node, tr.Node)
-    )
-
-
 @check("cor-rightmost-cycle-min", "rightmost-path labels are the cycle minima", 6)
 def check_cor_rightmost_cycle_min(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
-    for n in range(1, n_max + 1):
-        for family, mapping in (("cud-b", bij.phi_cud_b), ("cud-d", bij.phi_cud_d)):
+    for n in range(1, _family_ceiling(n_max) + 1):
+        for family, code_map in (("cud-b", bij.phi_cud_b_code), ("cud-d", bij.phi_cud_d_code)):
             for cf in fam.enumerate_family(family, n):
                 want = frozenset(c.leader for c in cf.cycles)
-                got = _path_labels(mapping(cf))
+                got = tr.path_labels(code_map(cf))
                 if got != want:
                     details.append(f"{family} n={n}: {cf} path labels {sorted(got)}")
     return details
@@ -404,11 +399,11 @@ def check_cor_rightmost_cycle_min(n_max: int, golden_dir: str | None = None) -> 
 @check("cor-rightmost-ltr-min", "rightmost-path labels are the left-to-right minima", 6)
 def check_cor_rightmost_ltr_min(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
-    for n in range(1, n_max + 1):
-        for family, mapping in (("vs-b", bij.phi_vs_b), ("vs-d", bij.phi_vs_d)):
+    for n in range(1, _family_ceiling(n_max) + 1):
+        for family, code_map in (("vs-b", bij.phi_vs_b_code), ("vs-d", bij.phi_vs_d_code)):
             for p in fam.enumerate_family(family, n):
                 want = left_to_right_minima(p.abs_window())
-                got = _path_labels(mapping(p))
+                got = tr.path_labels(code_map(p))
                 if got != want:
                     details.append(f"{family} n={n}: {p} path labels {sorted(got)}")
     return details
@@ -419,35 +414,26 @@ def check_lemma_emp_spk(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
     for n in range(1, _family_ceiling(n_max) + 1):
         for cls in fam.flip_classes(n):
-            emp = tr.count_empty(bij.phi_f(cls))
+            emp = bij.tau_flip_code(cls.canon).count(0)
             if emp != n - 2 * cls.spk + 1:
                 details.append(f"n={n}: class {cls.canon} has emp {emp}, spk {cls.spk}")
     return details
 
 
-@check("lemma-peak-leaf", "double-empty nodes of the min-split tree are the peaks", 7)
+@check("lemma-peak-leaf", "double-empty nodes of the min-split tree are the peaks", 8)
 def check_lemma_peak_leaf(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
-    for n in range(1, n_max + 1):
-        for p in permutations(range(1, n + 1)):
-            t = bij.algo3(p)
-
-            def two_empty(s, acc):
-                if s is tr.EMPTY or s.children is None:
-                    return
-                if s.children == (tr.EMPTY, tr.EMPTY):
-                    acc.add(s.label)
-                two_empty(s.children[0], acc)
-                two_empty(s.children[1], acc)
-
-            found: set[int] = set()
-            two_empty(t, found)
+    for n in range(1, _family_ceiling(n_max) + 1):
+        labels = range(1, n + 1)
+        for p in permutations(labels):
+            code = bij.algo3_code(p)
+            found = {v for v in labels if not (code[2 * v - 2] or code[2 * v - 1])}
             if found - {p[0]} != set(peak_values(p)):
                 details.append(f"n={n} perm {p}: double-empty labels {sorted(found)}")
     return details
 
 
-@check("knuth-flip-euler", "unsigned flip classes are counted by Euler numbers", 7)
+@check("knuth-flip-euler", "unsigned flip classes are counted by Euler numbers", 8)
 def check_knuth_flip_euler(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
     euler = euler_numbers(_family_ceiling(n_max))
@@ -527,7 +513,7 @@ def _check_recstep(
     d_drop, d_stay = d_cases
     b_drop, *b_stay = b_cases
     details = []
-    for n in range(2, n_max + 1):
+    for n in range(2, _family_ceiling(n_max) + 1):
         for k in range(2, n + 1):
             expected = {d_drop: (fb, n - 1, k - 1, -1), d_stay: (fd, n, k - 1, 0)}
             details += _verify_step_partition(
@@ -592,12 +578,12 @@ def check_spk_well_defined(n_max: int, golden_dir: str | None = None) -> list[st
 def check_report_emp_npk(n_max: int, golden_dir: str | None = None) -> list[str]:
     """Report-only: where does emp(tree image) equal n+1-2*npk per object?"""
     findings = []
-    for n in range(1, n_max + 1):
+    for n in range(1, _family_ceiling(n_max) + 1):
         agree = 0
         total = 0
-        for family, mapping in (("cud-b", bij.phi_cud_b), ("cud-d", bij.phi_cud_d)):
+        for family, code_map in (("cud-b", bij.phi_cud_b_code), ("cud-d", bij.phi_cud_d_code)):
             for cf in fam.enumerate_family(family, n):
-                emp = tr.count_empty(mapping(cf))
+                emp = code_map(cf).count(0)
                 total += 1
                 if emp == n + 1 - 2 * stat_npk(cf):
                     agree += 1

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
+from .trees import block_code
+
 
 class InvalidWindowError(ValueError):
     """Input sequence is not the window of a signed permutation."""
@@ -243,31 +245,16 @@ def _check_cud_shape(cf: CycleForm) -> bool:
 @lru_cache(maxsize=1 << 16)
 def leaf_values(seq: tuple[int, ...]) -> frozenset[int]:
     """Labels of the leaves of the min-split tree of a tuple of distinct
-    integers, the tree that `bijections.algo1` builds.
-
-    Each block is replaced by its complement when its maximum comes before
-    its minimum, then split at its minimum; a block of one element is a
-    leaf.
+    positive integers, the tree that `bijections.algo1` builds (see
+    `trees.block_code`).
 
     >>> sorted(leaf_values((1, 4, 2, 3)))
     [4]
     >>> sorted(leaf_values((1, 5, 3, 4, 2)))
     [4, 5]
     """
-    out = set()
-    blocks = [seq]
-    while blocks:
-        s = blocks.pop()
-        if len(s) <= 1:
-            out.update(s)
-            continue
-        ordered = sorted(s)
-        if s.index(ordered[-1]) < s.index(ordered[0]):
-            swap = dict(zip(ordered, reversed(ordered)))
-            s = tuple(swap[v] for v in s)
-        i = s.index(ordered[0])
-        blocks += (s[:i], s[i + 1 :])
-    return frozenset(out)
+    code = block_code(seq)
+    return frozenset(v for v in seq if not code[2 * v - 2])
 
 
 def stat_npk(cf: CycleForm) -> int:

@@ -4,10 +4,20 @@ non-plane increasing 1-2 trees that index flip classes.
 A tree of size n uses labels exactly 1..n, labels increase away from the
 root, and every node has either no children (a labelled leaf) or exactly
 two child slots, each holding a subtree or an empty leaf.
+
+The tree maps build a tree as a flat code: a tuple of length 2n in which
+code[2v-2] and code[2v-1] hold the labels of the left and right children
+of label v, 0 for an empty leaf, and a labelled leaf reads (-1, -1).  A
+code hashes and compares as a plain tuple; `tree_of` turns it into
+`Node`s.  For a label set other than 1..n the code has length 2*max and
+the slots of absent labels stay 0.  Two min-split walks write codes:
+`split_code`, the plain min-split (Cartesian tree) in one stack pass, and
+`block_code`, the min-split with the per-block complement rule.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 
@@ -53,6 +63,11 @@ def _gen(labels: tuple[int, ...]) -> Iterator:
                 yield Node(root, (lt, rt))
 
 
+def check_tree_size(n: int) -> None:
+    if n > TREE_CAP:
+        raise SizeCapExceededError(f"n={n} exceeds tree generation cap {TREE_CAP}")
+
+
 def gen_trees(n: int) -> Iterator[Node]:
     """All complete increasing binary trees on labels 1..n, each once.
 
@@ -60,8 +75,7 @@ def gen_trees(n: int) -> Iterator[Node]:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > TREE_CAP:
-        raise SizeCapExceededError(f"n={n} exceeds tree generation cap {TREE_CAP}")
+    check_tree_size(n)
     yield from _gen(tuple(range(1, n + 1)))
 
 
@@ -145,6 +159,110 @@ def to_json(t):
         "left": to_json(t.children[0]),
         "right": to_json(t.children[1]),
     }
+
+
+# ---------------------------------------------------------------------------
+# flat codes
+
+def split_code(values: Sequence[int]) -> list[int]:
+    """Code of the min-split tree of distinct positive integers, with the
+    part left of each minimum as its left child: every node's children
+    are the minima of the parts beside it, so one stack pass over the
+    values builds it (the stack holds the current rightmost path).
+
+    >>> split_code((3, 1, 2))
+    [3, 2, 0, 0, 0, 0]
+    """
+    code = [0] * (2 * max(values))
+    stack: list[int] = []
+    for v in values:
+        below = 0
+        while stack and stack[-1] > v:
+            below = stack.pop()
+        code[2 * v - 2] = below
+        if stack:
+            code[2 * stack[-1] - 1] = v
+        stack.append(v)
+    return code
+
+
+@lru_cache(maxsize=1 << 16)
+def block_code(seq: tuple[int, ...]) -> tuple[int, ...]:
+    """Code of the non-plane min-split tree of distinct positive integers:
+    each block is replaced by its complement when its maximum comes before
+    its minimum, then split at its minimum.  A node's two slots hold its
+    children in canonical order, the smaller label first and an empty
+    leaf last; a block of one element is a node with two empty leaves.
+
+    >>> block_code((1, 5, 3, 4, 2))
+    (2, 0, 3, 0, 4, 5, 0, 0, 0, 0)
+    """
+    code = [0] * (2 * max(seq, default=0))
+    blocks = [seq]
+    while blocks:
+        s = blocks.pop()
+        if len(s) <= 1:
+            continue
+        ordered = sorted(s)
+        low = ordered[0]
+        if s.index(ordered[-1]) < s.index(low):
+            swap = dict(zip(ordered, reversed(ordered)))
+            s = tuple(swap[v] for v in s)
+        # now the maximum follows the minimum, so the right part is not empty
+        i = s.index(low)
+        left, right = s[:i], s[i + 1 :]
+        kids = sorted((min(left), min(right))) if left else (min(right), 0)
+        code[2 * low - 2], code[2 * low - 1] = kids
+        blocks += (left, right)
+    return tuple(code)
+
+
+def tree_of(code: Sequence[int], root: int = 1):
+    """The tree a flat code describes, from `root` down.
+
+    >>> serialize(tree_of((2, 0, -1, -1)))
+    '1(2,.)'
+    """
+
+    def build(v: int):
+        if not v:
+            return EMPTY
+        left, right = code[2 * v - 2], code[2 * v - 1]
+        if left < 0:
+            return Node(v)
+        return Node(v, (build(left), build(right)))
+
+    return build(root)
+
+
+def classify_code(code: Sequence[int]) -> TreeClass:
+    """`classify` of the tree a code describes (labels 1..n)."""
+    v = 1
+    while (right := code[2 * v - 1]) > 0:
+        v = right
+    return TreeClass("o" if right == 0 else "*", v, code.count(0))
+
+
+def path_labels(code: Sequence[int]) -> frozenset[int]:
+    """Labels on the rightmost path of the tree a code describes."""
+    out = [1]
+    while (right := code[2 * out[-1] - 1]) > 0:
+        out.append(right)
+    return frozenset(out)
+
+
+def is_tree_code(code: Sequence[int], n: int) -> bool:
+    """`is_complete_increasing` for a code: slots pair up as two children
+    or (-1, -1), each child label exceeds its parent's, and the child
+    labels are exactly 2..n, so that every label hangs below the root 1."""
+    if len(code) != 2 * n:
+        return False
+    for i, c in enumerate(code):
+        if c < 0 and (c != -1 or code[i ^ 1] != -1):
+            return False
+        if 0 < c <= i // 2 + 1:
+            return False
+    return sorted(c for c in code if c > 0) == list(range(2, n + 1))
 
 
 @dataclass(frozen=True)

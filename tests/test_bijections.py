@@ -5,7 +5,11 @@ import pytest
 from arnold.bijections import (
     MalformedCycleError,
     MalformedSequenceError,
+    MissingPeakError,
+    NPNode,
     NotInFamilyError,
+    _make_leaf,
+    _paired_peaks,
     algo1,
     algo2,
     algo2_inverse,
@@ -13,15 +17,42 @@ from arnold.bijections import (
     complement,
     double_bracket,
     phi_cud_b,
+    phi_cud_b_code,
     phi_cud_d,
+    phi_cud_d_code,
     phi_f,
     phi_vs_b,
+    phi_vs_b_code,
     phi_vs_d,
+    phi_vs_d_code,
     tau_flip,
+    tau_flip_code,
 )
-from arnold.families import _up_down, enumerate_family, flip_classes
-from arnold.signed_perm import Cycle, CycleForm, from_window, peak_values, stat_npk
-from arnold.trees import EMPTY, Node, classify, count_empty, serialize
+from arnold.families import _up_down, enumerate_family, flip_classes, windows
+from arnold.signed_perm import (
+    Cycle,
+    CycleForm,
+    SignedPerm,
+    from_window,
+    leaf_values,
+    peak_values,
+    stat_npk,
+)
+from arnold.trees import (
+    EMPTY,
+    Node,
+    classify,
+    classify_code,
+    count_empty,
+    gen_trees,
+    is_complete_increasing,
+    is_tree_code,
+    labels,
+    path_labels,
+    rightmost_path,
+    serialize,
+    tree_of,
+)
 
 
 class TestDoubleBracket:
@@ -206,6 +237,15 @@ class TestValleyMaps:
         t = phi_vs_b(from_window([1]))
         assert serialize(t) == "1(.,.)"
 
+    def test_only_a_pair_of_empty_leaves_becomes_a_labelled_leaf(self):
+        code = [2, 0, 0, 0]
+        with pytest.raises(MissingPeakError, match="^node 1 does not carry two empty leaves$"):
+            _make_leaf(code, 1)
+        _make_leaf(code, 2)
+        assert code == [2, 0, -1, -1]
+        with pytest.raises(MissingPeakError, match="^node 2 does not carry two empty leaves$"):
+            _make_leaf(code, 2)
+
     def test_four_signings_of_51324(self):
         # the valley successors of 51324 carry the free signs
         members = [p for p in enumerate_family("vs-b", 5) if p.abs_window() == (5, 1, 3, 2, 4)]
@@ -260,3 +300,241 @@ class TestFlipMap:
                 c = classify(phi_f(cls))
                 assert c.kind == ("o" if cls.smax > 0 else "*")
                 assert c.rightmost_label == abs(cls.smax)
+
+
+# The recursive tree maps that the flat-code kernel replaced, kept as
+# references: each builds its tree node by node from the definition.
+
+def _algo1_reference(seq):
+    s = tuple(seq)
+    if not s:
+        return EMPTY
+    if s.index(max(s)) < s.index(min(s)):
+        s = complement(s)
+    left, pivot, right = double_bracket(s)
+    kids = sorted(
+        (_algo1_reference(left), _algo1_reference(right)),
+        key=lambda c: (c is EMPTY, getattr(c, "label", 0)),
+    )
+    return NPNode(pivot, (kids[0], kids[1]))
+
+
+def _algo2_reference(cycle):
+    sign = {abs(v): v > 0 for v in cycle}
+
+    def orient(t):
+        if t is EMPTY:
+            return EMPTY
+        a, b = t.children
+        positive = sign[t.label]
+        if a is EMPTY and b is EMPTY:
+            return Node(t.label) if not positive else Node(t.label, (EMPTY, EMPTY))
+        if b is EMPTY:
+            child = orient(a)
+            return Node(t.label, (child, EMPTY) if positive else (EMPTY, child))
+        small, large = orient(a), orient(b)
+        return Node(t.label, (small, large) if positive else (large, small))
+
+    return orient(_algo1_reference([abs(v) for v in cycle]))
+
+
+def _graft_chain_reference(parts):
+    def graft(t, sub):
+        left, right = t.children
+        if right is EMPTY:
+            return Node(t.label, (left, sub))
+        return Node(t.label, (left, graft(right, sub)))
+
+    out = parts[-1]
+    for t in reversed(parts[:-1]):
+        out = graft(t, out)
+    return out
+
+
+def _phi_cud_reference(cf):
+    if cf.cycles[-1].bracket:
+        parts = [_algo2_reference(c.entries) for c in cf.cycles[:-1]]
+        return _graft_chain_reference(parts + [Node(cf.cycles[-1].leader)])
+    return _graft_chain_reference([_algo2_reference(c.entries) for c in cf.cycles])
+
+
+def _algo3_reference(seq):
+    left, pivot, right = double_bracket(seq)
+    right_sub = _algo3_reference(left) if left else EMPTY
+    left_sub = _algo3_reference(right) if right else EMPTY
+    return Node(pivot, (left_sub, right_sub))
+
+
+def _remove_empty_pair_reference(t, label):
+    if t is EMPTY:
+        raise MissingPeakError(f"label {label} not found")
+    if t.label == label:
+        if t.children != (EMPTY, EMPTY):
+            raise MissingPeakError(f"node {label} does not carry two empty leaves")
+        return Node(label)
+    if t.children is None:
+        raise MissingPeakError(f"label {label} not found")
+    left, right = t.children
+    if label in labels(left):
+        return Node(t.label, (_remove_empty_pair_reference(left, label), right))
+    return Node(t.label, (left, _remove_empty_pair_reference(right, label)))
+
+
+def _phi_vs_reference(p):
+    tree = _algo3_reference(p.abs_window())
+    start = 1
+    if p.window[0] < 0:
+        tree = _remove_empty_pair_reference(tree, abs(p.window[0]))
+        start = 2
+    for peak_value in _paired_peaks(p.window, start=start):
+        tree = _remove_empty_pair_reference(tree, peak_value)
+    return tree
+
+
+def _tau_flip_reference(p):
+    def build(w):
+        if not w:
+            return EMPTY
+        i = min(range(len(w)), key=lambda j: abs(w[j]))
+        pivot = w[i]
+        left, right = w[:i], w[i + 1 :]
+        if not left and not right:
+            return Node(abs(pivot)) if pivot < 0 else Node(abs(pivot), (EMPTY, EMPTY))
+        min_l = min((abs(v) for v in left), default=None)
+        min_r = min((abs(v) for v in right), default=None)
+        lt, rt = build(left), build(right)
+        left_is_smaller = min_r is None or (min_l is not None and min_l < min_r)
+        if (pivot > 0) == left_is_smaller:
+            return Node(abs(pivot), (lt, rt))
+        return Node(abs(pivot), (rt, lt))
+
+    return build(p.window)
+
+
+def _leaf_labels(t):
+    if t is EMPTY:
+        return set()
+    a, b = t.children
+    if a is EMPTY and b is EMPTY:
+        return {t.label}
+    return _leaf_labels(a) | _leaf_labels(b)
+
+
+def _code_of(t, n):
+    """Flat code of a tree on labels 1..n, written from its nodes."""
+    code = [0] * (2 * n)
+
+    def walk(s):
+        i = 2 * s.label - 2
+        if s.children is None:
+            code[i] = code[i + 1] = -1
+            return
+        for j, child in enumerate(s.children):
+            if child is not EMPTY:
+                code[i + j] = child.label
+                walk(child)
+
+    walk(t)
+    return tuple(code)
+
+
+class TestReferenceOracles:
+    def test_cycle_maps_match_the_recursive_maps(self):
+        for n in range(1, 7):
+            for family, mapping, code_map in (
+                ("cud-b", phi_cud_b, phi_cud_b_code),
+                ("cud-d", phi_cud_d, phi_cud_d_code),
+            ):
+                for cf in enumerate_family(family, n):
+                    want = _phi_cud_reference(cf)
+                    assert serialize(mapping(cf)) == serialize(want)
+                    assert code_map(cf) == _code_of(want, n)
+
+    def test_valley_maps_match_the_recursive_maps(self):
+        for n in range(1, 7):
+            for family, mapping, code_map in (
+                ("vs-b", phi_vs_b, phi_vs_b_code),
+                ("vs-d", phi_vs_d, phi_vs_d_code),
+            ):
+                for p in enumerate_family(family, n):
+                    want = _phi_vs_reference(p)
+                    assert serialize(mapping(p)) == serialize(want)
+                    assert code_map(p) == _code_of(want, n)
+
+    def test_flip_map_matches_the_recursive_map_on_every_window(self):
+        for n in range(1, 7):
+            for w in windows(n):
+                want = _tau_flip_reference(SignedPerm(w))
+                assert serialize(tau_flip(SignedPerm(w))) == serialize(want)
+                assert tau_flip_code(w) == _code_of(want, n)
+
+    def test_algo3_matches_the_recursive_split_on_every_permutation(self):
+        for n in range(1, 8):
+            for p in permutations(range(1, n + 1)):
+                assert serialize(algo3(p)) == serialize(_algo3_reference(p))
+
+    def test_cycle_kernel_matches_the_recursive_block_walk(self):
+        # leaf_values and algo1/algo2 read the same block walk; up-down
+        # cycles of length <= 8 on 1..k, every signing for length <= 6
+        count = 0
+        for k in range(1, 9):
+            for rest in permutations(range(2, k + 1)):
+                cycle = (1,) + rest
+                if not _up_down(cycle):
+                    continue
+                want = _algo1_reference(cycle)
+                assert algo1(cycle) == want
+                assert leaf_values(cycle) == _leaf_labels(want)
+                if k <= 6:
+                    for signs in range(1 << len(rest)):
+                        signed = (1,) + tuple(
+                            -v if signs >> i & 1 else v for i, v in enumerate(rest)
+                        )
+                        assert serialize(algo2(signed)) == serialize(_algo2_reference(signed))
+                count += 1
+        assert count == 1 + 1 + 1 + 2 + 5 + 16 + 61 + 272
+
+    def test_algo1_accepts_any_distinct_integers(self):
+        assert algo1((0, -3, 5)) == _algo1_reference((0, -3, 5))
+        assert algo1((7, 9, 8)) == _algo1_reference((7, 9, 8))
+
+
+class TestFlatCodes:
+    def test_code_helpers_agree_with_the_tree_functions(self):
+        for n in range(1, 6):
+            for t in gen_trees(n):
+                code = _code_of(t, n)
+                assert tree_of(code) == t
+                assert is_tree_code(code, n)
+                assert classify_code(code) == classify(t)
+                assert code.count(0) == count_empty(t)
+                want = {s.label for s in rightmost_path(t) if s is not EMPTY}
+                assert path_labels(code) == want
+
+    @pytest.mark.parametrize(
+        "code, n",
+        [
+            ((0, 0, 0), 2),  # odd length
+            ((0, 0), 2),  # too short
+            ((-1, 0), 1),  # half a labelled leaf
+            ((-2, -2), 1),  # not a leaf mark
+            ((0, 0, 0, 0), 2),  # label 2 hangs nowhere
+            ((2, 2, 0, 0), 2),  # label 2 twice
+            ((3, 0, 0, 0), 2),  # label outside 1..n
+            ((2, 0, 1, 0), 2),  # child not above its parent
+            ((0, 3, 2, 0, 0, 0), 3),  # decreasing along a path
+        ],
+    )
+    def test_invalid_codes_are_refused(self, code, n):
+        assert not is_tree_code(code, n)
+
+    def test_acyclic_codes_agree_with_is_complete_increasing(self):
+        for code, n in (
+            ((2, 0, -1, -1), 2),
+            ((-1, -1), 1),
+            ((0, 0), 1),
+            ((0, 0, 0, 0), 2),
+            ((3, 0, 0, 0, 0, 0), 3),
+            ((2, 3, 0, 0, 0, 0), 3),
+        ):
+            assert is_tree_code(code, n) == is_complete_increasing(tree_of(code), n)

@@ -280,38 +280,99 @@ def test_class_statistic_mismatch_is_reported(monkeypatch):
     assert verify("spk-well-defined", 1).details == ("n=1: class (-1,) has spk values {0}",)
 
 
-FLIP_CLASS_CHECKS = (
+# Every check that sweeps families or permutations; the rest read
+# triangle tables only, and thm-trees has the tree cap.
+CAPPED_CHECKS = (
     "thm-fl",
     "bij-fl",
     "lemma-emp-spk",
     "knuth-flip-euler",
     "smax-well-defined",
     "spk-well-defined",
+    "entringer-alternating",
+    "snakes-arnold",
+    "thm-cud",
+    "thm-vs",
+    "bij-cud-b",
+    "bij-cud-d",
+    "bij-vs-b",
+    "bij-vs-d",
+    "cor-rightmost-cycle-min",
+    "cor-rightmost-ltr-min",
+    "lemma-peak-leaf",
+    "recstep-cud",
+    "recstep-vs",
+    "report-emp-npk-perobject",
+)
+TRIANGLE_CHECKS = (
+    "table-arnold",
+    "table-polys",
+    "poly-at-1",
+    "row-sums-springer",
+    "hoffman-q",
+    "hoffman-p",
 )
 
 
-@pytest.fixture
-def flip_classes_forbidden(monkeypatch):
-    import arnold.families as families
+def test_every_check_is_capped_or_reads_triangles_only():
+    assert sorted(CAPPED_CHECKS + TRIANGLE_CHECKS + ("thm-trees",)) == sorted(EXPECTED_IDS)
 
-    def forbidden(n):
-        raise AssertionError(f"flip classes of size {n} built before the cap was checked")
+
+@pytest.fixture
+def sweeps_forbidden(monkeypatch, fresh_tree_cache):
+    import arnold.families as families
+    import arnold.harness as harness
+    import arnold.trees as trees
+
+    def forbidden(*args):
+        raise AssertionError(f"swept {args} before the cap was checked")
 
     monkeypatch.delenv("ARNOLD_MAX_N", raising=False)
-    monkeypatch.setattr(families, "flip_classes", forbidden)
-    monkeypatch.setattr(families, "unsigned_flip_classes", forbidden)
+    for name in (
+        "flip_classes",
+        "unsigned_flip_classes",
+        "enumerate_family",
+        "enumerate_indexed",
+        "cud_distribution",
+        "vs_distribution",
+        "recurrence_step_cud",
+        "recurrence_step_vs",
+    ):
+        monkeypatch.setattr(families, name, forbidden)
+    monkeypatch.setattr(harness, "permutations", forbidden)
+    monkeypatch.setattr(trees, "gen_trees", forbidden)
 
 
-@pytest.mark.parametrize("check_id", FLIP_CLASS_CHECKS)
-def test_flip_checks_refuse_ceiling_above_cap_up_front(check_id, flip_classes_forbidden):
+@pytest.mark.parametrize("check_id", CAPPED_CHECKS)
+def test_flip_checks_refuse_ceiling_above_cap_up_front(check_id, sweeps_forbidden):
     with pytest.raises(SizeCapExceededError, match="n=9 exceeds the configured cap 8"):
         verify(check_id, 9)
 
 
-def test_cli_refuses_flip_ceiling_above_cap_with_exit_2(capsys, flip_classes_forbidden):
+def test_tree_check_refuses_ceiling_above_tree_cap_up_front(sweeps_forbidden):
+    with pytest.raises(SizeCapExceededError, match="n=11 exceeds tree generation cap 10"):
+        verify("thm-trees", 11)
+
+
+@pytest.mark.parametrize("check_id", ("lemma-peak-leaf", "entringer-alternating"))
+def test_permutation_checks_obey_a_lowered_cap(check_id, monkeypatch):
+    monkeypatch.setenv("ARNOLD_MAX_N", "3")
+    assert verify(check_id, 3).status == "pass"
+    with pytest.raises(SizeCapExceededError, match="n=5 exceeds the configured cap 3"):
+        verify(check_id, 5)
+
+
+def test_cli_refuses_flip_ceiling_above_cap_with_exit_2(capsys, sweeps_forbidden):
     from arnold.cli import main
 
     assert main(["verify", "--check", "bij-fl", "--max-n", "9"]) == 2
+    assert "exceeds the configured cap 8" in capsys.readouterr().err
+
+
+def test_cli_refuses_family_ceiling_above_cap_with_exit_2(capsys, sweeps_forbidden):
+    from arnold.cli import main
+
+    assert main(["verify", "--check", "bij-vs-b", "--max-n", "9"]) == 2
     assert "exceeds the configured cap 8" in capsys.readouterr().err
 
 
@@ -332,3 +393,86 @@ def test_non_constant_class_statistic_names_it(monkeypatch, fresh_flip_cache):
     with pytest.raises(ValueError, match=r"^class \(1, 2\) has spk values \{0, 1\}$"):
         families.flip_classes(2)
     assert verify("spk-well-defined", 2).details == ("n=2: class (1, 2) has spk values {0, 1}",)
+
+
+# Faults injected on the input side of the tree-map checks, so that the
+# failure text is pinned whatever form the maps take inside.
+
+def _patched_classes(monkeypatch, edit):
+    import arnold.families as families
+
+    real = families.flip_classes
+    monkeypatch.setattr(families, "flip_classes", lambda n: edit(real(n)))
+
+
+def test_merged_flip_classes_are_reported(monkeypatch):
+    import dataclasses
+
+    def merge_first_two(classes):
+        a, b = classes[:2]
+        merged = dataclasses.replace(a, members=tuple(sorted(a.members + b.members)))
+        return (merged,) + classes[2:]
+
+    _patched_classes(monkeypatch, merge_first_two)
+    assert verify("bij-fl", 2).details == (
+        "fl n=1: members of (-1,) map to different trees",
+        "fl n=1: 0 classes vs 2 trees",
+        "fl n=2: members of (-2, -1) map to different trees",
+        "fl n=2: 2 classes vs 4 trees",
+    )
+
+
+def test_negated_class_smax_is_reported(monkeypatch):
+    import dataclasses
+
+    _patched_classes(
+        monkeypatch, lambda cs: (dataclasses.replace(cs[0], smax=-cs[0].smax),) + cs[1:]
+    )
+    assert verify("bij-fl", 2).details == (
+        "fl n=1: class (-1,) lands at (*,1), expected (o,1)",
+        "fl n=2: class (-2, -1) lands at (*,2), expected (o,2)",
+    )
+
+
+def test_shifted_class_spk_is_reported(monkeypatch):
+    import dataclasses
+
+    _patched_classes(
+        monkeypatch, lambda cs: (dataclasses.replace(cs[0], spk=cs[0].spk + 1),) + cs[1:]
+    )
+    assert verify("lemma-emp-spk", 2).details == (
+        "n=1: class (-1,) has emp 0, spk 2",
+        "n=2: class (-2, -1) has emp 1, spk 2",
+    )
+
+
+def test_duplicated_member_is_reported(monkeypatch):
+    import arnold.families as families
+
+    real = families.enumerate_family
+
+    def duplicate_first(family, n):
+        members = real(family, n)
+        return members + members[:1] if family == "vs-b" else members
+
+    monkeypatch.setattr(families, "enumerate_family", duplicate_first)
+    assert verify("bij-vs-b", 2).details == (
+        "vs-b n=1: images collide",
+        "vs-b n=1 k=1: 2 members vs 1 trees",
+        "vs-b n=2: images collide",
+        "vs-b n=2 k=1: 3 members vs 2 trees",
+    )
+
+
+def test_wrong_path_labels_are_reported(monkeypatch):
+    import arnold.harness as harness
+
+    monkeypatch.setattr(harness, "left_to_right_minima", lambda seq: frozenset())
+    assert verify("cor-rightmost-ltr-min", 2).details == (
+        "vs-b n=1: [1] path labels [1]",
+        "vs-d n=1: [-1] path labels [1]",
+        "vs-b n=2: [1,-2] path labels [1]",
+        "vs-b n=2: [1,2] path labels [1]",
+        "vs-b n=2: [2,1] path labels [1, 2]",
+        "vs-d n=2: [-2,1] path labels [1, 2]",
+    )
