@@ -14,6 +14,7 @@ from arnold.bijections import (
     algo2,
     algo2_inverse,
     algo3,
+    algo3_code,
     complement,
     double_bracket,
     phi_cud_b,
@@ -471,7 +472,9 @@ class TestReferenceOracles:
     def test_algo3_matches_the_recursive_split_on_every_permutation(self):
         for n in range(1, 8):
             for p in permutations(range(1, n + 1)):
-                assert serialize(algo3(p)) == serialize(_algo3_reference(p))
+                want = _algo3_reference(p)
+                assert serialize(algo3(p)) == serialize(want)
+                assert tuple(algo3_code(p)) == _code_of(want, n)
 
     def test_cycle_kernel_matches_the_recursive_block_walk(self):
         # leaf_values and algo1/algo2 read the same block walk; up-down
