@@ -60,6 +60,8 @@ def _cmd_triangle(args) -> int:
 
 def _member_rows(family: str, n: int, index: int | None, with_stats: bool):
     if family in TREE_FAMILIES:
+        if index is not None and not 1 <= index <= n:
+            raise fam.IndexOutOfRangeError(f"index {index} outside 1..{n}")
         kind = "o" if family == "trees-o" else "*"
         for t in tr.gen_trees(n):
             c = tr.classify(t)

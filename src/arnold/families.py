@@ -6,8 +6,9 @@ The enumerators are generators: each family is built member by member from
 unsigned permutations (with the sign patterns its rules allow) or, for
 snakes, from prefixes that still obey the snake rules, and comes out in
 window order.  `windows()` and the `is_*` membership predicates are the
-literal definitions and serve as the test oracle.  Flip classes are grown
-by flood fill over every signed window.  The statistic
+literal definitions and serve as the test oracle.  Flip classes of
+permutations are grown by flood fill, and each signed flip class is one of
+them with a set of values negated.  The statistic
 distributions used by the verification harness are counted per unsigned
 permutation without building the members.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 from math import comb, factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .signed_perm import (
     Cycle,
@@ -248,63 +249,53 @@ class FlipClass:
         }
 
 
-def _build_class(members: list[tuple[int, ...]]) -> FlipClass:
-    members.sort()
-    smaxes = {stat_smax(m) for m in members}
-    spks = {stat_spk(SignedPerm(m)) for m in members}
-    for name, values in (("smax", smaxes), ("spk", spks)):
-        if len(values) != 1:
-            raise ValueError(f"class {members[0]} has {name} values {values}")
-    return FlipClass(members[0], tuple(members), smaxes.pop(), spks.pop())
-
-
-def _flip_components(items: Iterable[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
-    """Group flip-closed windows into classes by flood fill: each class walks
-    its own member list, appending the unseen images of its legal flips (see
-    `flip`; k = 1 is the identity)."""
+@lru_cache(maxsize=None)
+def unsigned_flip_classes(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Flip classes of ordinary permutations, as sorted member tuples, grown
+    by flood fill: each class walks its own member list, appending the
+    unseen images of its legal flips (see `flip`; k = 1 is the identity).
+    Starts come in lexicographic order, so each is the least member of its
+    class and the classes come out sorted."""
+    _check_size(n)
     seen: set[tuple[int, ...]] = set()
-    groups = []
-    for start in items:
+    out = []
+    for start in permutations(range(1, n + 1)):
         if start in seen:
             continue
         seen.add(start)
         group = [start]
         for w in group:
             images = [w[::-1]]
-            low = abs(w[0])
-            for k in range(1, len(w)):
-                a = abs(w[k])
-                if a < low:
-                    low = a
+            low = w[0]
+            for k in range(1, n):
+                if w[k] < low:
+                    low = w[k]
                     if k > 1:
                         images.append(w[k - 1 :: -1] + w[k:])
             for img in images:
                 if img not in seen:
                     seen.add(img)
                     group.append(img)
-        groups.append(group)
-    return groups
+        out.append(tuple(sorted(group)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def flip_classes(n: int) -> tuple[FlipClass, ...]:
     """All flip equivalence classes of signed windows of size n, each with
-    its sorted member list; constancy of smax and spk is checked here.
-    Windows come unordered, from each permutation with each sign pattern."""
-    _check_size(n)
-    signed = (w for p in permutations(range(1, n + 1)) for w in product(*((a, -a) for a in p)))
-    classes = [_build_class(g) for g in _flip_components(signed)]
+    its sorted member list.  Flip legality reads only |entries| and every
+    entry keeps its sign as it moves, so each class is an unsigned class
+    with one of the 2^n sets of values negated.  smax and spk are read off
+    the canonical member; the harness checks them on every member."""
+    classes = []
+    for unsigned in unsigned_flip_classes(n):
+        for signs in product(*((a, -a) for a in range(1, n + 1))):
+            members = sorted(tuple([signs[a - 1] for a in u]) for u in unsigned)
+            canon = members[0]
+            smax, spk = stat_smax(canon), stat_spk(SignedPerm(canon))
+            classes.append(FlipClass(canon, tuple(members), smax, spk))
     classes.sort(key=lambda c: c.canon)
     return tuple(classes)
-
-
-@lru_cache(maxsize=None)
-def unsigned_flip_classes(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Flip classes of ordinary permutations, as sorted member tuples."""
-    _check_size(n)
-    out = [tuple(sorted(g)) for g in _flip_components(permutations(range(1, n + 1)))]
-    out.sort()
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

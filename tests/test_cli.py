@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from arnold.cli import main
 
 GOLDEN_SRC = Path(__file__).resolve().parents[1] / "src/arnold/golden"
@@ -87,6 +89,14 @@ class TestEnumerate:
 
     def test_size_cap_exit_code(self, capsys):
         assert main(["enumerate", "--family", "vs-b", "--n", "12"]) == 2
+
+    @pytest.mark.parametrize("family", ["trees-o", "trees-s", "vs-b"])
+    @pytest.mark.parametrize("index", [0, 4])
+    def test_index_out_of_range_exit_code(self, capsys, family, index):
+        assert main(["enumerate", "--family", family, "--n", "3", "--index", str(index)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: index {index} outside 1..3\n"
 
 
 class TestMap:

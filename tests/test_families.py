@@ -1,6 +1,6 @@
 import json
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 from pathlib import Path
 
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from arnold.families import (
     FAMILIES,
+    FlipClass,
     IllegalFlipError,
     IndexOutOfRangeError,
     RankOutOfRangeError,
@@ -220,6 +221,38 @@ class TestIndexed:
             enumerate_indexed("vs-b", 3, 4)
 
 
+def _signed_flip_classes_reference(n):
+    """Flip classes grown by flood fill over all 2^n * n! signed windows,
+    comparing |entries| for legality, with smax and spk evaluated on every
+    member and required constant on each class."""
+    signed = (w for p in permutations(range(1, n + 1)) for w in product(*((a, -a) for a in p)))
+    seen = set()
+    classes = []
+    for start in signed:
+        if start in seen:
+            continue
+        seen.add(start)
+        group = [start]
+        for w in group:
+            images = [w[::-1]]
+            low = abs(w[0])
+            for k in range(1, n):
+                if abs(w[k]) < low:
+                    low = abs(w[k])
+                    if k > 1:
+                        images.append(w[k - 1 :: -1] + w[k:])
+            for img in images:
+                if img not in seen:
+                    seen.add(img)
+                    group.append(img)
+        group.sort()
+        (smax,) = {stat_smax(m) for m in group}
+        (spk,) = {stat_spk(SignedPerm(m)) for m in group}
+        classes.append(FlipClass(group[0], tuple(group), smax, spk))
+    classes.sort(key=lambda c: c.canon)
+    return tuple(classes)
+
+
 class TestFlipClasses:
     def test_sixteen_classes_at_three(self):
         assert len(flip_classes(3)) == 16
@@ -231,6 +264,18 @@ class TestFlipClasses:
             classes = flip_classes(n)
             members = [w for c in classes for w in c.members]
             assert sorted(members) == list(windows(n))
+
+    def test_classes_match_signed_flood_fill_reference(self):
+        for n in range(1, 7):
+            assert flip_classes(n) == _signed_flip_classes_reference(n), n
+
+    def test_signed_classes_are_signed_unsigned_classes(self):
+        for n in range(1, 7):
+            unsigned = set(unsigned_flip_classes(n))
+            for cls in flip_classes(n):
+                negated = {frozenset(-v for v in w if v < 0) for w in cls.members}
+                assert len(negated) == 1, cls.canon
+                assert tuple(sorted(tuple(map(abs, w)) for w in cls.members)) in unsigned, cls.canon
 
     @staticmethod
     def _closure(start):

@@ -376,23 +376,15 @@ def test_cli_refuses_family_ceiling_above_cap_with_exit_2(capsys, sweeps_forbidd
     assert "exceeds the configured cap 8" in capsys.readouterr().err
 
 
-@pytest.fixture
-def fresh_flip_cache():
-    import arnold.families as families
+def test_non_constant_class_statistic_names_it(monkeypatch):
+    import arnold.harness as harness
 
-    families.flip_classes.cache_clear()
-    yield
-    families.flip_classes.cache_clear()
-
-
-def test_non_constant_class_statistic_names_it(monkeypatch, fresh_flip_cache):
-    import arnold.families as families
-
-    real = families.stat_spk
-    monkeypatch.setattr(families, "stat_spk", lambda p: real(p) + (p.window[0] == 2))
-    with pytest.raises(ValueError, match=r"^class \(1, 2\) has spk values \{0, 1\}$"):
-        families.flip_classes(2)
-    assert verify("spk-well-defined", 2).details == ("n=2: class (1, 2) has spk values {0, 1}",)
+    real = harness.stat_spk
+    monkeypatch.setattr(harness, "stat_spk", lambda p: real(p) + (p.window[0] == 2))
+    assert verify("spk-well-defined", 2).details == (
+        "n=2: class (-1, 2) has spk values {0, 1}",
+        "n=2: class (1, 2) has spk values {0, 1}",
+    )
 
 
 # Faults injected on the input side of the tree-map checks, so that the
