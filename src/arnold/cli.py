@@ -14,7 +14,7 @@ import sys
 from . import bijections as bij
 from . import families as fam
 from . import trees as tr
-from .harness import UnknownCheckError, check_ids, verify, verify_all
+from .harness import check_ids, verify, verify_all
 from .laurent import LaurentPoly
 from .signed_perm import SignedPerm, stat_report, window_of
 from .triangles import arnold_hoffman, arnold_numbers, entringer
@@ -62,6 +62,7 @@ def _member_rows(family: str, n: int, index: int | None, with_stats: bool):
     if family in TREE_FAMILIES:
         if index is not None and not 1 <= index <= n:
             raise fam.IndexOutOfRangeError(f"index {index} outside 1..{n}")
+        tr.check_size(n)
         kind = "o" if family == "trees-o" else "*"
         for t in tr.gen_trees(n):
             c = tr.classify(t)
@@ -224,10 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UnknownCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (fam.SizeCapExceededError, fam.IndexOutOfRangeError, OverflowError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,11 +10,11 @@ literal definitions and serve as the test oracle.  Flip classes of
 permutations are grown by flood fill, and each signed flip class is one of
 them with a set of values negated.  The statistic
 distributions used by the verification harness are counted per unsigned
-permutation without building the members.
+permutation without building the members.  Every enumeration refuses a
+size above the package cap (`trees.check_size`) before it starts.
 """
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,7 +35,7 @@ from .signed_perm import (
     stat_spk,
     valley_values,
 )
-from .trees import EMPTY, Node, SizeCapExceededError
+from .trees import EMPTY, Node, SizeCapExceededError, check_size
 
 FAMILIES = (
     "alternating",
@@ -49,9 +49,6 @@ FAMILIES = (
     "fl-b",
     "fl-d",
 )
-
-DEFAULT_FAMILY_CAP = 8
-
 
 class IllegalFlipError(ValueError):
     pass
@@ -67,18 +64,6 @@ class RankOutOfRangeError(ValueError):
 
 class UnknownFamilyError(ValueError):
     pass
-
-
-def family_cap() -> int:
-    env = os.environ.get("ARNOLD_MAX_N")
-    return int(env) if env else DEFAULT_FAMILY_CAP
-
-
-def _check_size(n: int) -> None:
-    if n < 1:
-        raise SizeCapExceededError("n must be at least 1")
-    if n > family_cap():
-        raise SizeCapExceededError(f"n={n} exceeds the configured cap {family_cap()}")
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +241,7 @@ def unsigned_flip_classes(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     unseen images of its legal flips (see `flip`; k = 1 is the identity).
     Starts come in lexicographic order, so each is the least member of its
     class and the classes come out sorted."""
-    _check_size(n)
+    check_size(n)
     seen: set[tuple[int, ...]] = set()
     out = []
     for start in permutations(range(1, n + 1)):
@@ -436,7 +421,7 @@ def enumerate_family(family: str, n: int):
     """Every member of the family, exactly once, ordered by canonical window."""
     if family not in FAMILIES:
         raise UnknownFamilyError(family)
-    _check_size(n)
+    check_size(n)
     return _enumerate(family, n)
 
 
@@ -467,44 +452,46 @@ def enumerate_indexed(family: str, n: int, k: int):
 # statistic distributions, counted per unsigned permutation without
 # building the members
 
+def _times_cycle(ways: list[int], cycle: list[int]) -> list[int]:
+    """Fold one cycle into `ways`, the number of signings of the cycles so
+    far with each count of negative leaves.  A cycle of length m whose
+    min-split tree has L leaves (L = 0 for a fixed point, whose one entry
+    stays positive) has C(L, j) * 2^(m-1-L) paired-orbit signings with j
+    negative leaves."""
+    m = len(cycle)
+    leaves = len(leaf_values(tuple(cycle))) if m > 1 else 0
+    out = [0] * (len(ways) + leaves)
+    for i, w in enumerate(ways):
+        for j in range(leaves + 1):
+            out[i + j] += w * comb(leaves, j) << (m - 1 - leaves)
+    return out
+
+
 @lru_cache(maxsize=None)
 def cud_distribution(n: int) -> Counter:
     """Counter over (side, index, npk) for both cycle-up-down families,
-    side "b" or "d", index = last-cycle leader."""
-    _check_size(n)
+    side "b" or "d", index = last-cycle leader.  Signings multiply over the
+    cycles; a type-D member needs a final fixed point k, whose bracket
+    (k,-k) adds one to npk."""
+    check_size(n)
     counts: Counter = Counter()
     for _p, cycles in _up_down_perms(n):
-        # an entry's sign is the parity of the mask over the values before
-        # it in its cycle; keep those prefixes at the leaves of the cycle's
-        # min-split tree, where a negative entry counts toward npk
-        data = []
-        for c in cycles:
-            leaves = leaf_values(tuple(c))
-            prefix = 0
-            leaf_prefixes = []
-            for v in c:
-                if v in leaves:
-                    leaf_prefixes.append(prefix)
-                prefix |= 1 << (v - 1)
-            data.append((prefix, leaf_prefixes, c[0], len(c) == 1))
-        max_leader = max(d[2] for d in data)
-        for mask in range(1 << n):
-            odd = [d for d in data if (mask & d[0]).bit_count() & 1]
-            npk = 0
-            for _, leaf_prefixes, _, _ in data:
-                for pm in leaf_prefixes:
-                    npk += (mask & pm).bit_count() & 1
-            if not odd:
-                counts[("b", max_leader, npk)] += 1
-            elif len(odd) == 1 and odd[0][3] and odd[0][2] == max_leader:
-                counts[("d", max_leader, npk + 1)] += 1
+        *body, last = cycles
+        ways = [1]
+        for c in body:
+            ways = _times_cycle(ways, c)
+        if len(last) == 1:
+            for npk, w in enumerate(ways):
+                counts[("d", last[0], npk + 1)] += w
+        for npk, w in enumerate(_times_cycle(ways, last)):
+            counts[("b", last[0], npk)] += w
     return counts
 
 
 @lru_cache(maxsize=None)
 def vs_distribution(n: int) -> Counter:
     """Counter over (side, first-entry index, neg) for the valley families."""
-    _check_size(n)
+    check_size(n)
     counts: Counter = Counter()
     for p in permutations(range(1, n + 1)):
         signable = len(_valley_successors(p))

@@ -3,12 +3,16 @@ exhaustive enumeration at desk scale, against golden tables where the
 expected values are fixed numbers.
 
 Each check function is registered with `@check`, which fixes its id, claim
-and default ceiling; `verify` wraps its list of mismatch records in a
-CheckResult, and a pass/fail check fails exactly when that list is not
-empty.  Report-only checks never fail: they exist to record findings
-(currently, for how many members the per-object tree/npk exponent
-identity holds at each size).  `verify_all` reports a check that raises
-with status "error", so one crash does not hide the other results.
+and default ceiling, and whether it enumerates (`capped`) or reads triangle
+tables only.  `verify` refuses the ceiling of a capped check with
+`trees.check_size` before the check starts, so that a request such as
+n_max = 9 does not first sweep every size up to 8.  It wraps the check's
+list of mismatch records in a CheckResult, and a pass/fail check fails
+exactly when that list is not empty.  Report-only checks never fail: they
+exist to record findings (currently, for how many members the per-object
+tree/npk exponent identity holds at each size).  `verify_all` reports a
+check that raises with status "error", so one crash does not hide the
+other results.
 """
 from __future__ import annotations
 
@@ -73,17 +77,20 @@ class RegisteredCheck:
     default_max_n: int
     run: Callable[..., list[str]]
     report_only: bool = False
+    capped: bool = True  # False only for checks that read triangle tables
 
 
 CHECKS: list[RegisteredCheck] = []
 
 
-def check(check_id: str, claim: str, default_max_n: int, report_only: bool = False):
+def check(
+    check_id: str, claim: str, default_max_n: int, report_only: bool = False, capped: bool = True
+):
     """Register the decorated function as a check; the registry keeps
     definition order, which is the order `verify_all` reports in."""
 
     def register(fn: Callable[..., list[str]]) -> Callable[..., list[str]]:
-        CHECKS.append(RegisteredCheck(check_id, claim, default_max_n, fn, report_only))
+        CHECKS.append(RegisteredCheck(check_id, claim, default_max_n, fn, report_only, capped))
         return fn
 
     return register
@@ -111,17 +118,10 @@ def _poly_of_counts(stat_counts: dict[int, int], n: int) -> LaurentPoly:
     return LaurentPoly(coeffs)
 
 
-def _family_ceiling(n_max: int) -> int:
-    """n_max, refused up front when above the family cap, so that a request
-    such as n_max = 9 does not first sweep every size up to 8."""
-    fam._check_size(n_max)
-    return n_max
-
-
 # ---------------------------------------------------------------------------
 # triangle and table checks
 
-@check("table-arnold", "numeric double triangle matches the stored table", 5)
+@check("table-arnold", "numeric double triangle matches the stored table", 5, capped=False)
 def check_table_arnold(n_max: int, golden_dir: str | None = None) -> list[str]:
     golden = _load_golden("table1.json", golden_dir)
     top = min(n_max, len(golden["rows"]))
@@ -137,7 +137,7 @@ def check_table_arnold(n_max: int, golden_dir: str | None = None) -> list[str]:
     return details
 
 
-@check("table-polys", "polynomial double triangle matches the stored table", 5)
+@check("table-polys", "polynomial double triangle matches the stored table", 5, capped=False)
 def check_table_polys(n_max: int, golden_dir: str | None = None) -> list[str]:
     golden = _load_golden("table2.json", golden_dir)
     top = min(n_max, len(golden["rows"]))
@@ -151,7 +151,7 @@ def check_table_polys(n_max: int, golden_dir: str | None = None) -> list[str]:
     return details
 
 
-@check("poly-at-1", "polynomials evaluated at 1 give the numeric triangle", 10)
+@check("poly-at-1", "polynomials evaluated at 1 give the numeric triangle", 10, capped=False)
 def check_poly_at_1(n_max: int, golden_dir: str | None = None) -> list[str]:
     polys = arnold_hoffman(n_max)
     nums = arnold_numbers(n_max)
@@ -163,7 +163,7 @@ def check_poly_at_1(n_max: int, golden_dir: str | None = None) -> list[str]:
     return details
 
 
-@check("row-sums-springer", "row sums give the Springer numbers", 5)
+@check("row-sums-springer", "row sums give the Springer numbers", 5, capped=False)
 def check_row_sums_springer(n_max: int, golden_dir: str | None = None) -> list[str]:
     golden = _load_golden("table1.json", golden_dir)
     top = min(n_max, len(golden["springer_b"]))
@@ -176,7 +176,7 @@ def check_row_sums_springer(n_max: int, golden_dir: str | None = None) -> list[s
     return details
 
 
-@check("hoffman-q", "t*Q_n equals the positive-side row sum", 10)
+@check("hoffman-q", "t*Q_n equals the positive-side row sum", 10, capped=False)
 def check_hoffman_q(n_max: int, golden_dir: str | None = None) -> list[str]:
     return [
         f"n={r.n}: t*Q_n differs from the positive-side row sum"
@@ -185,7 +185,7 @@ def check_hoffman_q(n_max: int, golden_dir: str | None = None) -> list[str]:
     ]
 
 
-@check("hoffman-p", "P_n - t*Q_n equals the negative-side row sum", 10)
+@check("hoffman-p", "P_n - t*Q_n equals the negative-side row sum", 10, capped=False)
 def check_hoffman_p(n_max: int, golden_dir: str | None = None) -> list[str]:
     return [
         f"n={r.n}: P_n - t*Q_n differs from the negative-side row sum"
@@ -199,12 +199,9 @@ def check_entringer_alternating(n_max: int, golden_dir: str | None = None) -> li
     from .triangles import entringer
 
     details = []
-    rows = entringer(_family_ceiling(n_max))
+    rows = entringer(n_max)
     for n in range(1, n_max + 1):
-        counts = Counter()
-        for p in permutations(range(1, n + 1)):
-            if fam.is_alternating(p):
-                counts[p[0]] += 1
+        counts = Counter(p.window[0] for p in fam.enumerate_family("alternating", n))
         for k in range(1, n + 1):
             if counts.get(k, 0) != rows[n - 1][k - 1]:
                 details.append(
@@ -216,7 +213,7 @@ def check_entringer_alternating(n_max: int, golden_dir: str | None = None) -> li
 @check("snakes-arnold", "snake counts by first entry reproduce the triangle", 5)
 def check_snakes_arnold(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
-    rows = arnold_numbers(_family_ceiling(n_max))
+    rows = arnold_numbers(n_max)
     for n in range(1, n_max + 1):
         row = rows[n - 1]
         b_counts = Counter(p.window[0] for p in fam.enumerate_family("snakes-b", n))
@@ -258,12 +255,12 @@ def _compare_family_polys(
 
 @check("thm-cud", "cycle-up-down npk polynomials reproduce the refined triangle", 7)
 def check_thm_cud(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _compare_family_polys(_family_ceiling(n_max), fam.cud_distribution, "cud B", "cud D")
+    return _compare_family_polys(n_max, fam.cud_distribution, "cud B", "cud D")
 
 
 @check("thm-vs", "valley-family neg polynomials reproduce the refined triangle", 8)
 def check_thm_vs(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _compare_family_polys(_family_ceiling(n_max), fam.vs_distribution, "vs B", "vs D")
+    return _compare_family_polys(n_max, fam.vs_distribution, "vs B", "vs D")
 
 
 def _fl_distribution(n: int) -> Counter:
@@ -276,7 +273,7 @@ def _fl_distribution(n: int) -> Counter:
 
 @check("thm-fl", "flip-class spk polynomials reproduce the refined triangle", 6)
 def check_thm_fl(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _compare_family_polys(_family_ceiling(n_max), _fl_distribution, "fl B", "fl D")
+    return _compare_family_polys(n_max, _fl_distribution, "fl B", "fl D")
 
 
 @lru_cache(maxsize=None)
@@ -294,7 +291,6 @@ def _tree_distribution(n: int) -> Counter:
 
 @check("thm-trees", "tree emp polynomials reproduce the refined triangle", 7)
 def check_thm_trees(n_max: int, golden_dir: str | None = None) -> list[str]:
-    tr.check_tree_size(n_max)
     return _compare_family_polys(n_max, _tree_distribution, "trees-o", "trees-s")
 
 
@@ -306,7 +302,7 @@ def _check_bijection_into_trees(
 ) -> list[str]:
     side = "b" if kind == "o" else "d"
     details = []
-    for n in range(1, _family_ceiling(n_max) + 1):
+    for n in range(1, n_max + 1):
         members = fam.enumerate_family(family, n)
         images = []
         for m in members:
@@ -358,7 +354,7 @@ def check_bij_vs_d(n_max: int, golden_dir: str | None = None) -> list[str]:
 @check("bij-fl", "flip-class map is well defined and bijective", 6)
 def check_bij_fl(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
-    for n in range(1, _family_ceiling(n_max) + 1):
+    for n in range(1, n_max + 1):
         classes = fam.flip_classes(n)
         images = []
         for cls in classes:
@@ -386,7 +382,7 @@ def check_bij_fl(n_max: int, golden_dir: str | None = None) -> list[str]:
 @check("cor-rightmost-cycle-min", "rightmost-path labels are the cycle minima", 6)
 def check_cor_rightmost_cycle_min(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
-    for n in range(1, _family_ceiling(n_max) + 1):
+    for n in range(1, n_max + 1):
         for family, code_map in (("cud-b", bij.phi_cud_b_code), ("cud-d", bij.phi_cud_d_code)):
             for cf in fam.enumerate_family(family, n):
                 want = frozenset(c.leader for c in cf.cycles)
@@ -399,7 +395,7 @@ def check_cor_rightmost_cycle_min(n_max: int, golden_dir: str | None = None) -> 
 @check("cor-rightmost-ltr-min", "rightmost-path labels are the left-to-right minima", 6)
 def check_cor_rightmost_ltr_min(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
-    for n in range(1, _family_ceiling(n_max) + 1):
+    for n in range(1, n_max + 1):
         for family, code_map in (("vs-b", bij.phi_vs_b_code), ("vs-d", bij.phi_vs_d_code)):
             for p in fam.enumerate_family(family, n):
                 want = left_to_right_minima(p.abs_window())
@@ -412,7 +408,7 @@ def check_cor_rightmost_ltr_min(n_max: int, golden_dir: str | None = None) -> li
 @check("lemma-emp-spk", "emp equals n - 2*spk + 1 on every flip class", 6)
 def check_lemma_emp_spk(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
-    for n in range(1, _family_ceiling(n_max) + 1):
+    for n in range(1, n_max + 1):
         for cls in fam.flip_classes(n):
             emp = bij.tau_flip_code(cls.canon).count(0)
             if emp != n - 2 * cls.spk + 1:
@@ -423,7 +419,7 @@ def check_lemma_emp_spk(n_max: int, golden_dir: str | None = None) -> list[str]:
 @check("lemma-peak-leaf", "double-empty nodes of the min-split tree are the peaks", 8)
 def check_lemma_peak_leaf(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
-    for n in range(1, _family_ceiling(n_max) + 1):
+    for n in range(1, n_max + 1):
         labels = range(1, n + 1)
         for p in permutations(labels):
             code = bij.algo3_code(p)
@@ -436,7 +432,7 @@ def check_lemma_peak_leaf(n_max: int, golden_dir: str | None = None) -> list[str
 @check("knuth-flip-euler", "unsigned flip classes are counted by Euler numbers", 8)
 def check_knuth_flip_euler(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
-    euler = euler_numbers(_family_ceiling(n_max))
+    euler = euler_numbers(n_max)
     for n in range(1, n_max + 1):
         classes = fam.unsigned_flip_classes(n)
         if len(classes) != euler[n - 1]:
@@ -513,7 +509,7 @@ def _check_recstep(
     d_drop, d_stay = d_cases
     b_drop, *b_stay = b_cases
     details = []
-    for n in range(2, _family_ceiling(n_max) + 1):
+    for n in range(2, n_max + 1):
         for k in range(2, n + 1):
             expected = {d_drop: (fb, n - 1, k - 1, -1), d_stay: (fd, n, k - 1, 0)}
             details += _verify_step_partition(
@@ -550,7 +546,7 @@ def _check_constant_on_classes(n_max: int, name: str, stat: Callable) -> list[st
     off the canonical member only, so this is the one test that they are
     constant on every member."""
     details = []
-    for n in range(1, _family_ceiling(n_max) + 1):
+    for n in range(1, n_max + 1):
         for cls in fam.flip_classes(n):
             values = {stat(w) for w in cls.members}
             if values != {getattr(cls, name)}:
@@ -577,7 +573,7 @@ def check_spk_well_defined(n_max: int, golden_dir: str | None = None) -> list[st
 def check_report_emp_npk(n_max: int, golden_dir: str | None = None) -> list[str]:
     """Report-only: where does emp(tree image) equal n+1-2*npk per object?"""
     findings = []
-    for n in range(1, _family_ceiling(n_max) + 1):
+    for n in range(1, n_max + 1):
         agree = 0
         total = 0
         for family, code_map in (("cud-b", bij.phi_cud_b_code), ("cud-d", bij.phi_cud_d_code)):
@@ -610,6 +606,8 @@ def verify(check_id: str, max_n: int | None = None, golden_dir: str | None = Non
     n_max = spec.default_max_n if max_n is None else max_n
     if n_max < 1:
         raise SizeCapExceededError("max_n must be at least 1")
+    if spec.capped:
+        tr.check_size(n_max)
     start = time.perf_counter()
     details = spec.run(n_max, golden_dir)
     elapsed = time.perf_counter() - start
@@ -625,8 +623,6 @@ def verify_all(max_n: int | None = None, golden_dir: str | None = None) -> list[
     ceiling capped by max_n.  A check that raises anything but
     SizeCapExceededError is reported with status "error" and the
     exception in its details, and the remaining checks still run."""
-    if max_n is not None and max_n < 1:
-        raise SizeCapExceededError("max_n must be at least 1")
     results = []
     for spec in CHECKS:
         n_max = spec.default_max_n if max_n is None else min(spec.default_max_n, max_n)

@@ -13,19 +13,31 @@ code hashes and compares as a plain tuple; `tree_of` turns it into
 the slots of absent labels stay 0.  Two min-split walks write codes:
 `split_code`, the plain min-split (Cartesian tree) in one stack pass, and
 `block_code`, the min-split with the per-block complement rule.
+
+`check_size` is the one size cap of the package: every enumeration, and
+`harness.verify` for every check that enumerates, refuses a size above
+`ARNOLD_MAX_N` (8 by default) before it starts.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 
-TREE_CAP = 10
-
-
 class SizeCapExceededError(ValueError):
     pass
+
+
+def check_size(n: int) -> None:
+    """Refuse a size below 1 or above the cap `ARNOLD_MAX_N` (default 8),
+    read at call time."""
+    if n < 1:
+        raise SizeCapExceededError("n must be at least 1")
+    cap = int(os.environ.get("ARNOLD_MAX_N") or 8)
+    if n > cap:
+        raise SizeCapExceededError(f"n={n} exceeds the configured cap {cap}")
 
 
 class _EmptyLeaf:
@@ -63,19 +75,12 @@ def _gen(labels: tuple[int, ...]) -> Iterator:
                 yield Node(root, (lt, rt))
 
 
-def check_tree_size(n: int) -> None:
-    if n > TREE_CAP:
-        raise SizeCapExceededError(f"n={n} exceeds tree generation cap {TREE_CAP}")
-
-
 def gen_trees(n: int) -> Iterator[Node]:
     """All complete increasing binary trees on labels 1..n, each once.
 
     Deterministic order: left-subtree label subsets by ascending bitmask.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    check_tree_size(n)
+    check_size(n)
     yield from _gen(tuple(range(1, n + 1)))
 
 

@@ -280,8 +280,8 @@ def test_class_statistic_mismatch_is_reported(monkeypatch):
     assert verify("spk-well-defined", 1).details == ("n=1: class (-1,) has spk values {0}",)
 
 
-# Every check that sweeps families or permutations; the rest read
-# triangle tables only, and thm-trees has the tree cap.
+# Every check that sweeps families or permutations; thm-trees sweeps
+# trees, and the rest read triangle tables only.
 CAPPED_CHECKS = (
     "thm-fl",
     "bij-fl",
@@ -316,6 +316,8 @@ TRIANGLE_CHECKS = (
 
 def test_every_check_is_capped_or_reads_triangles_only():
     assert sorted(CAPPED_CHECKS + TRIANGLE_CHECKS + ("thm-trees",)) == sorted(EXPECTED_IDS)
+    capped = sorted(spec.check_id for spec in CHECKS if spec.capped)
+    assert capped == sorted(CAPPED_CHECKS + ("thm-trees",))
 
 
 @pytest.fixture
@@ -350,11 +352,11 @@ def test_flip_checks_refuse_ceiling_above_cap_up_front(check_id, sweeps_forbidde
 
 
 def test_tree_check_refuses_ceiling_above_tree_cap_up_front(sweeps_forbidden):
-    with pytest.raises(SizeCapExceededError, match="n=11 exceeds tree generation cap 10"):
-        verify("thm-trees", 11)
+    with pytest.raises(SizeCapExceededError, match="n=9 exceeds the configured cap 8"):
+        verify("thm-trees", 9)
 
 
-@pytest.mark.parametrize("check_id", ("lemma-peak-leaf", "entringer-alternating"))
+@pytest.mark.parametrize("check_id", ("lemma-peak-leaf", "entringer-alternating", "thm-trees"))
 def test_permutation_checks_obey_a_lowered_cap(check_id, monkeypatch):
     monkeypatch.setenv("ARNOLD_MAX_N", "3")
     assert verify(check_id, 3).status == "pass"
@@ -374,6 +376,14 @@ def test_cli_refuses_family_ceiling_above_cap_with_exit_2(capsys, sweeps_forbidd
 
     assert main(["verify", "--check", "bij-vs-b", "--max-n", "9"]) == 2
     assert "exceeds the configured cap 8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ("trees-o", "trees-s"))
+def test_cli_refuses_tree_enumeration_above_cap_with_exit_2(family, capsys, sweeps_forbidden):
+    from arnold.cli import main
+
+    assert main(["enumerate", "--family", family, "--n", "9"]) == 2
+    assert capsys.readouterr().err == "error: n=9 exceeds the configured cap 8\n"
 
 
 def test_non_constant_class_statistic_names_it(monkeypatch):

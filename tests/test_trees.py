@@ -88,9 +88,14 @@ def test_leaf_count_identity():
             assert empties == count_empty(t)
 
 
-def test_size_cap():
-    with pytest.raises(SizeCapExceededError):
-        next(gen_trees(11))
+def test_size_cap(monkeypatch):
+    monkeypatch.delenv("ARNOLD_MAX_N", raising=False)
+    with pytest.raises(SizeCapExceededError, match="n=9 exceeds the configured cap 8"):
+        next(gen_trees(9))
+    monkeypatch.setenv("ARNOLD_MAX_N", "3")
+    assert sum(1 for _ in gen_trees(3)) == 16
+    with pytest.raises(SizeCapExceededError, match="n=4 exceeds the configured cap 3"):
+        next(gen_trees(4))
 
 
 def test_json_encoding():
