@@ -1,64 +1,46 @@
 """Command line front door: triangles, family enumeration, tree maps, and
-the verification suite.
+the verification suite.  Every command prints each row as it is built.
 
-Exit codes for `arnold verify`: 0 all pass, 1 at least one failure or
-crashed check, 2 on usage or size errors.
+Exit codes: 0 success; 1 a failing or crashed check under `verify`, or a
+reader that closed the pipe early; 2 on usage, size or file errors.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import os
 import sys
+from itertools import chain
 
 from . import bijections as bij
 from . import families as fam
 from . import trees as tr
 from .harness import check_ids, verify, verify_all
-from .laurent import LaurentPoly
 from .signed_perm import SignedPerm, stat_report, window_of
 from .triangles import arnold_hoffman, arnold_numbers, entringer
 
 TREE_FAMILIES = ("trees-o", "trees-s")
 
 
-def _triangle_rows(kind: str, n: int):
-    if kind == "entringer":
-        for i, row in enumerate(entringer(n), start=1):
-            for k, value in enumerate(row, start=1):
-                yield {"n": i, "k": k, "value": value}
-    elif kind == "arnold":
-        for row in arnold_numbers(n):
-            for k, value in row.entries():
-                yield {"n": row.n, "k": k, "value": value}
-    else:
-        for row in arnold_hoffman(n):
-            for k, value in row.entries():
-                yield {"n": row.n, "k": k, "poly": value.to_json_map()}
-
-
 def _cmd_triangle(args) -> int:
-    rows = list(_triangle_rows(args.kind, args.n))
-    if args.format == "jsonl":
-        for row in rows:
-            print(json.dumps(row))
-        return 0
-    current = None
-    line: list[str] = []
-    for row in rows:
-        if row["n"] != current:
-            if line:
-                print(f"n={current}: " + "  ".join(line))
-            current, line = row["n"], []
-        value = row.get("value")
-        shown = str(value) if value is not None else str(LaurentPoly.from_json_map(row["poly"]))
-        line.append(f"[{row['k']}] {shown}")
-    if line:
-        print(f"n={current}: " + "  ".join(line))
+    if args.kind == "entringer":
+        rows = ((i, enumerate(row, start=1)) for i, row in enumerate(entringer(args.n), start=1))
+    else:
+        make = arnold_numbers if args.kind == "arnold" else arnold_hoffman
+        rows = ((row.n, row.entries()) for row in make(args.n))
+    for n, entries in rows:
+        if args.format == "table":
+            print(f"n={n}: " + "  ".join(f"[{k}] {value}" for k, value in entries))
+        else:
+            for k, value in entries:
+                cell = {"poly": value.to_json_map()} if args.kind == "poly" else {"value": value}
+                print(json.dumps({"n": n, "k": k, **cell}))
     return 0
 
 
 def _member_rows(family: str, n: int, index: int | None, with_stats: bool):
+    """Yield one output row per member; every refusal comes on the first `next`."""
     if family in TREE_FAMILIES:
         if index is not None and not 1 <= index <= n:
             raise fam.IndexOutOfRangeError(f"index {index} outside 1..{n}")
@@ -66,17 +48,13 @@ def _member_rows(family: str, n: int, index: int | None, with_stats: bool):
         kind = "o" if family == "trees-o" else "*"
         for t in tr.gen_trees(n):
             c = tr.classify(t)
-            if c.kind != kind:
-                continue
-            if index is not None and c.rightmost_label != index:
-                continue
-            yield {"tree": tr.to_json(t), "index": c.rightmost_label, "emp": c.emp}
+            if c.kind == kind and index in (None, c.rightmost_label):
+                yield {"tree": tr.to_json(t), "index": c.rightmost_label, "emp": c.emp}
         return
-    members = (
-        fam.enumerate_family(family, n)
-        if index is None
-        else fam.enumerate_indexed(family, n, index)
-    )
+    if index is None:
+        members = fam.enumerate_family(family, n)
+    else:
+        members = fam.enumerate_indexed(family, n, index)
     for m in members:
         if isinstance(m, fam.FlipClass):
             row = {"window": list(m.canon), "members": [list(w) for w in m.members]}
@@ -95,71 +73,52 @@ def _member_rows(family: str, n: int, index: int | None, with_stats: bool):
 
 
 def _cmd_enumerate(args) -> int:
-    rows = list(_member_rows(args.family, args.n, args.index, args.with_stats))
+    rows = _member_rows(args.family, args.n, args.index, args.with_stats)
     if args.format == "jsonl":
         for row in rows:
             print(json.dumps(row))
         return 0
+    first = next(rows, None)
+    if first is not None:
+        header = list(first)
+        rows = chain([first], rows)
+    elif args.family in TREE_FAMILIES:
+        header = ["tree", "index", "emp"]
+    else:  # an empty indexed slice
+        header = ["window", "stats"] if args.with_stats else ["window"]
     writer = csv.writer(sys.stdout)
-    if args.family in TREE_FAMILIES:
-        writer.writerow(["tree", "index", "emp"])
-        for row in rows:
-            writer.writerow([json.dumps(row["tree"]), row["index"], row["emp"]])
-        return 0
-    header = ["window"]
-    for extra in ("cycles", "members"):
-        if rows and extra in rows[0]:
-            header.append(extra)
-    if args.with_stats:
-        header.append("stats")
     writer.writerow(header)
     for row in rows:
-        out = [" ".join(str(v) for v in row["window"])]
-        for extra in ("cycles", "members"):
-            if extra in header:
-                out.append(json.dumps(row.get(extra)))
-        if args.with_stats:
-            out.append(json.dumps(row.get("stats")))
-        writer.writerow(out)
+        writer.writerow(
+            " ".join(map(str, value)) if key == "window" else json.dumps(value)
+            for key, value in row.items()
+        )
     return 0
 
 
 _BIJECTIONS = {
-    "cud-b": ("cud-b", bij.phi_cud_b),
-    "cud-d": ("cud-d", bij.phi_cud_d),
-    "vs-b": ("vs-b", bij.phi_vs_b),
-    "vs-d": ("vs-d", bij.phi_vs_d),
+    "cud-b": bij.phi_cud_b,
+    "cud-d": bij.phi_cud_d,
+    "vs-b": bij.phi_vs_b,
+    "vs-d": bij.phi_vs_d,
 }
 
 
+def _map_triples(bijection: str, n: int):
+    """Yield (source, tree, index) per source; a flip class's index is |smax|."""
+    if bijection == "flip":
+        for side in ("fl-b", "fl-d"):
+            for cls in fam.enumerate_family(side, n):
+                yield cls, bij.phi_f(cls), abs(cls.smax)
+        return
+    for m in fam.enumerate_family(bijection, n):
+        t = _BIJECTIONS[bijection](m)
+        yield m, t, tr.classify(t).rightmost_label
+
+
 def _cmd_map(args) -> int:
-    if args.bijection == "flip":
-        for n_side in ("fl-b", "fl-d"):
-            for cls in fam.enumerate_family(n_side, args.n):
-                t = bij.phi_f(cls)
-                print(
-                    json.dumps(
-                        {
-                            "source": cls.to_json(),
-                            "target": tr.to_json(t),
-                            "index": abs(cls.smax),
-                        }
-                    )
-                )
-        return 0
-    family, mapping = _BIJECTIONS[args.bijection]
-    for m in fam.enumerate_family(family, args.n):
-        t = mapping(m)
-        source = m.to_json() if hasattr(m, "to_json") else list(m)
-        print(
-            json.dumps(
-                {
-                    "source": source,
-                    "target": tr.to_json(t),
-                    "index": tr.classify(t).rightmost_label,
-                }
-            )
-        )
+    for source, t, index in _map_triples(args.bijection, args.n):
+        print(json.dumps({"source": source.to_json(), "target": tr.to_json(t), "index": index}))
     return 0
 
 
@@ -224,8 +183,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (OverflowError, ValueError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        return code
+    except BrokenPipeError:  # the reader went away: discard what is still buffered
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (OverflowError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -102,6 +102,16 @@ def _load_golden(name: str, golden_dir: str | None):
     return json.loads(resources.files("arnold.golden").joinpath(name).read_text())
 
 
+def _load_table(name: str, key: str, n_max: int, golden_dir: str | None):
+    """A stored table that covers n = 1..n_max; a shorter one is refused,
+    so that a check never reports a range it did not compare."""
+    golden = _load_golden(name, golden_dir)
+    stored = len(golden[key])
+    if n_max > stored:
+        raise ValueError(f"{name} stores {stored} rows, fewer than n_max={n_max}")
+    return golden
+
+
 def _clip(details: list[str]) -> tuple[str, ...]:
     if len(details) > MAX_DETAILS:
         extra = len(details) - MAX_DETAILS
@@ -123,11 +133,9 @@ def _poly_of_counts(stat_counts: dict[int, int], n: int) -> LaurentPoly:
 
 @check("table-arnold", "numeric double triangle matches the stored table", 5, capped=False)
 def check_table_arnold(n_max: int, golden_dir: str | None = None) -> list[str]:
-    golden = _load_golden("table1.json", golden_dir)
-    top = min(n_max, len(golden["rows"]))
-    rows = arnold_numbers(top)
+    golden = _load_table("table1.json", "rows", n_max, golden_dir)
     details = []
-    for row, grow in zip(rows, golden["rows"][:top]):
+    for row, grow in zip(arnold_numbers(n_max), golden["rows"]):
         if list(row.neg) != grow["neg"] or list(row.pos) != grow["pos"]:
             details.append(f"row {row.n}: got neg={list(row.neg)} pos={list(row.pos)}")
         if sum(row.pos) != golden["springer_b"][row.n - 1]:
@@ -139,11 +147,9 @@ def check_table_arnold(n_max: int, golden_dir: str | None = None) -> list[str]:
 
 @check("table-polys", "polynomial double triangle matches the stored table", 5, capped=False)
 def check_table_polys(n_max: int, golden_dir: str | None = None) -> list[str]:
-    golden = _load_golden("table2.json", golden_dir)
-    top = min(n_max, len(golden["rows"]))
-    rows = arnold_hoffman(top)
+    golden = _load_table("table2.json", "rows", n_max, golden_dir)
     details = []
-    for row, grow in zip(rows, golden["rows"][:top]):
+    for row, grow in zip(arnold_hoffman(n_max), golden["rows"]):
         want_neg = [LaurentPoly.from_json_map(m) for m in grow["neg"]]
         want_pos = [LaurentPoly.from_json_map(m) for m in grow["pos"]]
         if list(row.neg) != want_neg or list(row.pos) != want_pos:
@@ -165,10 +171,9 @@ def check_poly_at_1(n_max: int, golden_dir: str | None = None) -> list[str]:
 
 @check("row-sums-springer", "row sums give the Springer numbers", 5, capped=False)
 def check_row_sums_springer(n_max: int, golden_dir: str | None = None) -> list[str]:
-    golden = _load_golden("table1.json", golden_dir)
-    top = min(n_max, len(golden["springer_b"]))
+    golden = _load_table("table1.json", "springer_b", n_max, golden_dir)
     details = []
-    for row in arnold_numbers(top):
+    for row in arnold_numbers(n_max):
         if sum(row.pos) != golden["springer_b"][row.n - 1]:
             details.append(f"n={row.n}: positive row sum {sum(row.pos)}")
         if sum(row.neg) != golden["springer_d"][row.n - 1]:

@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from arnold.cli import main
 
-GOLDEN_SRC = Path(__file__).resolve().parents[1] / "src/arnold/golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_SRC = ROOT / "src/arnold/golden"
 
 
 def run(capsys, *argv):
@@ -16,6 +20,25 @@ def run(capsys, *argv):
 
 def jsonl(out):
     return [json.loads(line) for line in out.strip().splitlines() if line.strip()]
+
+
+TABLES = {
+    "arnold": [
+        "n=1: [-1] 1  [1] 1",
+        "n=2: [-2] 0  [-1] 1  [1] 1  [2] 2",
+        "n=3: [-3] 0  [-2] 2  [-1] 3  [1] 3  [2] 4  [3] 4",
+    ],
+    "entringer": [
+        "n=1: [1] 1",
+        "n=2: [1] 0  [2] 1",
+        "n=3: [1] 0  [2] 1  [3] 1",
+    ],
+    "poly": [
+        "n=1: [-1] 1  [1] t^2",
+        "n=2: [-2] 0  [-1] t  [1] t^3  [2] t + t^3",
+        "n=3: [-3] 0  [-2] 1 + t^2  [-1] 1 + 2t^2  [1] t^2 + 2t^4  [2] 2t^2 + 2t^4  [3] 2t^2 + 2t^4",
+    ],
+}
 
 
 class TestTriangle:
@@ -36,6 +59,14 @@ class TestTriangle:
         code, out = run(capsys, "triangle", "--kind", "entringer", "--n", "4")
         assert code == 0
         assert "n=4" in out
+        code, out = run(capsys, "triangle", "--kind", "entringer", "--n", "3")
+        assert out.splitlines() == TABLES["entringer"]
+
+    @pytest.mark.parametrize("kind", ["arnold", "poly"])
+    def test_double_triangle_table(self, capsys, kind):
+        code, out = run(capsys, "triangle", "--kind", kind, "--n", "3")
+        assert code == 0
+        assert out.splitlines() == TABLES[kind]
 
     def test_overflow_exit_code(self, capsys):
         code = main(["triangle", "--kind", "entringer", "--n", "40"])
@@ -87,6 +118,32 @@ class TestEnumerate:
         assert lines[0].startswith("window")
         assert len(lines) == 4
 
+    @pytest.mark.parametrize(
+        "argv, header",
+        [
+            (["--family", "cud-b", "--n", "3"], "window,cycles"),
+            (["--family", "fl-b", "--n", "3", "--with-stats"], "window,members,stats"),
+            (["--family", "trees-s", "--n", "3"], "tree,index,emp"),
+            # an empty slice: no first row to read the extra columns from
+            (["--family", "cud-d", "--n", "3", "--index", "1", "--with-stats"], "window,stats"),
+        ],
+    )
+    def test_csv_header(self, capsys, argv, header):
+        code, out = run(capsys, "enumerate", *argv, "--format", "csv")
+        assert code == 0
+        assert out.startswith(header + "\r\n")
+
+    def test_reader_closing_the_pipe_ends_quietly(self):
+        # trees-o at n=6 prints about 630 KB, far more than a pipe buffers
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        argv = [sys.executable, "-m", "arnold.cli", "enumerate", "--family", "trees-o", "--n", "6"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert json.loads(proc.stdout.readline())["tree"]["label"] == 1
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
+
     def test_size_cap_exit_code(self, capsys):
         assert main(["enumerate", "--family", "vs-b", "--n", "12"]) == 2
 
@@ -112,6 +169,8 @@ class TestMap:
         assert code == 0
         rows = jsonl(out)
         assert len(rows) == 4  # three positive-side classes and one negative
+        assert [r["index"] for r in rows] == [abs(r["source"]["smax"]) for r in rows]
+        assert any(r["source"]["smax"] < 0 for r in rows)
 
 
 class TestVerify:
@@ -142,6 +201,19 @@ class TestVerify:
         (row,) = jsonl(out)
         assert row["check"] == "table-arnold"
         assert row["status"] == "pass"
+
+    def test_table_range_beyond_stored_rows_exit_code(self, capsys):
+        assert main(["verify", "--check", "table-arnold", "--max-n", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: table1.json stores 5 rows, fewer than n_max=10\n"
+
+    def test_missing_golden_dir_exit_code(self, capsys, tmp_path):
+        missing = tmp_path / "missing"
+        assert main(["verify", "--check", "table-arnold", "--golden-dir", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2] No such file or directory")
 
     def test_requires_target(self, capsys):
         assert main(["verify"]) == 2

@@ -140,6 +140,32 @@ def test_golden_dir_override_detects_tampering(tmp_path):
     assert verify("table-arnold", 5).status == "pass"
 
 
+@pytest.mark.parametrize(
+    "check_id, table",
+    [
+        ("table-arnold", "table1.json"),
+        ("table-polys", "table2.json"),
+        ("row-sums-springer", "table1.json"),
+    ],
+)
+def test_table_check_refuses_range_beyond_stored_rows(check_id, table):
+    with pytest.raises(ValueError, match=f"{table} stores 5 rows, fewer than n_max=6") as info:
+        verify(check_id, 6)
+    assert not isinstance(info.value, SizeCapExceededError)
+
+
+def test_verify_all_reports_short_golden_table_as_error(tmp_path):
+    for name in ("table1.json", "table2.json", "small_families.json"):
+        shutil.copy(GOLDEN_SRC / name, tmp_path / name)
+    data = json.loads((tmp_path / "table2.json").read_text())
+    del data["rows"][3:]
+    (tmp_path / "table2.json").write_text(json.dumps(data))
+    results = {r.check_id: r for r in verify_all(4, golden_dir=str(tmp_path))}
+    assert results["table-polys"].status == "error"
+    assert "table2.json stores 3 rows, fewer than n_max=4" in results["table-polys"].details[0]
+    assert results["table-arnold"].status == "pass"
+
+
 def test_verify_all_keeps_registry_order():
     results = verify_all(2)
     assert [r.check_id for r in results] == list(EXPECTED_IDS)
