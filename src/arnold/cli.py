@@ -1,5 +1,5 @@
 """Command line front door: triangles, family enumeration, tree maps, and
-the verification suite.  Every command prints each row as it is built.
+the verification suite.  The first three print each row as it is built.
 
 Exit codes: 0 success; 1 a failing or crashed check under `verify`, or a
 reader that closed the pipe early; 2 on usage, size or file errors.
