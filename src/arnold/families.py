@@ -26,7 +26,7 @@ from .signed_perm import (
     Cycle,
     CycleForm,
     SignedPerm,
-    cycle_form,
+    cycle_form,  # not called here: perfbench/layers.py times it as families.cycle_form
     from_window,
     leaf_values,
     stat_neg,
@@ -315,41 +315,37 @@ def _up_down_perms(n: int) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
             yield p, cycles
 
 
-def _signings(cycle: list[int]) -> list[tuple[tuple[int, int], ...]]:
-    """The 2^(len-1) signings of a cycle that keep it a paired orbit (the
-    leader positive, every other entry of either sign), each given as the
-    (position, value) entries it writes into the window."""
+def _signings(cycle: list[int]) -> list[tuple[int, ...]]:
+    """The 2^(len-1) signings of a cycle that keep it a paired orbit: the
+    leader positive, every other entry of either sign."""
     head, *rest = cycle
-    out = []
-    for signs in product((1, -1), repeat=len(rest)):
-        c = (head, *(s * v for s, v in zip(signs, rest)))
-        out.append(tuple((abs(x) - 1, y if x > 0 else -y) for x, y in zip(c, c[1:] + c[:1])))
-    return out
+    return [(head, *(s * v for s, v in zip(signs, rest)))
+            for signs in product((1, -1), repeat=len(rest))]
 
 
 def _cud_members(n: int, side: str) -> tuple[CycleForm, ...]:
     """Cycle-up-down members of type `side`: "a" keeps every entry
     positive, "b" signs each cycle as a paired orbit, and "d" also needs
     the cycle with the largest leader to be a fixed point k, which becomes
-    the bracket (k,-k)."""
+    the bracket (k,-k).  Each member's window is its sort key."""
     found = []
     for p, cycles in _up_down_perms(n):
-        if side == "a":
-            found.append(p)
-            continue
         w = list(p)
+        bracket: tuple[Cycle, ...] = ()
         if side == "d":
             if len(cycles[-1]) > 1:
                 continue
             k = cycles.pop()[0]
             w[k - 1] = -k
-        for signed in product(*map(_signings, cycles)):
-            for writes in signed:
-                for i, v in writes:
-                    w[i] = v
-            found.append(tuple(w))
-    found.sort()
-    return tuple(cycle_form(SignedPerm(w)) for w in found)
+            bracket = (Cycle((k, -k), bracket=True),)
+        signings = [[tuple(c)] for c in cycles] if side == "a" else map(_signings, cycles)
+        for signed in product(*signings):
+            for c in signed:
+                for x, y in zip(c, c[1:] + c[:1]):
+                    w[abs(x) - 1] = y if x > 0 else -y
+            found.append((tuple(w), CycleForm(tuple(map(Cycle, signed)) + bracket)))
+    found.sort(key=lambda m: m[0])
+    return tuple(cf for _, cf in found)
 
 
 def _valley_successors(p: tuple[int, ...]) -> list[int]:

@@ -368,6 +368,9 @@ def check_bij_fl(n_max: int, golden_dir: str | None = None) -> list[str]:
                 details.append(f"fl n={n}: members of {cls.canon} map to different trees")
                 continue
             code = member_codes.pop()
+            if not tr.is_tree_code(code, n):
+                details.append(f"fl n={n}: invalid image tree for class {cls.canon}")
+                continue
             c = tr.classify_code(code)
             want_kind = "o" if cls.smax > 0 else "*"
             if c.kind != want_kind or c.rightmost_label != abs(cls.smax):

@@ -1,7 +1,8 @@
 """Exact integer Laurent polynomials in one variable t.
 
-Coefficients are signed 64-bit checked integers: every arithmetic step
-verifies the result still fits, and raises OverflowError otherwise.
+Coefficients are signed 64-bit integers.  The constructor range-checks
+every result coefficient once (the product and evaluation also check their
+intermediate sums), and a value that does not fit raises OverflowError.
 Negative exponents are allowed so that t^-1 scaling used by the triangle
 recurrences needs no special casing.
 """
@@ -70,11 +71,7 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self._coeffs)
         for exp, c in other._coeffs.items():
-            s = _checked(out.get(exp, 0) + c)
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
+            out[exp] = out.get(exp, 0) + c
         return LaurentPoly(out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -84,7 +81,7 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
-            return LaurentPoly({e: _checked(c * other) for e, c in self._coeffs.items()})
+            return LaurentPoly({e: c * other for e, c in self._coeffs.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out: dict[int, int] = {}
@@ -101,7 +98,7 @@ class LaurentPoly:
         return LaurentPoly({e + exp: c for e, c in self._coeffs.items()})
 
     def derivative(self) -> "LaurentPoly":
-        return LaurentPoly({e - 1: _checked(c * e) for e, c in self._coeffs.items() if e != 0})
+        return LaurentPoly({e - 1: c * e for e, c in self._coeffs.items() if e != 0})
 
     def __call__(self, t: int) -> int:
         total = 0

@@ -2,8 +2,10 @@
 triangle, its polynomial refinement, and the tangent/secant derivative
 polynomials tied to it.
 
-All arithmetic is exact and 64-bit checked; asking for a row beyond the
-first overflow raises OverflowError rather than wrapping.
+Each triangle row is the running sum of the previous row read backwards
+(`_running_sums`), once per side for an Arnold row.  All arithmetic is
+exact and 64-bit checked; asking for a row beyond the first overflow
+raises OverflowError rather than wrapping.
 
 The derivative polynomials P_n, Q_n are defined by
     d^n/dx^n tan(x) = P_n(tan x)      and      d^n/dx^n sec(x) = Q_n(tan x) sec(x).
@@ -16,6 +18,7 @@ seeded by P_1 = 1 + t^2 and Q_1 = t.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add as _add
 from typing import Generic, TypeVar
 
 from .laurent import INT64_MAX, INT64_MIN, LaurentPoly
@@ -49,10 +52,20 @@ class ArnoldRow(Generic[V]):
         return self.neg[self.n + k]
 
     def entries(self):
-        for k in range(-self.n, 0):
-            yield k, self.value(k)
-        for k in range(1, self.n + 1):
-            yield k, self.value(k)
+        yield from zip(range(-self.n, 0), self.neg)
+        yield from zip(range(1, self.n + 1), self.pos)
+
+
+def _running_sums(start, terms, add):
+    """(start, start+t1, start+t1+t2, ...) for terms t1, t2, ...
+
+    >>> _running_sums(0, (1, 2, 3), lambda a, b: a + b)
+    (0, 1, 3, 6)
+    """
+    out = [start]
+    for t in terms:
+        out.append(add(out[-1], t))
+    return tuple(out)
 
 
 def entringer(n_max: int) -> list[tuple[int, ...]]:
@@ -64,24 +77,14 @@ def entringer(n_max: int) -> list[tuple[int, ...]]:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     rows: list[tuple[int, ...]] = [(1,)]
-    for n in range(2, n_max + 1):
-        prev = rows[-1]
-        row = [0]
-        for k in range(2, n + 1):
-            row.append(_checked_add(row[-1], prev[n - k]))
-        rows.append(tuple(row))
+    for _ in range(n_max - 1):
+        rows.append(_running_sums(0, reversed(rows[-1]), _checked_add))
     return rows
 
 
 def euler_numbers(n_max: int) -> list[int]:
     """E_n = row sums of the Entringer triangle: 1, 1, 2, 5, 16, 61, ..."""
-    totals = []
-    for row in entringer(n_max):
-        s = 0
-        for v in row:
-            s = _checked_add(s, v)
-        totals.append(s)
-    return totals
+    return [_running_sums(0, row, _checked_add)[-1] for row in entringer(n_max)]
 
 
 def arnold_numbers(n_max: int) -> list[ArnoldRow[int]]:
@@ -96,13 +99,9 @@ def arnold_numbers(n_max: int) -> list[ArnoldRow[int]]:
     rows: list[ArnoldRow[int]] = [ArnoldRow(1, (1,), (1,))]
     for n in range(2, n_max + 1):
         prev = rows[-1]
-        neg_rev = [0]  # v_{n,-n}, v_{n,-n+1}, ...
-        for k in range(n - 1, 0, -1):
-            neg_rev.append(_checked_add(neg_rev[-1], prev.value(k)))
-        pos = [neg_rev[-1]]  # v_{n,1} = v_{n,-1}
-        for k in range(2, n + 1):
-            pos.append(_checked_add(pos[-1], prev.value(-k + 1)))
-        rows.append(ArnoldRow(n, tuple(neg_rev), tuple(pos)))
+        neg = _running_sums(0, reversed(prev.pos), _checked_add)
+        pos = _running_sums(neg[-1], reversed(prev.neg), _checked_add)
+        rows.append(ArnoldRow(n, neg, pos))
     return rows
 
 
@@ -117,17 +116,12 @@ def arnold_hoffman(n_max: int) -> list[ArnoldRow[LaurentPoly]]:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    t2 = LaurentPoly.t_power(2)
-    rows: list[ArnoldRow[LaurentPoly]] = [ArnoldRow(1, (LaurentPoly.one(),), (t2,))]
+    rows = [ArnoldRow(1, (LaurentPoly.one(),), (LaurentPoly.t_power(2),))]
     for n in range(2, n_max + 1):
         prev = rows[-1]
-        neg_rev = [LaurentPoly.zero()]
-        for k in range(n - 1, 0, -1):
-            neg_rev.append(neg_rev[-1] + prev.value(k).shifted(-1))
-        pos = [neg_rev[-1].shifted(2)]
-        for k in range(2, n + 1):
-            pos.append(pos[-1] + prev.value(-k + 1).shifted(1))
-        rows.append(ArnoldRow(n, tuple(neg_rev), tuple(pos)))
+        neg = _running_sums(LaurentPoly.zero(), (v.shifted(-1) for v in reversed(prev.pos)), _add)
+        pos = _running_sums(neg[-1].shifted(2), (v.shifted(1) for v in reversed(prev.neg)), _add)
+        rows.append(ArnoldRow(n, neg, pos))
     return rows
 
 
@@ -159,16 +153,10 @@ class IdentityReport:
 
 def check_hoffman_identities(n_max: int) -> list[IdentityReport]:
     """Check t*Q_n = sum_{k>0} V_{n,k} and P_n - t*Q_n = sum_{k>0} V_{n,-k}."""
-    polys = arnold_hoffman(n_max)
-    pq = hoffman_pq(n_max)
     reports = []
-    for row, (p, q) in zip(polys, pq):
-        pos_sum = LaurentPoly.zero()
-        for v in row.pos:
-            pos_sum = pos_sum + v
-        neg_sum = LaurentPoly.zero()
-        for v in row.neg:
-            neg_sum = neg_sum + v
+    for row, (p, q) in zip(arnold_hoffman(n_max), hoffman_pq(n_max)):
+        pos_sum = sum(row.pos, LaurentPoly.zero())
+        neg_sum = sum(row.neg, LaurentPoly.zero())
         tq = q.shifted(1)
         reports.append(IdentityReport(row.n, tq == pos_sum, p - tq == neg_sum))
     return reports

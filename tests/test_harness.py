@@ -262,6 +262,17 @@ def test_missing_tree_is_reported(monkeypatch, fresh_tree_cache):
     assert verify("bij-cud-d", 1).details == ("cud-d n=1 k=1: 1 members vs 0 trees",)
 
 
+def test_invalid_flip_class_image_is_reported(monkeypatch):
+    import arnold.bijections as bijections
+
+    monkeypatch.setattr(bijections, "tau_flip_code", lambda w: (-2, -2))
+    assert verify("bij-fl", 1).details == (
+        "fl n=1: invalid image tree for class (-1,)",
+        "fl n=1: invalid image tree for class (1,)",
+        "fl n=1: 0 classes vs 2 trees",
+    )
+
+
 def test_unknown_step_case_is_reported(monkeypatch):
     import dataclasses
 

@@ -50,6 +50,12 @@ def test_overflow_is_an_error():
         big * 2
 
 
+def test_overflowing_sum_names_the_coefficient():
+    half = LaurentPoly({0: 2**62})
+    with pytest.raises(OverflowError, match=r"^coefficient 9223372036854775808 exceeds 64-bit range$"):
+        half + half
+
+
 def test_json_roundtrip():
     p = LaurentPoly({0: 1, 2: 1})
     assert p.to_json_map() == {"0": 1, "2": 1}

@@ -146,3 +146,21 @@ def test_overflow_refuses_large_rows():
         entringer(30)
     with pytest.raises(OverflowError):
         arnold_numbers(30)
+
+
+@pytest.mark.parametrize(
+    "fn, first_bad, message",
+    [
+        (entringer, 25, "triangle entry 9567364332938481664 exceeds 64-bit range"),
+        (euler_numbers, 24, "triangle entry 9520846272267777721 exceeds 64-bit range"),
+        (arnold_numbers, 20, "triangle entry 9389266118137054976 exceeds 64-bit range"),
+        (arnold_hoffman, 21, "coefficient 11633834560661913600 exceeds 64-bit range"),
+        (hoffman_pq, 20, "coefficient 26444634532872192000 exceeds 64-bit range"),
+        (check_hoffman_identities, 20, "coefficient 26444634532872192000 exceeds 64-bit range"),
+    ],
+)
+def test_first_overflowing_row_and_its_message(fn, first_bad, message):
+    fn(first_bad - 1)
+    with pytest.raises(OverflowError) as exc:
+        fn(first_bad)
+    assert str(exc.value) == message
