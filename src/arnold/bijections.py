@@ -23,12 +23,11 @@ tree-valued maps return `trees.tree_of` of that code.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .families import FlipClass, is_cud_b, is_cud_d, is_vs_b, is_vs_d
 from .signed_perm import CycleForm, SignedPerm, peaks, valleys
-from .trees import EMPTY, Node, block_code, split_code, tree_of
+from .trees import Node, block_code, split_code, tree_of
 
 
 class MalformedSequenceError(ValueError):
@@ -45,61 +44,6 @@ class NotInFamilyError(ValueError):
 
 class MissingPeakError(AssertionError):
     pass
-
-
-def double_bracket(seq: Sequence[int]) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    """Split a sequence of distinct integers at its minimum entry.
-
-    >>> double_bracket((7, 4, 9, 8))
-    ((7,), 4, (9, 8))
-    """
-    s = tuple(seq)
-    if not s:
-        raise MalformedSequenceError("empty sequence")
-    i = s.index(min(s))
-    return s[:i], s[i], s[i + 1 :]
-
-
-def complement(seq: Sequence[int]) -> tuple[int, ...]:
-    """Replace the i-th smallest value by the i-th greatest, in place.
-
-    >>> complement((2, 6, 3))
-    (6, 2, 3)
-    """
-    s = tuple(seq)
-    ordered = sorted(s)
-    swap = {v: ordered[len(s) - 1 - i] for i, v in enumerate(ordered)}
-    return tuple(swap[v] for v in s)
-
-
-@dataclass(frozen=True)
-class NPNode:
-    """Non-plane node: two unordered child slots, canonically ordered with
-    labelled children (by label) before empty ones."""
-
-    label: int
-    children: tuple[object, object]
-
-
-def algo1(seq: Sequence[int]):
-    """Map a sequence of distinct integers to a non-plane complete
-    increasing tree; all its leaves are empty.  The block walk runs on the
-    ranks of the entries, so any distinct integers are accepted."""
-    s = tuple(seq)
-    if len(set(s)) != len(s):
-        raise MalformedSequenceError("entries must be distinct")
-    if not s:
-        return EMPTY
-    ordered = sorted(s)
-    rank = {v: r for r, v in enumerate(ordered, 1)}
-    code = block_code(tuple(rank[v] for v in s))
-
-    def build(r: int):
-        if not r:
-            return EMPTY
-        return NPNode(ordered[r - 1], (build(code[2 * r - 2]), build(code[2 * r - 1])))
-
-    return build(1)
 
 
 def _orient_cycle(code: list[int], entries: Sequence[int]) -> None:
@@ -135,48 +79,6 @@ def algo2(cycle: Sequence[int]) -> Node:
     code = [0] * (2 * max(values))
     _orient_cycle(code, entries)
     return tree_of(code, min(values))
-
-
-def algo2_inverse(t: Node) -> tuple[int, ...]:
-    """The signed up-down cycle c with algo2(c) == t.
-
-    Each node's sign is read off its orientation.  The absolute values are
-    rebuilt block by block: the child holding the block's largest label
-    lies right of the minimum, and the block was complemented exactly when
-    the size of the part left of the minimum forces a starting direction
-    other than the one the block must have.
-
-    >>> algo2_inverse(algo2((1, -4, -2, 3)))
-    (1, -4, -2, 3)
-    """
-    sign: dict[int, int] = {}
-
-    def word(s) -> tuple[int, ...]:
-        # the word on the labels of s that starts with a descent and whose
-        # min-split tree has the shape of s; its complement starts with an
-        # ascent and has the same tree
-        if s is EMPTY:
-            return ()
-        if s.children is None:
-            sign[s.label] = -1
-            return (s.label,)
-        a, b = s.children
-        if a is EMPTY or b is EMPTY:
-            sign[s.label] = 1 if b is EMPTY else -1
-        else:
-            sign[s.label] = 1 if a.label < b.label else -1
-        kids = sorted((word(c) for c in (a, b) if c is not EMPTY), key=max)
-        right = kids.pop() if kids else ()
-        left = kids.pop() if kids else ()
-        # the minimum ends a descent, so the block starts with a descent
-        # exactly when an odd number of entries precede it
-        if len(left) % 2:
-            return left + (s.label,) + right
-        return complement(complement(left) + (s.label,) + right)
-
-    if t.children is not None and t.children[1] is not EMPTY:
-        raise MalformedCycleError("the root of a cycle tree keeps an empty right child")
-    return tuple(v * sign[v] for v in complement(word(t)))
 
 
 def _chain_code(cycles: list[Sequence[int]]) -> tuple[int, ...]:

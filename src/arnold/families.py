@@ -11,7 +11,10 @@ permutations are grown by flood fill, and each signed flip class is one of
 them with a set of values negated.  The statistic
 distributions used by the verification harness are counted per unsigned
 permutation without building the members.  Every enumeration refuses a
-size above the package cap (`trees.check_size`) before it starts.
+size above the package cap (`trees.check_size`) before it starts.  The
+one-step maps rewrite cycle forms and windows; the cycle split of
+`psi_cud_b` takes one step of the block walk (`trees.split_block`) on
+the cycle's word, so no tree is built here.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ from .signed_perm import (
     stat_spk,
     valley_values,
 )
-from .trees import EMPTY, Node, SizeCapExceededError, check_size
+from .trees import SizeCapExceededError, check_size, complement, split_block
 
 FAMILIES = (
     "alternating",
@@ -165,11 +168,16 @@ def _cycles_up_down(cf: CycleForm) -> bool:
     return all(_up_down([abs(e) for e in c.entries]) for c in cf.cycles if not c.bracket)
 
 
+# The cycle and valley predicates refuse empty input: no family has a
+# member of size 0.
+
 def is_cud_b(cf: CycleForm) -> bool:
-    return cf.is_special() and _cycles_up_down(cf)
+    return bool(cf.cycles) and cf.is_special() and _cycles_up_down(cf)
 
 
 def is_cud_d(cf: CycleForm) -> bool:
+    if not cf.cycles:
+        return False
     last = cf.cycles[-1]
     if not last.bracket or len(last.entries) != 2:
         return False
@@ -179,6 +187,8 @@ def is_cud_d(cf: CycleForm) -> bool:
 
 
 def is_vs_b(w: Sequence[int]) -> bool:
+    if not w:
+        return False
     vv = valley_values([abs(v) for v in w])
     for i, v in enumerate(w):
         if v < 0 and (i == 0 or abs(w[i - 1]) not in vv):
@@ -187,7 +197,7 @@ def is_vs_b(w: Sequence[int]) -> bool:
 
 
 def is_vs_d(w: Sequence[int]) -> bool:
-    if w[0] >= 0:
+    if not w or w[0] >= 0:
         return False
     if len(w) >= 2 and not (w[1] > 0 and -w[0] > w[1]):
         return False
@@ -557,17 +567,47 @@ def psi_cud_d(cf: CycleForm) -> StepRecord:
     return StepRecord(cf, "ii", "cud-d", cf.n, k - 1, image, before, stat_npk(image))
 
 
+def _split_cycle(entries: tuple[int, ...], k: int) -> tuple[Cycle, Cycle]:
+    """Split a signed up-down cycle (k, ...) that holds ±(k+1) into the
+    cycles led by k and k+1, read off the word.
+
+    One step of the block walk cuts the entries after k at k+1 into two
+    parts, taken with the smaller minimum first and an empty part last;
+    these are X and Y, swapped when k+1 is negative.  A part's word is the
+    part, or its complement when it starts with an ascent, so that the new
+    cycle stays up-down; both have the same block tree.  Every value keeps
+    its sign.
+
+    >>> [str(c) for c in _split_cycle((1, -4, 2, 3), 1)]
+    ['(1)', '(2,-4,3)']
+    >>> [str(c) for c in _split_cycle((1, 4, -2, 3), 1)]
+    ['(1,4,3)', '(2)']
+    """
+    negative = {-v for v in entries if v < 0}
+    left, _, right = split_block(tuple(map(abs, entries[1:])))
+    x, y = (left, right) if left and min(left) < min(right) else (right, left)
+    if k + 1 in negative:
+        x, y = y, x
+
+    def word(part: tuple[int, ...]) -> tuple[int, ...]:
+        if len(part) > 1 and part[0] < part[1]:
+            part = complement(part)
+        return tuple(-v if v in negative else v for v in part)
+
+    return Cycle((k, *word(y))), Cycle((k + 1, *word(x)))
+
+
 def psi_cud_b(cf: CycleForm) -> StepRecord:
     """One recurrence step on a type-B cycle-up-down member with last-cycle
     leader k < n.
 
     (i) A final (k,-(k+1)) becomes the bracket (k,-k) and k+1 is deleted.
-    (ii) A last cycle holding ±(k+1) is split in two.  Its tree (see
-    `bijections.algo2`) is k:(k+1:(X,Y), o), and the split cycles are the
-    ones whose trees are k:(Y, o) and k+1:(X, o); grafted together they
-    give k:(Y, k+1:(X, o)).  The sign of k+1 decides which child is X, so
-    sign twins stay apart, and the tree keeps its empty leaves, so npk is
-    unchanged.
+    (ii) A last cycle holding ±(k+1) is split in two by `_split_cycle`.
+    Its tree (see `bijections.algo2`) is k:(k+1:(X,Y), o), and the split
+    cycles are the ones whose trees are k:(Y, o) and k+1:(X, o); grafted
+    together they give k:(Y, k+1:(X, o)).  The sign of k+1 decides which
+    child is X, so sign twins stay apart, and the tree keeps its empty
+    leaves, so npk is unchanged.
     (iii) Otherwise the values k and k+1 swap.
     """
     if not is_cud_b(cf):
@@ -583,12 +623,7 @@ def psi_cud_b(cf: CycleForm) -> StepRecord:
         image = CycleForm(new + (Cycle((k, -k), bracket=True),))
         return StepRecord(cf, "i", "cud-d", cf.n - 1, k, image, before, stat_npk(image))
     if k + 1 in (abs(v) for v in last.entries):
-        from .bijections import algo2, algo2_inverse  # bijections imports this module
-
-        x, y = algo2(last.entries).children[0].children
-        first = Cycle(algo2_inverse(Node(k, (y, EMPTY))))
-        second = Cycle(algo2_inverse(Node(k + 1, (x, EMPTY))))
-        image = CycleForm(body + (first, second))
+        image = CycleForm(body + _split_cycle(last.entries, k))
         return StepRecord(cf, "ii", "cud-b", cf.n, k + 1, image, before, stat_npk(image))
     new = tuple(Cycle(tuple(_swap_abs(v, k, k + 1) for v in c.entries)) for c in cf.cycles)
     image = CycleForm(new)
@@ -598,12 +633,11 @@ def psi_cud_b(cf: CycleForm) -> StepRecord:
 def psi_cud_bridge(cf: CycleForm) -> StepRecord:
     """Swap a final singleton (n) with the bracket (n,-n) and back."""
     n = cf.n
-    last = cf.cycles[-1]
     before = stat_npk(cf)
-    if last.bracket:
+    if cf.cycles and cf.cycles[-1].bracket:
         image = CycleForm(cf.cycles[:-1] + (Cycle((n,)),))
         return StepRecord(cf, "bridge", "cud-b", n, n, image, before, stat_npk(image))
-    if last.entries != (n,):
+    if cf.cycles[-1:] != (Cycle((n,)),):
         raise ValueError("bridge step needs last cycle (n) or (n,-n)")
     image = CycleForm(cf.cycles[:-1] + (Cycle((n, -n), bracket=True),))
     return StepRecord(cf, "bridge", "cud-d", n, n, image, before, stat_npk(image))
@@ -653,10 +687,10 @@ def psi_vs_bridge(p: SignedPerm) -> StepRecord:
     """Negate a leading n (type B, index n) to -n (type D, index n) or back."""
     w = p.window
     before = stat_neg(p)
-    if w[0] == p.n:
+    if w[:1] == (p.n,):
         image = from_window((-p.n,) + w[1:])
         return StepRecord(p, "bridge", "vs-d", p.n, p.n, image, before, stat_neg(image))
-    if w[0] == -p.n:
+    if w[:1] == (-p.n,):
         image = from_window((p.n,) + w[1:])
         return StepRecord(p, "bridge", "vs-b", p.n, p.n, image, before, stat_neg(image))
     raise ValueError("bridge step needs first entry n or -n")

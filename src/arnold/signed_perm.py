@@ -245,8 +245,7 @@ def _check_cud_shape(cf: CycleForm) -> bool:
 @lru_cache(maxsize=1 << 16)
 def leaf_values(seq: tuple[int, ...]) -> frozenset[int]:
     """Labels of the leaves of the min-split tree of a tuple of distinct
-    positive integers, the tree that `bijections.algo1` builds (see
-    `trees.block_code`).
+    positive integers, the non-plane tree that `trees.block_code` writes.
 
     >>> sorted(leaf_values((1, 4, 2, 3)))
     [4]

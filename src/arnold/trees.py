@@ -12,7 +12,8 @@ code hashes and compares as a plain tuple; `tree_of` turns it into
 `Node`s.  For a label set other than 1..n the code has length 2*max and
 the slots of absent labels stay 0.  Two min-split walks write codes:
 `split_code`, the plain min-split (Cartesian tree) in one stack pass, and
-`block_code`, the min-split with the per-block complement rule.
+`block_code`, the min-split with the per-block complement rule, one
+`split_block` step per block.
 
 `check_size` is the one size cap of the package: every enumeration, and
 `harness.verify` for every check that enumerates, refuses a size above
@@ -191,13 +192,42 @@ def split_code(values: Sequence[int]) -> list[int]:
     return code
 
 
+def complement(seq: Sequence[int]) -> tuple[int, ...]:
+    """Replace the i-th smallest value by the i-th greatest, in place.
+
+    >>> complement((2, 6, 3))
+    (6, 2, 3)
+    """
+    ordered = sorted(seq)
+    swap = dict(zip(ordered, reversed(ordered)))
+    return tuple(swap[v] for v in seq)
+
+
+def split_block(s: tuple[int, ...]) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """One step of the block walk on a nonempty block of distinct integers:
+    complement it when its maximum comes before its minimum, then split
+    it at its minimum into (left, minimum, right).  Afterwards the maximum
+    follows the minimum, so `right` is empty only for a block of one.
+
+    >>> split_block((2, 4, 1, 3))
+    ((3,), 1, (4, 2))
+    >>> split_block((1, 5, 3, 4, 2))
+    ((), 1, (5, 3, 4, 2))
+    """
+    low = min(s)
+    if s.index(max(s)) < s.index(low):
+        s = complement(s)
+    i = s.index(low)
+    return s[:i], low, s[i + 1 :]
+
+
 @lru_cache(maxsize=1 << 16)
 def block_code(seq: tuple[int, ...]) -> tuple[int, ...]:
     """Code of the non-plane min-split tree of distinct positive integers:
-    each block is replaced by its complement when its maximum comes before
-    its minimum, then split at its minimum.  A node's two slots hold its
-    children in canonical order, the smaller label first and an empty
-    leaf last; a block of one element is a node with two empty leaves.
+    each block of two or more is cut by `split_block`, and its two parts
+    are the next blocks.  A node's two slots hold its children in
+    canonical order, the smaller label first and an empty leaf last; a
+    block of one element is a node with two empty leaves.
 
     >>> block_code((1, 5, 3, 4, 2))
     (2, 0, 3, 0, 4, 5, 0, 0, 0, 0)
@@ -208,14 +238,7 @@ def block_code(seq: tuple[int, ...]) -> tuple[int, ...]:
         s = blocks.pop()
         if len(s) <= 1:
             continue
-        ordered = sorted(s)
-        low = ordered[0]
-        if s.index(ordered[-1]) < s.index(low):
-            swap = dict(zip(ordered, reversed(ordered)))
-            s = tuple(swap[v] for v in s)
-        # now the maximum follows the minimum, so the right part is not empty
-        i = s.index(low)
-        left, right = s[:i], s[i + 1 :]
+        left, low, right = split_block(s)
         kids = sorted((min(left), min(right))) if left else (min(right), 0)
         code[2 * low - 2], code[2 * low - 1] = kids
         blocks += (left, right)

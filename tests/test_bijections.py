@@ -1,22 +1,17 @@
+from dataclasses import dataclass
 from itertools import permutations
 
 import pytest
 
 from arnold.bijections import (
     MalformedCycleError,
-    MalformedSequenceError,
     MissingPeakError,
-    NPNode,
     NotInFamilyError,
     _make_leaf,
     _paired_peaks,
-    algo1,
     algo2,
-    algo2_inverse,
     algo3,
     algo3_code,
-    complement,
-    double_bracket,
     phi_cud_b,
     phi_cud_b_code,
     phi_cud_d,
@@ -29,7 +24,7 @@ from arnold.bijections import (
     tau_flip,
     tau_flip_code,
 )
-from arnold.families import _up_down, enumerate_family, flip_classes, windows
+from arnold.families import _up_down, enumerate_family, flip_classes, psi_cud_b, windows
 from arnold.signed_perm import (
     Cycle,
     CycleForm,
@@ -42,8 +37,10 @@ from arnold.signed_perm import (
 from arnold.trees import (
     EMPTY,
     Node,
+    block_code,
     classify,
     classify_code,
+    complement,
     count_empty,
     gen_trees,
     is_complete_increasing,
@@ -58,17 +55,17 @@ from arnold.trees import (
 
 class TestDoubleBracket:
     def test_min_first(self):
-        assert double_bracket((1, 3, 2)) == ((), 1, (3, 2))
+        assert _double_bracket((1, 3, 2)) == ((), 1, (3, 2))
 
     def test_min_last(self):
-        assert double_bracket((9, 8)) == ((9,), 8, ())
+        assert _double_bracket((9, 8)) == ((9,), 8, ())
 
     def test_min_interior(self):
-        assert double_bracket((7, 4, 9, 8)) == ((7,), 4, (9, 8))
+        assert _double_bracket((7, 4, 9, 8)) == ((7,), 4, (9, 8))
 
     def test_empty_rejected(self):
-        with pytest.raises(MalformedSequenceError):
-            double_bracket(())
+        with pytest.raises(ValueError):
+            _double_bracket(())
 
 
 class TestComplement:
@@ -97,17 +94,13 @@ class TestAlgo1:
         return out
 
     def test_chain_132(self):
-        assert self.chain_labels(algo1((1, 3, 2))) == [1, 2, 3]
+        assert self.chain_labels(_algo1_reference((1, 3, 2))) == [1, 2, 3]
 
     def test_chain_56(self):
-        assert self.chain_labels(algo1((5, 6))) == [5, 6]
+        assert self.chain_labels(_algo1_reference((5, 6))) == [5, 6]
 
     def test_chain_798(self):
-        assert self.chain_labels(algo1((7, 9, 8))) == [7, 8, 9]
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(MalformedSequenceError):
-            algo1((1, 1))
+        assert self.chain_labels(_algo1_reference((7, 9, 8))) == [7, 8, 9]
 
 
 class TestAlgo2:
@@ -142,17 +135,14 @@ class TestAlgo2Inverse:
                     cycle = (1,) + tuple(
                         -v if signs >> i & 1 else v for i, v in enumerate(rest)
                     )
-                    assert algo2_inverse(algo2(cycle)) == cycle
+                    assert _algo2_inverse_reference(algo2(cycle)) == cycle
                     count += 1
         assert count == 1 + 2 + 4 + 16 + 80 + 512
 
     def test_examples(self):
-        assert algo2_inverse(Node(4, (EMPTY, EMPTY))) == (4,)
-        assert algo2_inverse(Node(1, (Node(3, (Node(4), EMPTY)), EMPTY))) == (1, -4, 3)
-
-    def test_root_needs_empty_right_child(self):
-        with pytest.raises(MalformedCycleError):
-            algo2_inverse(Node(1, (EMPTY, Node(2, (EMPTY, EMPTY)))))
+        assert _algo2_inverse_reference(Node(4, (EMPTY, EMPTY))) == (4,)
+        tree = Node(1, (Node(3, (Node(4), EMPTY)), EMPTY))
+        assert _algo2_inverse_reference(tree) == (1, -4, 3)
 
 
 class TestCycleMaps:
@@ -306,13 +296,29 @@ class TestFlipMap:
 # The recursive tree maps that the flat-code kernel replaced, kept as
 # references: each builds its tree node by node from the definition.
 
+def _double_bracket(seq):
+    """Split a sequence of distinct integers at its minimum entry."""
+    s = tuple(seq)
+    i = s.index(min(s))
+    return s[:i], s[i], s[i + 1 :]
+
+
+@dataclass(frozen=True)
+class NPNode:
+    """Non-plane node: two unordered child slots, canonically ordered with
+    labelled children (by label) before empty ones."""
+
+    label: int
+    children: tuple[object, object]
+
+
 def _algo1_reference(seq):
     s = tuple(seq)
     if not s:
         return EMPTY
     if s.index(max(s)) < s.index(min(s)):
         s = complement(s)
-    left, pivot, right = double_bracket(s)
+    left, pivot, right = _double_bracket(s)
     kids = sorted(
         (_algo1_reference(left), _algo1_reference(right)),
         key=lambda c: (c is EMPTY, getattr(c, "label", 0)),
@@ -339,6 +345,43 @@ def _algo2_reference(cycle):
     return orient(_algo1_reference([abs(v) for v in cycle]))
 
 
+def _algo2_inverse_reference(t):
+    """The signed up-down cycle c with algo2(c) == t.
+
+    Each node's sign is read off its orientation.  The absolute values are
+    rebuilt block by block: the child holding the block's largest label
+    lies right of the minimum, and the block was complemented exactly when
+    the size of the part left of the minimum forces a starting direction
+    other than the one the block must have.
+    """
+    sign = {}
+
+    def word(s):
+        # the word on the labels of s that starts with a descent and whose
+        # min-split tree has the shape of s; its complement starts with an
+        # ascent and has the same tree
+        if s is EMPTY:
+            return ()
+        if s.children is None:
+            sign[s.label] = -1
+            return (s.label,)
+        a, b = s.children
+        if a is EMPTY or b is EMPTY:
+            sign[s.label] = 1 if b is EMPTY else -1
+        else:
+            sign[s.label] = 1 if a.label < b.label else -1
+        kids = sorted((word(c) for c in (a, b) if c is not EMPTY), key=max)
+        right = kids.pop() if kids else ()
+        left = kids.pop() if kids else ()
+        # the minimum ends a descent, so the block starts with a descent
+        # exactly when an odd number of entries precede it
+        if len(left) % 2:
+            return left + (s.label,) + right
+        return complement(complement(left) + (s.label,) + right)
+
+    return tuple(v * sign[v] for v in complement(word(t)))
+
+
 def _graft_chain_reference(parts):
     def graft(t, sub):
         left, right = t.children
@@ -360,7 +403,7 @@ def _phi_cud_reference(cf):
 
 
 def _algo3_reference(seq):
-    left, pivot, right = double_bracket(seq)
+    left, pivot, right = _double_bracket(seq)
     right_sub = _algo3_reference(left) if left else EMPTY
     left_sub = _algo3_reference(right) if right else EMPTY
     return Node(pivot, (left_sub, right_sub))
@@ -477,7 +520,7 @@ class TestReferenceOracles:
                 assert tuple(algo3_code(p)) == _code_of(want, n)
 
     def test_cycle_kernel_matches_the_recursive_block_walk(self):
-        # leaf_values and algo1/algo2 read the same block walk; up-down
+        # block_code, leaf_values and algo2 read the same block walk; up-down
         # cycles of length <= 8 on 1..k, every signing for length <= 6
         count = 0
         for k in range(1, 9):
@@ -486,7 +529,7 @@ class TestReferenceOracles:
                 if not _up_down(cycle):
                     continue
                 want = _algo1_reference(cycle)
-                assert algo1(cycle) == want
+                assert block_code(cycle) == _code_of(want, k)
                 assert leaf_values(cycle) == _leaf_labels(want)
                 if k <= 6:
                     for signs in range(1 << len(rest)):
@@ -497,9 +540,27 @@ class TestReferenceOracles:
                 count += 1
         assert count == 1 + 1 + 1 + 2 + 5 + 16 + 61 + 272
 
-    def test_algo1_accepts_any_distinct_integers(self):
-        assert algo1((0, -3, 5)) == _algo1_reference((0, -3, 5))
-        assert algo1((7, 9, 8)) == _algo1_reference((7, 9, 8))
+    def test_cycle_split_matches_the_tree_round_trip(self):
+        # case (ii) of psi_cud_b: the last cycle's tree is k:(k+1:(X,Y), o),
+        # and the image cycles are the ones whose trees are k:(Y, o) and
+        # k+1:(X, o)
+        count = 0
+        for n in range(2, 8):
+            for cf in enumerate_family("cud-b", n):
+                last = cf.cycles[-1].entries
+                k = last[0]
+                if k == n or last == (k, -(k + 1)) or k + 1 not in map(abs, last):
+                    continue
+                x, y = algo2(last).children[0].children
+                want = (
+                    _algo2_inverse_reference(Node(k, (y, EMPTY))),
+                    _algo2_inverse_reference(Node(k + 1, (x, EMPTY))),
+                )
+                image = psi_cud_b(cf).image
+                assert image.cycles[:-2] == cf.cycles[:-1]
+                assert tuple(c.entries for c in image.cycles[-2:]) == want
+                count += 1
+        assert count == 1 + 5 + 25 + 147 + 1043 + 8617
 
 
 class TestFlatCodes:

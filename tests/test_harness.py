@@ -307,6 +307,22 @@ def test_mislabelled_step_target_is_reported(monkeypatch):
     assert details[0] == "cud-d n=2 k=2: (1)[2,-2] sent to (cud-b,1,2), expected (cud-b,1,1)"
 
 
+def test_split_that_ignores_the_sign_of_k_plus_1_is_reported(monkeypatch):
+    import arnold.families as families
+
+    real = families._split_cycle
+
+    def unsigned_pivot(entries, k):
+        return real(tuple(k + 1 if v == -(k + 1) else v for v in entries), k)
+
+    monkeypatch.setattr(families, "_split_cycle", unsigned_pivot)
+    assert verify("recstep-cud", 3).details == (
+        "cud-b n=3 k=1: image (1)(2,-3) hit twice",
+        "cud-b n=3 k=1: image (1)(2,3) hit twice",
+        "cud-b n=3 k=1: target ('cud-b', 3, 2) covered with 2 missing, 0 extra",
+    )
+
+
 def test_class_statistic_mismatch_is_reported(monkeypatch):
     import arnold.harness as harness
 

@@ -1,5 +1,12 @@
 import pytest
 
+from arnold.bijections import (
+    NotInFamilyError,
+    phi_cud_b_code,
+    phi_cud_d_code,
+    phi_vs_b_code,
+    phi_vs_d_code,
+)
 from arnold.families import (
     IndexOutOfRangeError,
     enumerate_indexed,
@@ -131,6 +138,32 @@ class TestPreconditions:
             psi_cud_d(cf((1, 2)))
         with pytest.raises(IndexOutOfRangeError):
             psi_vs_d(from_window([-1]))
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            pytest.param(call, error, message, id=call.__name__)
+            for call, error, message in (
+                (psi_cud_b, ValueError, "not a type-B cycle-up-down cycle form"),
+                (psi_cud_d, ValueError, "not a type-D cycle-up-down cycle form"),
+                (psi_cud_bridge, ValueError, "bridge step needs last cycle (n) or (n,-n)"),
+                (phi_cud_b_code, NotInFamilyError, "not a type-B cycle-up-down cycle form"),
+                (phi_cud_d_code, NotInFamilyError, "not a type-D cycle-up-down cycle form"),
+                (psi_vs_b, ValueError, "not a type-B valley signed permutation"),
+                (psi_vs_d, ValueError, "not a type-D valley signed permutation"),
+                (psi_vs_bridge, ValueError, "bridge step needs first entry n or -n"),
+                (phi_vs_b_code, NotInFamilyError, "not a type-B valley signed permutation"),
+                (phi_vs_d_code, NotInFamilyError, "not a type-D valley signed permutation"),
+            )
+        ],
+    )
+    def test_empty_input_is_refused(self, call, error, message):
+        # no family has a member of size 0
+        empty = CycleForm(()) if "cud" in call.__name__ else from_window([])
+        with pytest.raises(ValueError) as caught:
+            call(empty)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
 
 
 class TestExhaustiveVerification:
