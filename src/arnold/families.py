@@ -152,12 +152,15 @@ def is_alternating(w: Sequence[int]) -> bool:
     return _down_up(w)
 
 
+# The snake, cycle and valley predicates refuse empty input: no family
+# has a member of size 0.
+
 def is_snake_b(w: Sequence[int]) -> bool:
-    return w[0] > 0 and _down_up(w)
+    return bool(w) and w[0] > 0 and _down_up(w)
 
 
 def is_snake_d(w: Sequence[int]) -> bool:
-    if w[0] >= 0:
+    if not w or w[0] >= 0:
         return False
     if len(w) >= 2 and not w[0] > -w[1]:
         return False
@@ -167,9 +170,6 @@ def is_snake_d(w: Sequence[int]) -> bool:
 def _cycles_up_down(cf: CycleForm) -> bool:
     return all(_up_down([abs(e) for e in c.entries]) for c in cf.cycles if not c.bracket)
 
-
-# The cycle and valley predicates refuse empty input: no family has a
-# member of size 0.
 
 def is_cud_b(cf: CycleForm) -> bool:
     return bool(cf.cycles) and cf.is_special() and _cycles_up_down(cf)

@@ -1,8 +1,8 @@
 """Exact integer Laurent polynomials in one variable t.
 
-Coefficients are signed 64-bit integers.  The constructor range-checks
-every result coefficient once (the product and evaluation also check their
-intermediate sums), and a value that does not fit raises OverflowError.
+Coefficients are signed 64-bit integers.  The constructor range-checks its
+input, each operation only the coefficients it computes (the product and
+evaluation also their intermediate sums), raising OverflowError.
 Negative exponents are allowed so that t^-1 scaling used by the triangle
 recurrences needs no special casing.
 """
@@ -42,6 +42,13 @@ class LaurentPoly:
         self._coeffs = clean
 
     @classmethod
+    def _wrap(cls, clean: dict[int, int]) -> "LaurentPoly":
+        """Adopt `clean`, whose coefficients are nonzero and range-checked."""
+        poly = cls.__new__(cls)
+        poly._coeffs = clean
+        return poly
+
+    @classmethod
     def zero(cls) -> "LaurentPoly":
         return cls()
 
@@ -69,19 +76,27 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = dict(self._coeffs)
-        for exp, c in other._coeffs.items():
-            out[exp] = out.get(exp, 0) + c
-        return LaurentPoly(out)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self + (other * -1)
+        return self._plus(other, -1)
+
+    def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        out = dict(self._coeffs)
+        for exp, c in other._coeffs.items():
+            s = _checked(out.get(exp, 0) + sign * c)
+            if s:
+                out[exp] = s
+            else:
+                del out[exp]
+        return LaurentPoly._wrap(out)
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self._coeffs.items()})
+            scaled = {e: _checked(c * other) for e, c in self._coeffs.items()} if other else {}
+            return LaurentPoly._wrap(scaled)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out: dict[int, int] = {}
@@ -89,16 +104,16 @@ class LaurentPoly:
             for e2, c2 in other._coeffs.items():
                 e = e1 + e2
                 out[e] = _checked(out.get(e, 0) + _checked(c1 * c2))
-        return LaurentPoly(out)
+        return LaurentPoly._wrap({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def shifted(self, exp: int) -> "LaurentPoly":
         """Multiply by t^exp."""
-        return LaurentPoly({e + exp: c for e, c in self._coeffs.items()})
+        return LaurentPoly._wrap({e + exp: c for e, c in self._coeffs.items()})
 
     def derivative(self) -> "LaurentPoly":
-        return LaurentPoly({e - 1: c * e for e, c in self._coeffs.items() if e != 0})
+        return LaurentPoly._wrap({e - 1: _checked(c * e) for e, c in self._coeffs.items() if e})
 
     def __call__(self, t: int) -> int:
         total = 0
@@ -144,4 +159,4 @@ class LaurentPoly:
         return " ".join(parts)
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({self._coeffs!r})"
+        return f"LaurentPoly({dict(sorted(self._coeffs.items()))!r})"

@@ -3,9 +3,9 @@ triangle, its polynomial refinement, and the tangent/secant derivative
 polynomials tied to it.
 
 Each triangle row is the running sum of the previous row read backwards
-(`_running_sums`), once per side for an Arnold row.  All arithmetic is
-exact and 64-bit checked; asking for a row beyond the first overflow
-raises OverflowError rather than wrapping.
+(`_running_sums`), once per side for an Arnold row.  Arithmetic is exact,
+and the operation that computes an entry or a coefficient range-checks it:
+a row beyond the first overflow raises OverflowError rather than wrapping.
 
 The derivative polynomials P_n, Q_n are defined by
     d^n/dx^n tan(x) = P_n(tan x)      and      d^n/dx^n sec(x) = Q_n(tan x) sec(x).

@@ -34,7 +34,7 @@ from arnold.families import (
     vs_distribution,
     windows,
 )
-from arnold.signed_perm import SignedPerm, cycle_form, from_window, stat_smax, stat_spk
+from arnold.signed_perm import CycleForm, SignedPerm, cycle_form, from_window, stat_smax, stat_spk
 from arnold.triangles import arnold_numbers, entringer
 
 GOLDEN = json.loads(
@@ -422,3 +422,19 @@ def test_alternating_is_unsigned():
                 if all((p[i] > p[i + 1]) if i % 2 == 0 else (p[i] < p[i + 1]) for i in range(n - 1))
             ]
         )
+
+
+@pytest.mark.parametrize(
+    "predicate, empty",
+    [
+        (is_snake_b, ()),
+        (is_snake_d, ()),
+        (is_vs_b, ()),
+        (is_vs_d, ()),
+        (is_cud_b, CycleForm(())),
+        (is_cud_d, CycleForm(())),
+    ],
+)
+def test_literal_predicates_refuse_empty_input(predicate, empty):
+    # no family has a member of size 0
+    assert predicate(empty) is False

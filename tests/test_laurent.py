@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arnold.laurent import INT64_MAX, LaurentPoly
+from arnold.laurent import INT64_MAX, INT64_MIN, LaurentPoly
 
 
 def test_zero_coefficients_are_dropped():
@@ -71,3 +73,118 @@ def test_str_forms():
 
 def test_hashable():
     assert len({LaurentPoly({2: 1}), LaurentPoly({2: 1}), LaurentPoly({1: 1})}) == 2
+
+
+def test_every_operation_names_its_overflowing_coefficient():
+    cases = [
+        (lambda: LaurentPoly({0: INT64_MIN}) - LaurentPoly({0: 1}), -(2**63) - 1),
+        (lambda: LaurentPoly({2: 2**62}).derivative(), 2**63),
+        (lambda: LaurentPoly({1: 2**32}) * LaurentPoly({1: 2**31}), 2**63),
+        # an intermediate sum of the product: 2^62 * 1 + 2^62 * 1 at t^1
+        (lambda: LaurentPoly({0: 2**62, 1: 2**62}) * LaurentPoly({0: 1, 1: 1}), 2**63),
+    ]
+    for compute, value in cases:
+        with pytest.raises(OverflowError, match=rf"^coefficient {value} exceeds 64-bit range$"):
+            compute()
+
+
+def test_difference_is_checked_not_the_negated_operand():
+    # -1 - (-2^63) fits, although -(-2^63) alone would not
+    assert LaurentPoly({0: -1}) - LaurentPoly({0: INT64_MIN}) == LaurentPoly({0: INT64_MAX})
+
+
+def test_cancelled_terms_leave_no_trace():
+    p = LaurentPoly({-1: 3, 0: INT64_MAX, 4: -2})
+    assert (p - p).is_zero
+    assert hash(p - p) == hash(LaurentPoly())
+    assert (p + p * -1).to_json_map() == {}
+    assert (p * 0).is_zero
+    product = LaurentPoly({0: 1, 1: 1}) * LaurentPoly({0: 1, 1: -1})
+    assert product.to_json_map() == {"0": 1, "2": -1}
+    assert (p + LaurentPoly({0: -INT64_MAX, 1: 5})).to_json_map() == {"-1": 3, "1": 5, "4": -2}
+
+
+def test_repr_lists_exponents_in_order():
+    a, b = LaurentPoly({2: 1, 0: 3}), LaurentPoly({5: 1, -1: 2})
+    assert repr(a) == "LaurentPoly({0: 3, 2: 1})"
+    assert repr(a + b) == repr(b + a) == "LaurentPoly({-1: 2, 0: 3, 2: 1, 5: 1})"
+
+
+# Reference arithmetic: the plain formulas on exponent -> coefficient dicts,
+# every result rebuilt through the validating constructor.
+
+def _check(value):
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise OverflowError(value)
+    return value
+
+
+def _ref_add(p, q, sign=1):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + sign * c
+    return LaurentPoly(out)
+
+
+def _ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out[e1 + e2] = _check(out.get(e1 + e2, 0) + _check(c1 * c2))
+    return LaurentPoly(out)
+
+
+def _ref_eval(p, t):
+    total = 0
+    for e, c in p.items():
+        if e < 0:
+            raise ValueError(e)
+        total = _check(total + _check(c * t**e))
+    return total
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _assert_same(compute, reference):
+    got, want = _outcome(compute), _outcome(reference)
+    if isinstance(want, LaurentPoly):
+        assert isinstance(got, LaurentPoly)
+        assert got.to_json_map() == want.to_json_map()
+        assert got == want
+        assert hash(got) == hash(want)
+    else:
+        assert got == want
+
+
+_COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(INT64_MAX - 3, INT64_MAX),
+    st.integers(INT64_MIN, INT64_MIN + 3),
+    st.integers(2**62 - 2, 2**62 + 2),
+    st.integers(-(2**62) - 2, -(2**62) + 2),
+    st.integers(-(2**33), 2**33),
+)
+_DICTS = st.dictionaries(st.integers(-3, 5), _COEFFS.filter(bool), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_DICTS, q=_DICTS, k=_COEFFS, shift=st.integers(-4, 4), t=st.integers(-3, 3))
+def test_operations_match_the_reference_formulas(p, q, k, shift, t):
+    a, b = LaurentPoly(p), LaurentPoly(q)
+    _assert_same(lambda: a + b, lambda: _ref_add(p, q))
+    # the difference itself is range-checked, not the negated operand
+    _assert_same(lambda: a - b, lambda: _ref_add(p, q, -1))
+    _assert_same(lambda: (a - b) + b, lambda: _ref_add(dict(_ref_add(p, q, -1).items()), q))
+    scaled = {e: c * k for e, c in p.items()}
+    _assert_same(lambda: a * k, lambda: LaurentPoly(scaled))
+    _assert_same(lambda: k * a, lambda: LaurentPoly(scaled))
+    _assert_same(lambda: a * b, lambda: _ref_mul(p, q))
+    moved = {e + shift: c for e, c in p.items()}
+    _assert_same(lambda: a.shifted(shift), lambda: LaurentPoly(moved))
+    _assert_same(a.derivative, lambda: LaurentPoly({e - 1: c * e for e, c in p.items()}))
+    _assert_same(lambda: a(t), lambda: _ref_eval(p, t))

@@ -4,6 +4,7 @@ import pytest
 
 from arnold.laurent import LaurentPoly
 from arnold.triangles import (
+    IdentityReport,
     arnold_hoffman,
     arnold_numbers,
     check_hoffman_identities,
@@ -139,6 +140,94 @@ class TestHoffmanPolynomials:
         for v in row3.pos:
             total = total + v
         assert total == LaurentPoly({2: 5, 4: 6})
+
+
+# Reference rebuild: each value is a plain exponent -> coefficient dict
+# turned into a LaurentPoly by the validating public constructor only.
+
+def _ref_sum(*polys):
+    out = {}
+    for poly in polys:
+        for e, c in poly.items():
+            out[e] = out.get(e, 0) + c
+    return LaurentPoly(out)
+
+
+def _ref_shift(poly, s):
+    return LaurentPoly({e + s: c for e, c in poly.items()})
+
+
+def _ref_times_sec2(poly):
+    # (1 + t^2) * poly
+    return _ref_sum(poly, _ref_shift(poly, 2))
+
+
+def _ref_derivative(poly):
+    return LaurentPoly({e - 1: c * e for e, c in poly.items()})
+
+
+def _arnold_hoffman_reference(n_max):
+    """Rows as {k: V_{n,k}}, straight from the recurrence in the docstring."""
+    rows = [{-1: LaurentPoly({0: 1}), 1: LaurentPoly({2: 1})}]
+    for n in range(2, n_max + 1):
+        prev, v = rows[-1], {-n: LaurentPoly({})}
+        for k in range(n - 1, 0, -1):
+            v[-k] = _ref_sum(v[-k - 1], _ref_shift(prev[k], -1))
+        v[1] = _ref_shift(v[-1], 2)
+        for k in range(2, n + 1):
+            v[k] = _ref_sum(v[k - 1], _ref_shift(prev[-k + 1], 1))
+        rows.append(v)
+    return rows
+
+
+def _hoffman_pq_reference(n_max):
+    pairs = [(LaurentPoly({0: 1, 2: 1}), LaurentPoly({1: 1}))]
+    for _ in range(n_max - 1):
+        p, q = pairs[-1]
+        pairs.append(
+            (
+                _ref_times_sec2(_ref_derivative(p)),
+                _ref_sum(_ref_times_sec2(_ref_derivative(q)), _ref_shift(q, 1)),
+            )
+        )
+    return pairs
+
+
+def _assert_same_poly(got, want):
+    assert got.to_json_map() == want.to_json_map()
+    assert got == want
+    assert hash(got) == hash(want)
+
+
+class TestAgainstConstructorRebuild:
+    def test_arnold_hoffman_to_twenty(self):
+        rows = arnold_hoffman(20)
+        reference = _arnold_hoffman_reference(20)
+        assert len(rows) == 20
+        for row, want in zip(rows, reference):
+            assert [k for k, _ in row.entries()] == sorted(want)
+            for k, poly in row.entries():
+                _assert_same_poly(poly, want[k])
+
+    def test_hoffman_pq_to_nineteen(self):
+        pairs = hoffman_pq(19)
+        assert len(pairs) == 19
+        for (p, q), (want_p, want_q) in zip(pairs, _hoffman_pq_reference(19)):
+            _assert_same_poly(p, want_p)
+            _assert_same_poly(q, want_q)
+
+    def test_hoffman_identities_to_nineteen(self):
+        want = []
+        for n, (row, (p, q)) in enumerate(
+            zip(_arnold_hoffman_reference(19), _hoffman_pq_reference(19)), start=1
+        ):
+            tq = _ref_shift(q, 1)
+            pos_sum = _ref_sum(*(row[k] for k in range(1, n + 1)))
+            neg_sum = _ref_sum(*(row[-k] for k in range(1, n + 1)))
+            p_minus_tq = _ref_sum(p, LaurentPoly({e: -c for e, c in tq.items()}))
+            want.append(IdentityReport(n, tq == pos_sum, p_minus_tq == neg_sum))
+        assert check_hoffman_identities(19) == want
+        assert all(r.ok for r in want)
 
 
 def test_overflow_refuses_large_rows():
