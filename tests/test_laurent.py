@@ -80,7 +80,7 @@ def test_every_operation_names_its_overflowing_coefficient():
         (lambda: LaurentPoly({0: INT64_MIN}) - LaurentPoly({0: 1}), -(2**63) - 1),
         (lambda: LaurentPoly({2: 2**62}).derivative(), 2**63),
         (lambda: LaurentPoly({1: 2**32}) * LaurentPoly({1: 2**31}), 2**63),
-        # an intermediate sum of the product: 2^62 * 1 + 2^62 * 1 at t^1
+        # two in-range products summed at t^1
         (lambda: LaurentPoly({0: 2**62, 1: 2**62}) * LaurentPoly({0: 1, 1: 1}), 2**63),
     ]
     for compute, value in cases:
