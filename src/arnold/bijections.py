@@ -195,13 +195,13 @@ def phi_vs_d(p: SignedPerm) -> Node:
     return tree_of(phi_vs_d_code(p))
 
 
-def tau_flip_code(window: Sequence[int]) -> tuple[int, ...]:
-    """Flat code of `tau_flip` for a signed window.  In the min-split tree
-    each child is the minimum of its side, so a node orients its children
-    by comparing their labels, an empty side counting as +infinity: a
+def orient_flip_code(split: Sequence[int], window: Sequence[int]) -> tuple[int, ...]:
+    """`tau_flip_code` of a window from `split`, the `trees.split_code` of
+    |window|.  Each child is the minimum of its side, so a node orients its
+    children by comparing labels, an empty side counting as +infinity: a
     positive pivot puts the smaller on the left, a negative one on the
     right, and a negative pivot with two empty sides is a labelled leaf."""
-    code = split_code([abs(x) for x in window])
+    code = list(split)
     for x in window:
         if x > 0:
             i = 2 * x - 2
@@ -216,6 +216,11 @@ def tau_flip_code(window: Sequence[int]) -> tuple[int, ...]:
             elif not right or 0 < left < right:
                 code[i], code[i + 1] = right, left
     return tuple(code)
+
+
+def tau_flip_code(window: Sequence[int]) -> tuple[int, ...]:
+    """Flat code of `tau_flip` for a signed window (see `orient_flip_code`)."""
+    return orient_flip_code(split_code([abs(x) for x in window]), window)
 
 
 def tau_flip(p: SignedPerm) -> Node:

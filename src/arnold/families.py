@@ -7,8 +7,8 @@ unsigned permutations (with the sign patterns its rules allow) or, for
 snakes, from prefixes that still obey the snake rules, and comes out in
 window order.  `windows()` and the `is_*` membership predicates are the
 literal definitions and serve as the test oracle.  Flip classes of
-permutations are grown by flood fill, and each signed flip class is one of
-them with a set of values negated.  The statistic
+permutations are grown by flood fill; a signed flip class is one of them
+with a set of values negated, its statistics read off their tree.  The
 distributions used by the verification harness are counted per unsigned
 permutation without building the members.  Every enumeration refuses a
 size above the package cap (`trees.check_size`) before it starts.  The
@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import permutations, product
+from functools import lru_cache, partial
+from itertools import groupby, permutations, product
 from math import comb, factorial
-from typing import Iterator, Sequence
+from operator import attrgetter
+from typing import Callable, Iterator, Sequence
 
 from .signed_perm import (
     Cycle,
@@ -34,11 +35,11 @@ from .signed_perm import (
     leaf_values,
     stat_neg,
     stat_npk,
-    stat_smax,
-    stat_spk,
+    stat_smax,  # not called here: perfbench/layers.py times it as families.stat_smax
+    stat_spk,  # likewise, as families.stat_spk
     valley_values,
 )
-from .trees import SizeCapExceededError, check_size, complement, split_block
+from .trees import SizeCapExceededError, check_size, complement, split_block, split_code
 
 FAMILIES = (
     "alternating",
@@ -224,24 +225,34 @@ def flip(obj, k: int):
     return SignedPerm(out) if isinstance(obj, SignedPerm) else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlipClass:
+    """A signed flip class; its sorted `members` are held as the tuple or as
+    a function that builds it on each read."""
+
     canon: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
+    _members: tuple[tuple[int, ...], ...] | Callable[[], tuple[tuple[int, ...], ...]]
     smax: int
     spk: int
+
+    @property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        return self._members() if callable(self._members) else self._members
 
     @property
     def n(self) -> int:
         return len(self.canon)
 
+    def __eq__(self, other: object) -> bool:
+        key = attrgetter("canon", "smax", "spk", "members")
+        return isinstance(other, FlipClass) and key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self.canon)
+
     def to_json(self) -> dict:
-        return {
-            "window": list(self.canon),
-            "members": [list(m) for m in self.members],
-            "smax": self.smax,
-            "spk": self.spk,
-        }
+        members = [list(m) for m in self.members]
+        return {"window": list(self.canon), "members": members, "smax": self.smax, "spk": self.spk}
 
 
 @lru_cache(maxsize=None)
@@ -275,23 +286,37 @@ def unsigned_flip_classes(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(out)
 
 
+def _signed_members(unsigned: tuple[tuple[int, ...], ...], signs: tuple[int, ...]):
+    return tuple(sorted(tuple([signs[a - 1] for a in u]) for u in unsigned))
+
+
 @lru_cache(maxsize=None)
 def flip_classes(n: int) -> tuple[FlipClass, ...]:
-    """All flip equivalence classes of signed windows of size n, each with
-    its sorted member list.  Flip legality reads only |entries| and every
-    entry keeps its sign as it moves, so each class is an unsigned class
-    with one of the 2^n sets of values negated.  smax and spk are read off
-    the canonical member; the harness checks them on every member."""
+    """All flip equivalence classes of signed windows of size n, ordered by
+    canonical (least) member.  Each is an unsigned class U, every reading of
+    one non-plane min-split tree T, with one of the 2^n sets of values
+    negated.  canon takes the lesser reading at each node of T, leaves up;
+    smax walks T as `stat_smax` walks a word; spk counts the negated leaves
+    (zero-padded peaks).  The harness checks both on every member."""
     classes = []
     for unsigned in unsigned_flip_classes(n):
+        code = split_code(unsigned[0])
+        pairs = [(0, 0), *zip(code[::2], code[1::2])]
+        kids = [sorted(filter(None, pair)) for pair in pairs]
+        leaves = [v for v in range(1, n + 1) if not kids[v]]
         for signs in product(*((a, -a) for a in range(1, n + 1))):
-            members = sorted(tuple([signs[a - 1] for a in u]) for u in unsigned)
-            canon = members[0]
-            smax, spk = stat_smax(canon), stat_spk(SignedPerm(canon))
-            classes.append(FlipClass(canon, tuple(members), smax, spk))
+            best: list[tuple[int, ...]] = [()] * (n + 1)
+            for v in range(n, 0, -1):
+                x, y, mid = best[pairs[v][0]], best[pairs[v][1]], (signs[v - 1],)
+                best[v] = min(x + mid + y, y + mid + x)
+            node = 1
+            while kids[node] and (signs[node - 1] < 0 or len(kids[node]) == 2):
+                node = kids[node][-1] if signs[node - 1] > 0 else kids[node][0]
+            spk = sum(signs[v - 1] < 0 for v in leaves)
+            members = partial(_signed_members, unsigned, signs)
+            classes.append(FlipClass(best[1], members, signs[node - 1], spk))
     classes.sort(key=lambda c: c.canon)
     return tuple(classes)
-
 
 # ---------------------------------------------------------------------------
 # family generators: each builds only members, in window order
@@ -414,10 +439,8 @@ def _snakes(n: int, side: str) -> tuple[SignedPerm, ...]:
 def _enumerate(family: str, n: int):
     if family == "alternating":
         return tuple(SignedPerm(p) for p in permutations(range(1, n + 1)) if is_alternating(p))
-    if family == "fl-b":
-        return tuple(c for c in flip_classes(n) if c.smax > 0)
-    if family == "fl-d":
-        return tuple(c for c in flip_classes(n) if c.smax < 0)
+    if family in ("fl-b", "fl-d"):
+        return tuple(c for c in flip_classes(n) if (c.smax > 0) == (family == "fl-b"))
     kind, _, side = family.partition("-")
     generate = {"snakes": _snakes, "cud": _cud_members, "vs": _vs_members}[kind]
     return generate(n, side)
@@ -451,7 +474,15 @@ def enumerate_indexed(family: str, n: int, k: int):
     """Members with index k; the disjoint union over k = 1..n is the family."""
     if not 1 <= k <= n:
         raise IndexOutOfRangeError(f"index {k} outside 1..{n}")
-    return tuple(obj for obj in enumerate_family(family, n) if family_index(family, obj) == k)
+    enumerate_family(family, n)  # refuses an unknown family or n above the cap
+    return _index_slices(family, n).get(k, ())
+
+
+@lru_cache(maxsize=None)
+def _index_slices(family: str, n: int) -> dict[int, tuple]:
+    """The family split by index; the sort is stable, so slices keep family order."""
+    index = partial(family_index, family)
+    return {k: tuple(g) for k, g in groupby(sorted(enumerate_family(family, n), key=index), index)}
 
 
 # ---------------------------------------------------------------------------

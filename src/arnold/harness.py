@@ -361,9 +361,10 @@ def check_bij_fl(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
     for n in range(1, n_max + 1):
         classes = fam.flip_classes(n)
+        split = {u: tr.split_code(u) for u in permutations(range(1, n + 1))}  # for every signing
         images = []
         for cls in classes:
-            member_codes = {bij.tau_flip_code(w) for w in cls.members}
+            member_codes = {bij.orient_flip_code(split[tuple(map(abs, w))], w) for w in cls.members}
             if len(member_codes) != 1:
                 details.append(f"fl n={n}: members of {cls.canon} map to different trees")
                 continue
@@ -445,6 +446,12 @@ def check_knuth_flip_euler(n_max: int, golden_dir: str | None = None) -> list[st
         classes = fam.unsigned_flip_classes(n)
         if len(classes) != euler[n - 1]:
             details.append(f"n={n}: {len(classes)} classes vs Euler number {euler[n - 1]}")
+        fibres: dict = {}  # keyed by `tr.tree12_of(p)` as each node's unordered children
+        for p in permutations(range(1, n + 1)):
+            code = tr.split_code(p)
+            fibres.setdefault(tuple(map(frozenset, zip(code[::2], code[1::2]))), []).append(p)
+        if tuple(map(tuple, fibres.values())) != classes:
+            details.append(f"n={n}: classes differ from the fibres of the non-plane tree")
     if n_max >= 3:
         classes3 = {frozenset(c) for c in fam.unsigned_flip_classes(3)}
         want = {
@@ -551,8 +558,8 @@ def check_recstep_vs(n_max: int, golden_dir: str | None = None) -> list[str]:
 def _check_constant_on_classes(n_max: int, name: str, stat: Callable) -> list[str]:
     """Check that stat, applied to each member window, gives the value the
     flip class records under `name`.  `flip_classes` reads the statistics
-    off the canonical member only, so this is the one test that they are
-    constant on every member."""
+    off the class's non-plane tree only, so this is the one test that they
+    are constant on every member."""
     details = []
     for n in range(1, n_max + 1):
         for cls in fam.flip_classes(n):

@@ -1,8 +1,8 @@
 """Exact integer Laurent polynomials in one variable t.
 
 Coefficients are signed 64-bit integers.  The constructor range-checks its
-input, each operation only the coefficients it computes (the product and
-evaluation also their intermediate sums), raising OverflowError.
+input, each operation only the coefficients it computes, and the product
+and evaluation each term but no running sum, raising OverflowError.
 Negative exponents are allowed so that t^-1 scaling used by the triangle
 recurrences needs no special casing.
 """
@@ -103,8 +103,8 @@ class LaurentPoly:
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
                 e = e1 + e2
-                out[e] = _checked(out.get(e, 0) + _checked(c1 * c2))
-        return LaurentPoly._wrap({e: c for e, c in out.items() if c})
+                out[e] = out.get(e, 0) + _checked(c1 * c2)
+        return LaurentPoly._wrap({e: _checked(c) for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -116,12 +116,9 @@ class LaurentPoly:
         return LaurentPoly._wrap({e - 1: _checked(c * e) for e, c in self._coeffs.items() if e})
 
     def __call__(self, t: int) -> int:
-        total = 0
-        for e, c in self._coeffs.items():
-            if e < 0:
-                raise ValueError("cannot evaluate negative exponents over the integers")
-            total = _checked(total + _checked(c * t**e))
-        return total
+        if any(e < 0 for e in self._coeffs):
+            raise ValueError("cannot evaluate negative exponents over the integers")
+        return _checked(sum(_checked(c * t**e) for e, c in self._coeffs.items()))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):

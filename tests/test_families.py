@@ -254,6 +254,30 @@ def _signed_flip_classes_reference(n):
 
 
 class TestFlipClasses:
+    def test_classes_are_built_without_member_windows(self, monkeypatch):
+        import arnold.families as families
+
+        def refuse(*args):
+            raise AssertionError("flip_classes read a member window")
+
+        for name in ("_signed_members", "stat_smax", "stat_spk"):
+            monkeypatch.setattr(families, name, refuse)
+        flip_classes.cache_clear()
+        try:
+            classes = flip_classes(5)
+        finally:
+            flip_classes.cache_clear()
+        assert len(classes) == 512
+        for cls in classes:
+            assert (cls.smax, cls.spk) == (stat_smax(cls.canon), stat_spk(SignedPerm(cls.canon)))
+
+    def test_members_are_built_when_read(self):
+        cls = FlipClass((1, 2), lambda: ((1, 2), (2, 1)), 1, 0)
+        assert cls.members == ((1, 2), (2, 1))
+        assert cls == FlipClass((1, 2), ((1, 2), (2, 1)), 1, 0)
+        assert cls != FlipClass((1, 2), ((1, 2),), 1, 0)
+        assert cls.to_json()["members"] == [[1, 2], [2, 1]]
+
     def test_sixteen_classes_at_three(self):
         assert len(flip_classes(3)) == 16
         assert len(enumerate_family("fl-b", 3)) == 11

@@ -265,7 +265,7 @@ def test_missing_tree_is_reported(monkeypatch, fresh_tree_cache):
 def test_invalid_flip_class_image_is_reported(monkeypatch):
     import arnold.bijections as bijections
 
-    monkeypatch.setattr(bijections, "tau_flip_code", lambda w: (-2, -2))
+    monkeypatch.setattr(bijections, "orient_flip_code", lambda split, w: (-2, -2))
     assert verify("bij-fl", 1).details == (
         "fl n=1: invalid image tree for class (-1,)",
         "fl n=1: invalid image tree for class (1,)",
@@ -461,11 +461,11 @@ def _patched_classes(monkeypatch, edit):
 
 
 def test_merged_flip_classes_are_reported(monkeypatch):
-    import dataclasses
+    from arnold.families import FlipClass
 
     def merge_first_two(classes):
         a, b = classes[:2]
-        merged = dataclasses.replace(a, members=tuple(sorted(a.members + b.members)))
+        merged = FlipClass(a.canon, tuple(sorted(a.members + b.members)), a.smax, a.spk)
         return (merged,) + classes[2:]
 
     _patched_classes(monkeypatch, merge_first_two)
@@ -498,6 +498,61 @@ def test_shifted_class_spk_is_reported(monkeypatch):
     assert verify("lemma-emp-spk", 2).details == (
         "n=1: class (-1,) has emp 0, spk 2",
         "n=2: class (-2, -1) has emp 1, spk 2",
+    )
+
+
+# Faults on one member that is not its class's canonical window: the
+# per-member sweeps must still see them, whatever flip_classes reads.
+# (-2, 1, 3) and (3, 1, -2) make up one class at n=3.
+
+@pytest.mark.parametrize("name", ("smax", "spk"))
+def test_class_statistic_wrong_on_one_other_member_is_reported(monkeypatch, name):
+    import arnold.harness as harness
+
+    real = getattr(harness, f"stat_{name}")
+
+    def off_by_one(w):
+        window = w.window if name == "spk" else tuple(w)
+        return real(w) + (window == (3, 1, -2))
+
+    monkeypatch.setattr(harness, f"stat_{name}", off_by_one)
+    want = {"smax": "{3, 4}", "spk": "{1, 2}"}[name]
+    assert verify(f"{name}-well-defined", 3).details == (
+        f"n=3: class (-2, 1, 3) has {name} values {want}",
+    )
+
+
+def test_member_oriented_with_one_wrong_sign_is_reported(monkeypatch):
+    import arnold.bijections as bijections
+
+    real = bijections.orient_flip_code
+
+    def one_wrong_sign(split, w):
+        return real(split, (3, 1, 2) if tuple(w) == (3, 1, -2) else w)
+
+    monkeypatch.setattr(bijections, "orient_flip_code", one_wrong_sign)
+    assert verify("bij-fl", 3).details == (
+        "fl n=3: members of (-2, 1, 3) map to different trees",
+        "fl n=3: 15 classes vs 16 trees",
+    )
+
+
+def test_merged_unsigned_classes_differ_from_the_tree_fibres(monkeypatch):
+    import arnold.families as families
+
+    real = families.unsigned_flip_classes
+
+    def merge_first_two(n):
+        classes = real(n)
+        if len(classes) < 2:
+            return classes
+        return (tuple(sorted(classes[0] + classes[1])),) + classes[2:]
+
+    monkeypatch.setattr(families, "unsigned_flip_classes", merge_first_two)
+    assert verify("knuth-flip-euler", 3).details == (
+        "n=3: 1 classes vs Euler number 2",
+        "n=3: classes differ from the fibres of the non-plane tree",
+        "n=3: class structure differs from the two known classes",
     )
 
 

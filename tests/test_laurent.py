@@ -88,6 +88,22 @@ def test_every_operation_names_its_overflowing_coefficient():
             compute()
 
 
+def test_evaluation_outcome_ignores_insertion_order():
+    # INT64_MAX + 1 - 1: the running sum leaves the range in one order only
+    for coeffs in ({2: -1, 1: 1, 0: INT64_MAX}, {0: INT64_MAX, 1: 1, 2: -1}):
+        assert LaurentPoly(coeffs)(1) == INT64_MAX
+
+
+def test_product_outcome_ignores_insertion_order():
+    # the t^0 coefficient is INT64_MAX + 1 - 1 in either order of its terms
+    right = LaurentPoly({0: INT64_MAX, -5: 1, -9: -1})
+    for left in ({9: 1, 5: 1, 0: 1}, {0: 1, 5: 1, 9: 1}):
+        product = LaurentPoly(left) * right
+        assert product.to_json_map() == {
+            "-9": -1, "-5": 1, "-4": -1, "0": INT64_MAX, "4": 1, "5": INT64_MAX, "9": INT64_MAX
+        }
+
+
 def test_difference_is_checked_not_the_negated_operand():
     # -1 - (-2^63) fits, although -(-2^63) alone would not
     assert LaurentPoly({0: -1}) - LaurentPoly({0: INT64_MIN}) == LaurentPoly({0: INT64_MAX})
@@ -126,21 +142,21 @@ def _ref_add(p, q, sign=1):
     return LaurentPoly(out)
 
 
+# The product and evaluation check each term and the finished result, not
+# their running sums.
+
 def _ref_mul(p, q):
     out = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
-            out[e1 + e2] = _check(out.get(e1 + e2, 0) + _check(c1 * c2))
+            out[e1 + e2] = out.get(e1 + e2, 0) + _check(c1 * c2)
     return LaurentPoly(out)
 
 
 def _ref_eval(p, t):
-    total = 0
-    for e, c in p.items():
-        if e < 0:
-            raise ValueError(e)
-        total = _check(total + _check(c * t**e))
-    return total
+    if any(e < 0 for e in p):
+        raise ValueError(min(p))
+    return _check(sum(_check(c * t**e) for e, c in p.items()))
 
 
 def _outcome(compute):
