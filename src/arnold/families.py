@@ -8,8 +8,8 @@ snakes, from prefixes that still obey the snake rules, and comes out in
 window order.  `windows()` and the `is_*` membership predicates are the
 literal definitions and serve as the test oracle.  Flip classes of
 permutations are grown by flood fill; a signed flip class is one of them
-with a set of values negated, its statistics read off their tree.  The
-distributions used by the verification harness are counted per unsigned
+with a set of values negated, its statistics read off that class's tree.
+The statistic distributions of the harness are counted per unsigned
 permutation without building the members.  Every enumeration refuses a
 size above the package cap (`trees.check_size`) before it starts.  The
 one-step maps rewrite cycle forms and windows; the cycle split of
@@ -227,8 +227,7 @@ def flip(obj, k: int):
 
 @dataclass(frozen=True, eq=False)
 class FlipClass:
-    """A signed flip class; its sorted `members` are held as the tuple or as
-    a function that builds it on each read."""
+    """A signed flip class; its sorted `members` are a tuple or built on read."""
 
     canon: tuple[int, ...]
     _members: tuple[tuple[int, ...], ...] | Callable[[], tuple[tuple[int, ...], ...]]
@@ -317,6 +316,7 @@ def flip_classes(n: int) -> tuple[FlipClass, ...]:
             classes.append(FlipClass(best[1], members, signs[node - 1], spk))
     classes.sort(key=lambda c: c.canon)
     return tuple(classes)
+
 
 # ---------------------------------------------------------------------------
 # family generators: each builds only members, in window order
