@@ -20,13 +20,24 @@ of label v, 0 is an empty leaf and (-1, -1) a labelled leaf.  The window
 and flip routes start from `trees.split_code`, the cycle route from
 `trees.block_code`; the sign rules then rewrite slot pairs in place.  The
 tree-valued maps return `trees.tree_of` of that code.
+
+The cycle and valley maps are guarded: `phi_*_code` runs the literal
+membership test of its family, raises NotInFamilyError on a non-member,
+and is otherwise exactly its kernel `phi_*_kernel`, which tests nothing.
+The harness calls the kernels on generated members, which the tests hold
+equal to the literal filters.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
 from .families import FlipClass, is_cud_b, is_cud_d, is_vs_b, is_vs_d
-from .signed_perm import CycleForm, SignedPerm, peaks, valleys
+from .signed_perm import (
+    CycleForm,
+    SignedPerm,
+    peaks,  # not called here: perfbench/layers.py times it as bijections.peaks
+    valleys,  # likewise, as bijections.valleys
+)
 from .trees import Node, block_code, split_code, tree_of
 
 
@@ -51,7 +62,7 @@ def _orient_cycle(code: list[int], entries: Sequence[int]) -> None:
     tree of its absolute values, in canonical order under a positive
     entry; a negative entry puts its only child, or the smaller of two, on
     the right, and turns a pair of empty leaves into a labelled leaf."""
-    kids = block_code(tuple(abs(x) for x in entries))
+    kids = block_code(tuple(map(abs, entries)))
     for x in entries:
         i = 2 * abs(x) - 2
         small, large = kids[i], kids[i + 1]
@@ -93,20 +104,31 @@ def _chain_code(cycles: list[Sequence[int]]) -> tuple[int, ...]:
     return tuple(code)
 
 
+def phi_cud_b_kernel(cf: CycleForm) -> tuple[int, ...]:
+    """`phi_cud_b_code` of a type-B cycle-up-down member, untested."""
+    return _chain_code([c.entries for c in cf.cycles])
+
+
+def phi_cud_d_kernel(cf: CycleForm) -> tuple[int, ...]:
+    """`phi_cud_d_code` of a type-D cycle-up-down member, untested: the
+    final (k,-k) cycle is chained as the one-entry cycle (-k), whose tree
+    is the labelled leaf k."""
+    cycles = [c.entries for c in cf.cycles[:-1]]
+    return _chain_code(cycles + [(-cf.cycles[-1].leader,)])
+
+
 def phi_cud_b_code(cf: CycleForm) -> tuple[int, ...]:
     """Flat code of `phi_cud_b`."""
     if not is_cud_b(cf):
         raise NotInFamilyError("not a type-B cycle-up-down cycle form")
-    return _chain_code([c.entries for c in cf.cycles])
+    return phi_cud_b_kernel(cf)
 
 
 def phi_cud_d_code(cf: CycleForm) -> tuple[int, ...]:
-    """Flat code of `phi_cud_d`: the final (k,-k) cycle is chained as the
-    one-entry cycle (-k), whose tree is the labelled leaf k."""
+    """Flat code of `phi_cud_d`."""
     if not is_cud_d(cf):
         raise NotInFamilyError("not a type-D cycle-up-down cycle form")
-    cycles = [c.entries for c in cf.cycles[:-1]]
-    return _chain_code(cycles + [(-cf.cycles[-1].leader,)])
+    return phi_cud_d_kernel(cf)
 
 
 def phi_cud_b(cf: CycleForm) -> Node:
@@ -146,40 +168,56 @@ def _make_leaf(code: list[int], label: int) -> None:
 
 def _paired_peaks(w: tuple[int, ...], start: int) -> list[int]:
     """For each valley position v >= start with a negated successor, the
-    value of the unique peak before the next valley."""
+    value of the unique peak before the next valley.  Valleys and peaks are
+    read in one pass over |w| with +infinity before it and 0 after it."""
     aw = [abs(v) for v in w]
-    vpos = sorted(valleys(aw))
-    ppos = sorted(peaks(aw))
     out = []
-    for i, v in enumerate(vpos):
-        upper = vpos[i + 1] if i + 1 < len(vpos) else len(w) + 1
-        between = [p for p in ppos if v < p < upper]
-        if len(between) != 1:
-            raise MissingPeakError(f"no unique peak after valley position {v} in {w}")
-        if v + 1 > start and w[v] < 0:  # w[v] is the successor entry, 0-indexed
-            out.append(aw[between[0] - 1])
+    valley = 0  # the last valley position, until its peak is found
+    prev, cur = float("inf"), aw[0]
+    for i, nxt in enumerate(aw[1:] + [0], start=1):
+        if prev > cur < nxt:
+            if valley:
+                raise MissingPeakError(f"no unique peak after valley position {valley} in {w}")
+            valley = i
+        elif prev < cur > nxt and valley:
+            if valley + 1 > start and w[valley] < 0:  # w[valley] is the successor entry
+                out.append(cur)
+            valley = 0
+        prev, cur = cur, nxt
+    if valley:
+        raise MissingPeakError(f"no unique peak after valley position {valley} in {w}")
     return out
 
 
-def phi_vs_b_code(p: SignedPerm) -> tuple[int, ...]:
-    """Flat code of `phi_vs_b`."""
-    if not is_vs_b(p.window):
-        raise NotInFamilyError("not a type-B valley signed permutation")
+def phi_vs_b_kernel(p: SignedPerm) -> tuple[int, ...]:
+    """`phi_vs_b_code` of a type-B valley member, untested."""
     code = algo3_code(p.abs_window())
     for peak_value in _paired_peaks(p.window, start=1):
         _make_leaf(code, peak_value)
     return tuple(code)
 
 
-def phi_vs_d_code(p: SignedPerm) -> tuple[int, ...]:
-    """Flat code of `phi_vs_d`."""
-    if not is_vs_d(p.window):
-        raise NotInFamilyError("not a type-D valley signed permutation")
+def phi_vs_d_kernel(p: SignedPerm) -> tuple[int, ...]:
+    """`phi_vs_d_code` of a type-D valley member, untested."""
     code = algo3_code(p.abs_window())
     _make_leaf(code, abs(p.window[0]))
     for peak_value in _paired_peaks(p.window, start=2):
         _make_leaf(code, peak_value)
     return tuple(code)
+
+
+def phi_vs_b_code(p: SignedPerm) -> tuple[int, ...]:
+    """Flat code of `phi_vs_b`."""
+    if not is_vs_b(p.window):
+        raise NotInFamilyError("not a type-B valley signed permutation")
+    return phi_vs_b_kernel(p)
+
+
+def phi_vs_d_code(p: SignedPerm) -> tuple[int, ...]:
+    """Flat code of `phi_vs_d`."""
+    if not is_vs_d(p.window):
+        raise NotInFamilyError("not a type-D valley signed permutation")
+    return phi_vs_d_kernel(p)
 
 
 def phi_vs_b(p: SignedPerm) -> Node:

@@ -14,7 +14,10 @@ permutation without building the members.  Every enumeration refuses a
 size above the package cap (`trees.check_size`) before it starts.  The
 one-step maps rewrite cycle forms and windows; the cycle split of
 `psi_cud_b` takes one step of the block walk (`trees.split_block`) on
-the cycle's word, so no tree is built here.
+the cycle's word, so no tree is built here.  Each step `psi_*` is its
+family's membership test and then its kernel `psi_*_kernel`;
+`_recurrence_step`, whose members come from `enumerate_indexed`, calls
+the kernels.
 """
 from __future__ import annotations
 
@@ -578,12 +581,11 @@ def _swap_abs(v: int, a: int, b: int) -> int:
     return v
 
 
-def psi_cud_d(cf: CycleForm) -> StepRecord:
+def psi_cud_d_kernel(cf: CycleForm) -> StepRecord:
     """One recurrence step on a type-D cycle-up-down member with final
     bracket (k,-k), k >= 2: either drop the bracket (when k-1 leads the
-    previous cycle) or slide the bracket down to (k-1,-(k-1))."""
-    if not is_cud_d(cf):
-        raise ValueError("not a type-D cycle-up-down cycle form")
+    previous cycle) or slide the bracket down to (k-1,-(k-1)).  The
+    membership of cf is not tested; `psi_cud_d` tests it."""
     k = cf.cycles[-1].leader
     if k < 2:
         raise IndexOutOfRangeError("step needs k >= 2")
@@ -628,7 +630,7 @@ def _split_cycle(entries: tuple[int, ...], k: int) -> tuple[Cycle, Cycle]:
     return Cycle((k, *word(y))), Cycle((k + 1, *word(x)))
 
 
-def psi_cud_b(cf: CycleForm) -> StepRecord:
+def psi_cud_b_kernel(cf: CycleForm) -> StepRecord:
     """One recurrence step on a type-B cycle-up-down member with last-cycle
     leader k < n.
 
@@ -640,9 +642,9 @@ def psi_cud_b(cf: CycleForm) -> StepRecord:
     child is X, so sign twins stay apart, and the tree keeps its empty
     leaves, so npk is unchanged.
     (iii) Otherwise the values k and k+1 swap.
+
+    The membership of cf is not tested; `psi_cud_b` tests it.
     """
-    if not is_cud_b(cf):
-        raise ValueError("not a type-B cycle-up-down cycle form")
     k = cf.cycles[-1].leader
     if k >= cf.n:
         raise IndexOutOfRangeError("step needs k < n")
@@ -661,6 +663,22 @@ def psi_cud_b(cf: CycleForm) -> StepRecord:
     return StepRecord(cf, "iii", "cud-b", cf.n, k + 1, image, before, stat_npk(image))
 
 
+def psi_cud_b(cf: CycleForm) -> StepRecord:
+    """`psi_cud_b_kernel` of a type-B cycle-up-down member; ValueError on
+    any other cycle form."""
+    if not is_cud_b(cf):
+        raise ValueError("not a type-B cycle-up-down cycle form")
+    return psi_cud_b_kernel(cf)
+
+
+def psi_cud_d(cf: CycleForm) -> StepRecord:
+    """`psi_cud_d_kernel` of a type-D cycle-up-down member; ValueError on
+    any other cycle form."""
+    if not is_cud_d(cf):
+        raise ValueError("not a type-D cycle-up-down cycle form")
+    return psi_cud_d_kernel(cf)
+
+
 def psi_cud_bridge(cf: CycleForm) -> StepRecord:
     """Swap a final singleton (n) with the bracket (n,-n) and back."""
     n = cf.n
@@ -674,10 +692,9 @@ def psi_cud_bridge(cf: CycleForm) -> StepRecord:
     return StepRecord(cf, "bridge", "cud-d", n, n, image, before, stat_npk(image))
 
 
-def psi_vs_d(p: SignedPerm) -> StepRecord:
-    """One recurrence step on a type-D valley member starting -k, k >= 2."""
-    if not is_vs_d(p.window):
-        raise ValueError("not a type-D valley signed permutation")
+def psi_vs_d_kernel(p: SignedPerm) -> StepRecord:
+    """One recurrence step on a type-D valley member starting -k, k >= 2.
+    The membership of p is not tested; `psi_vs_d` tests it."""
     w = p.window
     k = -w[0]
     if k < 2:
@@ -690,15 +707,14 @@ def psi_vs_d(p: SignedPerm) -> StepRecord:
     return StepRecord(p, "2", "vs-d", p.n, k - 1, image, before, stat_neg(image))
 
 
-def psi_vs_b(p: SignedPerm) -> StepRecord:
+def psi_vs_b_kernel(p: SignedPerm) -> StepRecord:
     """One recurrence step on a type-B valley member starting k < n.
 
     A window [k, -(k+1), x, ...] drops its head when 0 < x < k; when x > k
     the head pair is rewritten to [k+1, k, -x, ...] instead, which keeps the
-    step invertible.  Any other window swaps the values k and k+1.
+    step invertible.  Any other window swaps the values k and k+1.  The
+    membership of p is not tested; `psi_vs_b` tests it.
     """
-    if not is_vs_b(p.window):
-        raise ValueError("not a type-B valley signed permutation")
     w = p.window
     k = w[0]
     if k >= p.n:
@@ -712,6 +728,22 @@ def psi_vs_b(p: SignedPerm) -> StepRecord:
         return StepRecord(p, "1b", "vs-b", p.n, k + 1, image, before, stat_neg(image))
     image = from_window(tuple(_swap_abs(v, k, k + 1) for v in w))
     return StepRecord(p, "2", "vs-b", p.n, k + 1, image, before, stat_neg(image))
+
+
+def psi_vs_b(p: SignedPerm) -> StepRecord:
+    """`psi_vs_b_kernel` of a type-B valley member; ValueError on any
+    other window."""
+    if not is_vs_b(p.window):
+        raise ValueError("not a type-B valley signed permutation")
+    return psi_vs_b_kernel(p)
+
+
+def psi_vs_d(p: SignedPerm) -> StepRecord:
+    """`psi_vs_d_kernel` of a type-D valley member; ValueError on any
+    other window."""
+    if not is_vs_d(p.window):
+        raise ValueError("not a type-D valley signed permutation")
+    return psi_vs_d_kernel(p)
 
 
 def psi_vs_bridge(p: SignedPerm) -> StepRecord:
@@ -728,7 +760,8 @@ def psi_vs_bridge(p: SignedPerm) -> StepRecord:
 
 
 def _recurrence_step(kind: str, n: int, k: int, side: str, psi_b, psi_d) -> StepReport:
-    """Apply the one-step map to every member of the indexed family."""
+    """Apply the one-step kernel to every member of the indexed family;
+    the members come from the generators, so none is tested again."""
     if side == "d":
         if not 1 < k <= n:
             raise IndexOutOfRangeError("type-D step needs 1 < k <= n")
@@ -745,10 +778,10 @@ def _recurrence_step(kind: str, n: int, k: int, side: str, psi_b, psi_d) -> Step
 def recurrence_step_cud(n: int, k: int, side: str) -> StepReport:
     """Apply the cycle-family one-step map to every member of cud-`side`
     with index k."""
-    return _recurrence_step("cud", n, k, side, psi_cud_b, psi_cud_d)
+    return _recurrence_step("cud", n, k, side, psi_cud_b_kernel, psi_cud_d_kernel)
 
 
 def recurrence_step_vs(n: int, k: int, side: str) -> StepReport:
     """Apply the valley-family one-step map to every member of vs-`side`
     with index k."""
-    return _recurrence_step("vs", n, k, side, psi_vs_b, psi_vs_d)
+    return _recurrence_step("vs", n, k, side, psi_vs_b_kernel, psi_vs_d_kernel)

@@ -13,6 +13,13 @@ exist to record findings (currently, for how many members the per-object
 tree/npk exponent identity holds at each size).  `verify_all` reports a
 check that raises with status "error", so one crash does not hide the
 other results.
+
+No check builds a `trees.Node`.  The tree side of `thm-trees` and of the
+bijection checks is counted by `_tree_distribution` over the increasing
+plane trees, and the maps write flat codes.  The cycle and valley maps
+and steps run as their unguarded kernels (`bijections.phi_*_kernel`,
+`families.psi_*_kernel`), since every member they get comes from the
+family generators, which the tests hold equal to the literal filters.
 """
 from __future__ import annotations
 
@@ -23,6 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import permutations
+from math import comb
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -283,18 +291,42 @@ def check_thm_fl(n_max: int, golden_dir: str | None = None) -> list[str]:
 
 @lru_cache(maxsize=None)
 def _tree_distribution(n: int) -> Counter:
-    """Counter over (side, rightmost label, labelled leaves) of the trees of
-    size n, side "b" for an empty rightmost leaf.  A tree with L labelled
-    leaves has n + 1 - 2L empty ones."""
+    """Counter over (side, rightmost label, labelled leaves) of the complete
+    increasing binary trees of size n, side "b" for an empty rightmost leaf.
+    A tree with L labelled leaves has n + 1 - 2L empty ones.
+
+    The trees are counted, not built.  Without its empty leaves a tree is
+    an increasing plane tree, one of the n! made by inserting the labels
+    2..n one by one into open child slots, and each childless node of that
+    is a labelled leaf or carries two empty leaves.  The rightmost label is
+    the end v of the plane tree's right spine, and the rightmost leaf is
+    labelled exactly when v is childless and a labelled leaf.  So the plane
+    trees are counted by state (free, end, bare): `end` is v, `bare` says
+    whether v is childless, and `free` counts the other childless nodes,
+    whose C(free, j) choices of j labelled leaves give the trees of a
+    state."""
+    tr.check_size(n)
+    states = Counter({(0, 1, True): 1})
+    for m in range(2, n + 1):  # m - 1 nodes leave m open slots for label m
+        grown: Counter = Counter()
+        for (free, end, bare), trees in states.items():
+            grown[(free, m, True)] += trees  # the slot right of v
+            if bare:
+                grown[(free + 1, end, False)] += trees  # the slot left of v
+            grown[(free, end, bare)] += 2 * free * trees  # below another childless node
+            grown[(free + 1, end, bare)] += (m - 1 - bare - 2 * free) * trees  # beside a child
+        states = +grown
     counts: Counter = Counter()
-    for t in tr.gen_trees(n):
-        c = tr.classify(t)
-        side = "b" if c.kind == "o" else "d"
-        counts[(side, c.rightmost_label, (n + 1 - c.emp) // 2)] += 1
+    for (free, end, bare), trees in states.items():
+        for j in range(free + 1):
+            ways = trees * comb(free, j)
+            counts[("b", end, j)] += ways
+            if bare:
+                counts[("d", end, j + 1)] += ways
     return counts
 
 
-@check("thm-trees", "tree emp polynomials reproduce the refined triangle", 7)
+@check("thm-trees", "tree emp polynomials reproduce the refined triangle", 8)
 def check_thm_trees(n_max: int, golden_dir: str | None = None) -> list[str]:
     return _compare_family_polys(n_max, _tree_distribution, "trees-o", "trees-s")
 
@@ -308,15 +340,16 @@ def _check_bijection_into_trees(
     side = "b" if kind == "o" else "d"
     details = []
     for n in range(1, n_max + 1):
-        members = fam.enumerate_family(family, n)
         images = []
-        for m in members:
+        by_index: Counter = Counter()
+        for m in fam.enumerate_family(family, n):
+            index = fam.family_index(family, m)
+            by_index[index] += 1
             code = code_map(m)
             if not tr.is_tree_code(code, n):
                 details.append(f"{family} n={n}: invalid image tree for {m}")
                 continue
             c = tr.classify_code(code)
-            index = fam.family_index(family, m)
             if c.kind != kind or c.rightmost_label != index:
                 details.append(
                     f"{family} n={n}: {m} lands at ({c.kind},{c.rightmost_label}), "
@@ -326,7 +359,6 @@ def _check_bijection_into_trees(
         if len(set(images)) != len(images):
             details.append(f"{family} n={n}: images collide")
         trees = _tree_distribution(n)
-        by_index = Counter(fam.family_index(family, m) for m in members)
         for k in range(1, n + 1):
             n_trees = sum(cnt for (s, idx, _), cnt in trees.items() if (s, idx) == (side, k))
             if by_index.get(k, 0) != n_trees:
@@ -338,22 +370,22 @@ def _check_bijection_into_trees(
 
 @check("bij-cud-b", "type-B cycle map is an index-preserving bijection to empty-ended trees", 6)
 def check_bij_cud_b(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _check_bijection_into_trees(n_max, "cud-b", bij.phi_cud_b_code, "o")
+    return _check_bijection_into_trees(n_max, "cud-b", bij.phi_cud_b_kernel, "o")
 
 
 @check("bij-cud-d", "type-D cycle map is an index-preserving bijection to labelled-ended trees", 6)
 def check_bij_cud_d(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _check_bijection_into_trees(n_max, "cud-d", bij.phi_cud_d_code, "*")
+    return _check_bijection_into_trees(n_max, "cud-d", bij.phi_cud_d_kernel, "*")
 
 
 @check("bij-vs-b", "type-B valley map is an index-preserving bijection", 6)
 def check_bij_vs_b(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _check_bijection_into_trees(n_max, "vs-b", bij.phi_vs_b_code, "o")
+    return _check_bijection_into_trees(n_max, "vs-b", bij.phi_vs_b_kernel, "o")
 
 
 @check("bij-vs-d", "type-D valley map is an index-preserving bijection", 6)
 def check_bij_vs_d(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _check_bijection_into_trees(n_max, "vs-d", bij.phi_vs_d_code, "*")
+    return _check_bijection_into_trees(n_max, "vs-d", bij.phi_vs_d_kernel, "*")
 
 
 @check("bij-fl", "flip-class map is well defined and bijective", 6)
@@ -392,7 +424,7 @@ def check_bij_fl(n_max: int, golden_dir: str | None = None) -> list[str]:
 def check_cor_rightmost_cycle_min(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
     for n in range(1, n_max + 1):
-        for family, code_map in (("cud-b", bij.phi_cud_b_code), ("cud-d", bij.phi_cud_d_code)):
+        for family, code_map in (("cud-b", bij.phi_cud_b_kernel), ("cud-d", bij.phi_cud_d_kernel)):
             for cf in fam.enumerate_family(family, n):
                 want = frozenset(c.leader for c in cf.cycles)
                 got = tr.path_labels(code_map(cf))
@@ -405,7 +437,7 @@ def check_cor_rightmost_cycle_min(n_max: int, golden_dir: str | None = None) -> 
 def check_cor_rightmost_ltr_min(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
     for n in range(1, n_max + 1):
-        for family, code_map in (("vs-b", bij.phi_vs_b_code), ("vs-d", bij.phi_vs_d_code)):
+        for family, code_map in (("vs-b", bij.phi_vs_b_kernel), ("vs-d", bij.phi_vs_d_kernel)):
             for p in fam.enumerate_family(family, n):
                 want = left_to_right_minima(p.abs_window())
                 got = tr.path_labels(code_map(p))
@@ -591,7 +623,7 @@ def check_report_emp_npk(n_max: int, golden_dir: str | None = None) -> list[str]
     for n in range(1, n_max + 1):
         agree = 0
         total = 0
-        for family, code_map in (("cud-b", bij.phi_cud_b_code), ("cud-d", bij.phi_cud_d_code)):
+        for family, code_map in (("cud-b", bij.phi_cud_b_kernel), ("cud-d", bij.phi_cud_d_kernel)):
             for cf in fam.enumerate_family(family, n):
                 emp = code_map(cf).count(0)
                 total += 1

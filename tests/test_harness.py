@@ -228,6 +228,55 @@ def test_elapsed_is_recorded():
     assert payload["status"] == "pass"
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_counted_trees_match_the_built_trees(n):
+    # the counter against every tree built by gen_trees and read by classify
+    from collections import Counter
+
+    from arnold.harness import _tree_distribution
+    from arnold.trees import classify, gen_trees
+
+    want = Counter()
+    for t in gen_trees(n):
+        c = classify(t)
+        want[("b" if c.kind == "o" else "d", c.rightmost_label, (n + 1 - c.emp) // 2)] += 1
+    assert _tree_distribution(n) == want
+
+
+def test_tree_count_refuses_a_size_above_the_cap(monkeypatch):
+    from arnold.harness import _tree_distribution
+
+    monkeypatch.delenv("ARNOLD_MAX_N", raising=False)
+    with pytest.raises(SizeCapExceededError, match="n=9 exceeds the configured cap 8"):
+        _tree_distribution(9)
+
+
+def test_checks_run_no_membership_guard(monkeypatch):
+    # every member a check maps or steps comes from a generator, so the
+    # checks call the kernels and never the literal membership tests
+    import arnold.bijections as bijections
+    import arnold.families as families
+
+    def guard(*args):
+        raise AssertionError("a check ran a membership guard")
+
+    for name in ("is_cud_b", "is_cud_d", "is_vs_b", "is_vs_d"):
+        monkeypatch.setattr(bijections, name, guard)
+        monkeypatch.setattr(families, name, guard)
+    for check_id in (
+        "bij-cud-b",
+        "bij-cud-d",
+        "bij-vs-b",
+        "bij-vs-d",
+        "cor-rightmost-cycle-min",
+        "cor-rightmost-ltr-min",
+        "recstep-cud",
+        "recstep-vs",
+        "report-emp-npk-perobject",
+    ):
+        assert verify(check_id, 4).status in ("pass", "report-only"), check_id
+
+
 # Injected faults: each test breaks one function the harness calls and pins
 # the details its check reports, so that checks sharing a driver keep
 # their failure text.
@@ -247,18 +296,18 @@ def fresh_tree_cache():
 
 
 def test_missing_tree_is_reported(monkeypatch, fresh_tree_cache):
-    import arnold.trees as trees
+    from math import comb
 
-    real = trees.gen_trees
+    import arnold.harness as harness
 
-    def drop_first(n):
-        it = real(n)
-        next(it)
-        yield from it
-
-    monkeypatch.setattr(trees, "gen_trees", drop_first)
-    assert verify("thm-trees", 1).details[0].startswith("trees-s n=1 k=1: 0 != 1")
-    assert verify("bij-fl", 1).details == ("fl n=1: 2 classes vs 1 trees",)
+    # C(0, 0) off by one: the one plane tree of size 1 gives no tree on
+    # either side, where it should give the labelled leaf and 1(.,.)
+    monkeypatch.setattr(harness, "comb", lambda a, b: comb(a, b) - ((a, b) == (0, 0)))
+    assert verify("thm-trees", 1).details == (
+        "trees-o n=1 k=1: 0 != t^2",
+        "trees-s n=1 k=1: 0 != 1",
+    )
+    assert verify("bij-fl", 1).details == ("fl n=1: 2 classes vs 0 trees",)
     assert verify("bij-cud-d", 1).details == ("cud-d n=1 k=1: 1 members vs 0 trees",)
 
 
@@ -278,13 +327,13 @@ def test_unknown_step_case_is_reported(monkeypatch):
 
     import arnold.families as families
 
-    real = families.psi_vs_b
+    real = families.psi_vs_b_kernel
 
     def odd_case(p):
         rec = real(p)
         return dataclasses.replace(rec, case="zz") if p.window == (1, -2, 3) else rec
 
-    monkeypatch.setattr(families, "psi_vs_b", odd_case)
+    monkeypatch.setattr(families, "psi_vs_b_kernel", odd_case)
     assert verify("recstep-vs", 3).details == (
         "vs-b n=3 k=1: unexpected case zz for [1,-2,3]",
         "vs-b n=3 k=1: target ('vs-b', 3, 2) covered with 1 missing, 0 extra",
@@ -296,13 +345,13 @@ def test_mislabelled_step_target_is_reported(monkeypatch):
 
     import arnold.families as families
 
-    real = families.psi_cud_d
+    real = families.psi_cud_d_kernel
 
     def wrong_index(cf):
         rec = real(cf)
         return dataclasses.replace(rec, target_index=rec.target_index + 1)
 
-    monkeypatch.setattr(families, "psi_cud_d", wrong_index)
+    monkeypatch.setattr(families, "psi_cud_d_kernel", wrong_index)
     details = verify("recstep-cud", 2).details
     assert details[0] == "cud-d n=2 k=2: (1)[2,-2] sent to (cud-b,1,2), expected (cud-b,1,1)"
 
@@ -395,6 +444,7 @@ def sweeps_forbidden(monkeypatch, fresh_tree_cache):
     ):
         monkeypatch.setattr(families, name, forbidden)
     monkeypatch.setattr(harness, "permutations", forbidden)
+    monkeypatch.setattr(harness, "_tree_distribution", forbidden)
     monkeypatch.setattr(trees, "gen_trees", forbidden)
 
 

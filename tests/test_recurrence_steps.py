@@ -3,19 +3,28 @@ import pytest
 from arnold.bijections import (
     NotInFamilyError,
     phi_cud_b_code,
+    phi_cud_b_kernel,
     phi_cud_d_code,
+    phi_cud_d_kernel,
     phi_vs_b_code,
+    phi_vs_b_kernel,
     phi_vs_d_code,
+    phi_vs_d_kernel,
 )
 from arnold.families import (
     IndexOutOfRangeError,
+    enumerate_family,
     enumerate_indexed,
     psi_cud_b,
+    psi_cud_b_kernel,
     psi_cud_bridge,
     psi_cud_d,
+    psi_cud_d_kernel,
     psi_vs_b,
+    psi_vs_b_kernel,
     psi_vs_bridge,
     psi_vs_d,
+    psi_vs_d_kernel,
     recurrence_step_cud,
     recurrence_step_vs,
 )
@@ -164,6 +173,58 @@ class TestPreconditions:
             call(empty)
         assert type(caught.value) is error
         assert str(caught.value) == message
+
+
+def _outcome(call, member):
+    try:
+        return call(member)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestKernels:
+    # each public map or step is its family's membership test and then its
+    # kernel; the harness calls the kernel on generated members only
+    @pytest.mark.parametrize(
+        "family, public, kernel",
+        [
+            pytest.param(family, public, kernel, id=public.__name__)
+            for family, public, kernel in (
+                ("cud-b", phi_cud_b_code, phi_cud_b_kernel),
+                ("cud-d", phi_cud_d_code, phi_cud_d_kernel),
+                ("vs-b", phi_vs_b_code, phi_vs_b_kernel),
+                ("vs-d", phi_vs_d_code, phi_vs_d_kernel),
+                ("cud-b", psi_cud_b, psi_cud_b_kernel),
+                ("cud-d", psi_cud_d, psi_cud_d_kernel),
+                ("vs-b", psi_vs_b, psi_vs_b_kernel),
+                ("vs-d", psi_vs_d, psi_vs_d_kernel),
+            )
+        ],
+    )
+    def test_kernel_returns_what_the_public_map_returns(self, family, public, kernel):
+        # steps out of index range raise IndexOutOfRangeError from both
+        for n in range(1, 7):
+            for m in enumerate_family(family, n):
+                assert _outcome(kernel, m) == _outcome(public, m), m
+
+    @pytest.mark.parametrize(
+        "call, non_member, error, message",
+        [
+            pytest.param(call, non_member, error, message, id=call.__name__)
+            for calls, non_member, message in (
+                ((phi_cud_b_code, psi_cud_b), cf((1, 2, 3)), "type-B cycle-up-down cycle form"),
+                ((phi_cud_d_code, psi_cud_d), cf((1, 2)), "type-D cycle-up-down cycle form"),
+                ((phi_vs_b_code, psi_vs_b), from_window([-1, 2]), "type-B valley signed permutation"),
+                ((phi_vs_d_code, psi_vs_d), from_window([1, 2]), "type-D valley signed permutation"),
+            )
+            for call, error in zip(calls, (NotInFamilyError, ValueError))
+        ],
+    )
+    def test_public_map_refuses_a_non_member(self, call, non_member, error, message):
+        with pytest.raises(ValueError) as caught:
+            call(non_member)
+        assert type(caught.value) is error
+        assert str(caught.value) == f"not a {message}"
 
 
 class TestExhaustiveVerification:
