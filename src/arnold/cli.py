@@ -3,15 +3,21 @@ the verification suite.  The first three print each row as it is built.
 
 Exit codes: 0 success; 1 a failing or crashed check under `verify`, or a
 reader that closed the pipe early; 2 on usage, size or file errors.
+
+One grammar, `_grammar`, has two readers.  `_parse_plain` takes a command
+then full option names, each once, as `--opt value` or a bare switch, all
+valid; everything else (help, errors, abbreviations, `--opt=value`, values
+starting with `-`) goes to argparse via `build_parser`, help and error
+text unchanged.  A plain run never imports argparse, gettext or locale.
 """
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import os
 import sys
 from itertools import chain
+from types import SimpleNamespace
 
 from . import bijections as bij
 from . import families as fam
@@ -123,8 +129,9 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not args.all and args.check is None:
-        print("verify needs --check <id> or --all", file=sys.stderr)
+    if args.all == (args.check is not None):
+        both = ", not both" if args.all else ""
+        print(f"verify needs --check <id> or --all{both}", file=sys.stderr)
         return 2
     if args.all:
         results = verify_all(args.max_n, golden_dir=args.golden_dir)
@@ -142,46 +149,83 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _grammar():
+    """(command, help, handler, ((flag, `add_argument` keywords), ...)) per
+    command; built per call, so `--check` reads the registry when parsing."""
+    n = ("--n", {"type": int, "required": True})
+    return (
+        ("triangle", "print a triangle", _cmd_triangle, (
+            ("--kind", {"choices": ("arnold", "entringer", "poly"), "required": True}),
+            n,
+            ("--format", {"choices": ("table", "jsonl"), "default": "table"}),
+        )),
+        ("enumerate", "list the members of a family", _cmd_enumerate, (
+            ("--family", {"choices": fam.FAMILIES + TREE_FAMILIES, "required": True}),
+            n,
+            ("--index", {"type": int, "default": None}),
+            ("--with-stats", {"action": "store_true", "default": False}),
+            ("--format", {"choices": ("jsonl", "csv"), "default": "jsonl"}),
+        )),
+        ("map", "emit source/tree pairs of a bijection", _cmd_map, (
+            ("--bijection", {"choices": (*_BIJECTIONS, "flip"), "required": True}),
+            n,
+            ("--format", {"choices": ("jsonl",), "default": "jsonl"}),
+        )),
+        ("verify", "run registered checks", _cmd_verify, (
+            ("--check", {"choices": check_ids(), "default": None}),
+            ("--all", {"action": "store_true", "default": False}),
+            ("--max-n", {"type": int, "default": None}),
+            ("--format", {"choices": ("table", "jsonl"), "default": "table"}),
+            ("--golden-dir", {"default": None}),
+        )),
+    )
+
+
+def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(prog="arnold")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_tri = sub.add_parser("triangle", help="print a triangle")
-    p_tri.add_argument("--kind", choices=("arnold", "entringer", "poly"), required=True)
-    p_tri.add_argument("--n", type=int, required=True)
-    p_tri.add_argument("--format", choices=("table", "jsonl"), default="table")
-    p_tri.set_defaults(func=_cmd_triangle)
-
-    p_enum = sub.add_parser("enumerate", help="list the members of a family")
-    p_enum.add_argument("--family", choices=fam.FAMILIES + TREE_FAMILIES, required=True)
-    p_enum.add_argument("--n", type=int, required=True)
-    p_enum.add_argument("--index", type=int, default=None)
-    p_enum.add_argument("--with-stats", action="store_true")
-    p_enum.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    p_enum.set_defaults(func=_cmd_enumerate)
-
-    p_map = sub.add_parser("map", help="emit source/tree pairs of a bijection")
-    p_map.add_argument(
-        "--bijection", choices=("cud-b", "cud-d", "vs-b", "vs-d", "flip"), required=True
-    )
-    p_map.add_argument("--n", type=int, required=True)
-    p_map.add_argument("--format", choices=("jsonl",), default="jsonl")
-    p_map.set_defaults(func=_cmd_map)
-
-    p_ver = sub.add_parser("verify", help="run registered checks")
-    p_ver.add_argument("--check", choices=check_ids(), default=None)
-    p_ver.add_argument("--all", action="store_true")
-    p_ver.add_argument("--max-n", type=int, default=None)
-    p_ver.add_argument("--format", choices=("table", "jsonl"), default="table")
-    p_ver.add_argument("--golden-dir", default=None)
-    p_ver.set_defaults(func=_cmd_verify)
-
+    for command, text, func, options in _grammar():
+        p = sub.add_parser(command, help=text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
+def _parse_plain(argv):
+    """What `build_parser().parse_args(argv)` returns, or None where the
+    command line is not of the plain form the module docstring gives."""
+    entry = next((e for e in _grammar() if argv[:1] == [e[0]]), None)
+    if entry is None:
+        return None
+    command, _text, func, options = entry
+    spec, given, words = dict(options), {}, iter(argv[1:])
+    for flag in words:
+        kwargs = spec.get(flag)
+        if kwargs is None or flag in given:
+            return None
+        if "action" in kwargs:  # every action is store_true
+            given[flag] = True
+            continue
+        value = next(words, "-")
+        try:
+            given[flag] = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if value.startswith("-") or given[flag] not in kwargs.get("choices", (given[flag],)):
+            return None
+    if any(kwargs.get("required") and flag not in given for flag, kwargs in options):
+        return None
+    values = {flag[2:].replace("-", "_"): given.get(flag, kwargs.get("default"))
+              for flag, kwargs in options}
+    return SimpleNamespace(command=command, func=func, **values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_plain(argv) or build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at shutdown

@@ -1,12 +1,15 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
-from arnold.cli import main
+from arnold import cli
+from arnold.cli import _grammar, _parse_plain, build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_SRC = ROOT / "src/arnold/golden"
@@ -218,5 +221,198 @@ class TestVerify:
     def test_requires_target(self, capsys):
         assert main(["verify"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--check", "thm-vs", "--all"], ["--check=thm-vs", "--all"]],
+        ids=["plain", "argparse"],
+    )
+    def test_check_and_all_together_are_refused(self, capsys, argv):
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "verify needs --check <id> or --all, not both\n"
+
     def test_bad_max_n(self, capsys):
         assert main(["verify", "--all", "--max-n", "0"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# The two readers of the grammar: the plain parser must build exactly what
+# argparse builds, or decline.
+
+BENCHMARK_ARGVS = [
+    ["verify", "--all", "--max-n", "4", "--format", "jsonl"],
+    ["enumerate", "--family", "vs-b", "--n", "4", "--with-stats"],
+    ["enumerate", "--family", "cud-b", "--n", "4", "--with-stats"],
+    ["verify", "--all"],
+]
+
+
+def readme_argvs():
+    lines = (ROOT / "README.md").read_text().splitlines()
+    return [shlex.split(line.split("#")[0])[1:] for line in lines if line.startswith("arnold ")]
+
+
+def sample_values(kwargs):
+    if "choices" in kwargs:
+        return list(kwargs["choices"])
+    if kwargs.get("type") is int:
+        return ["0", "4", "12"]
+    return ["golden"]
+
+
+def corpus():
+    """Every command with every subset of its options in both orders, every
+    choice and sample integer of each option, and malformed command lines."""
+    argvs = []
+    for command, _text, _func, options in _grammar():
+        flags = [(flag, [] if "action" in kw else [sample_values(kw)[0]]) for flag, kw in options]
+        for mask in range(2 ** len(flags)):
+            chosen = [[flag, *value] for i, (flag, value) in enumerate(flags) if mask >> i & 1]
+            argvs.append([command, *chain.from_iterable(chosen)])
+            argvs.append([command, *chain.from_iterable(reversed(chosen))])
+        required = [[flag, sample_values(kw)[0]] for flag, kw in options if kw.get("required")]
+        for flag, kw in options:
+            if "action" in kw:
+                continue
+            base = [word for pair in required if pair[0] != flag for word in pair]
+            argvs += [[command, *base, flag, value] for value in sample_values(kw)]
+    enum = ["enumerate", "--family", "vs-b", "--n", "4"]
+    argvs += [
+        ["enumerate", "--family", "vs-b", "--n=4"],
+        ["enumerate", "--fam", "vs-b", "--n", "4"],
+        enum + ["--n", "3"],
+        enum + ["--with-stats", "--with-stats"],
+        ["enumerate", "--family", "vs-b"],
+        ["enumerate", "--family", "vs-x", "--n", "4"],
+        ["enumerate", "--family", "vs-b", "--n", "four"],
+        ["enumerate", "--family", "vs-b", "--n", ""],
+        enum + ["--index", "-1"],
+        enum + ["--index"],
+        enum + ["-h"],
+        enum + ["--help"],
+        ["--help"],
+        ["-h"],
+        enum + ["stray"],
+        ["stray"],
+        ["enumerat", "--family", "vs-b", "--n", "4"],
+        [],
+        ["verify", "--check", "thm-vs", "--all"],
+        ["verify", "--check", "no-such-check"],
+        ["verify", "--max-n", "--all"],
+        ["verify", "--golden-dir", "-"],
+        ["verify", "--all", "--", "--max-n", "4"],
+        ["triangle", "--kind", "arnold", "--n", " 4 "],
+        ["triangle", "--kind", "arnold", "--n", "+4"],
+    ]
+    return argvs
+
+
+def argparse_vars(parser, argv):
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+class TestPlainParser:
+    def test_plain_parser_agrees_with_argparse(self, capsys):
+        parser = build_parser()
+        argvs = corpus() + BENCHMARK_ARGVS + readme_argvs()
+        plain = 0
+        for argv in argvs:
+            args = _parse_plain(argv)
+            if args is not None:
+                plain += 1
+                assert vars(args) == argparse_vars(parser, argv), argv
+        assert plain > len(argvs) // 2
+
+    @pytest.mark.parametrize("argv", BENCHMARK_ARGVS + readme_argvs(), ids=" ".join)
+    def test_canonical_command_lines_take_the_plain_path(self, argv):
+        assert _parse_plain(argv) is not None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--family", "vs-b", "--n=4"],
+            ["enumerate", "--fam", "vs-b", "--n", "4"],
+            ["enumerate", "--family", "vs-b", "--n", "4", "--n", "4"],
+            ["enumerate", "--family", "vs-b", "--n", "4", "--index", "-1"],
+            ["enumerate", "--help"],
+            [],
+        ],
+        ids=" ".join,
+    )
+    def test_other_command_lines_go_to_argparse(self, argv):
+        assert _parse_plain(argv) is None
+
+    def test_console_script_entry_takes_the_plain_path(self, monkeypatch, capsys):
+        def no_argparse():
+            raise AssertionError("argparse built for a canonical command line")
+
+        monkeypatch.setattr(cli, "build_parser", no_argparse)
+        monkeypatch.setattr(sys, "argv", ["arnold", "enumerate", "--family", "vs-b", "--n", "2"])
+        assert main() == 0
+        assert len(jsonl(capsys.readouterr().out)) == 3
+
+    def test_plain_run_imports_no_argparse(self):
+        code = (
+            "import sys\n"
+            "from arnold import cli\n"
+            "assert cli.main(['enumerate', '--family', 'vs-b', '--n', '2']) == 0\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)), file=sys.stderr)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "[]\n"
+
+
+class TestArgparsePaths:
+    @pytest.mark.parametrize("argv", [["--help"], ["enumerate", "--help"]], ids=" ".join)
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: arnold")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--family", "vs-x", "--n", "2"],
+            ["enumerate", "--family", "vs-b"],
+            ["enumerate", "--family", "vs-b", "--n", "2", "--no-such-option"],
+        ],
+        ids=" ".join,
+    )
+    def test_usage_errors_exit_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: arnold ")
+        assert " error: " in captured.err
+
+    def test_equals_form_and_abbreviation_still_parse(self, capsys):
+        code, out = run(capsys, "enumerate", "--fam", "vs-b", "--n=3")
+        assert code == 0
+        assert out == run(capsys, "enumerate", "--family", "vs-b", "--n", "3")[1]
+
+    def test_top_level_help_text(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert build_parser().format_help() == (
+            "usage: arnold [-h] {triangle,enumerate,map,verify} ...\n"
+            "\n"
+            "positional arguments:\n"
+            "  {triangle,enumerate,map,verify}\n"
+            "    triangle            print a triangle\n"
+            "    enumerate           list the members of a family\n"
+            "    map                 emit source/tree pairs of a bijection\n"
+            "    verify              run registered checks\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+        )
