@@ -222,11 +222,12 @@ class TestVerify:
         assert main(["verify"]) == 2
 
     @pytest.mark.parametrize(
-        "argv",
-        [["--check", "thm-vs", "--all"], ["--check=thm-vs", "--all"]],
+        "argv, plain",
+        [(["--check", "thm-vs", "--all"], True), (["--check=thm-vs", "--all"], False)],
         ids=["plain", "argparse"],
     )
-    def test_check_and_all_together_are_refused(self, capsys, argv):
+    def test_check_and_all_together_are_refused(self, capsys, argv, plain):
+        assert (_parse_plain(["verify", *argv]) is not None) == plain
         assert main(["verify", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
