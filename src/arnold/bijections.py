@@ -14,24 +14,25 @@ The flip route: a min-split on absolute values whose child orientation is
 decided by the pivot sign together with which side holds the smaller
 minimum, making the image constant on flip classes.
 
-Each map is computed as a flat code (see `trees`): `*_code` returns the
-tuple, where code[2v-2] and code[2v-1] are the left and right child labels
-of label v, 0 is an empty leaf and (-1, -1) a labelled leaf.  The window
-and flip routes start from `trees.split_code`, the cycle route from
+Each map is computed as a flat code (see `trees`): a tuple where
+code[2v-2] and code[2v-1] are the left and right child labels of label v,
+0 is an empty leaf and (-1, -1) a labelled leaf.  The window and flip
+routes start from `trees.split_code`, the cycle route from
 `trees.block_code`; the sign rules then rewrite slot pairs in place.  The
 tree-valued maps return `trees.tree_of` of that code.
 
-The cycle and valley maps are guarded: `phi_*_code` runs the literal
-membership test of its family, raises NotInFamilyError on a non-member,
-and is otherwise exactly its kernel `phi_*_kernel`, which tests nothing.
-The harness calls the kernels on generated members, which the tests hold
-equal to the literal filters.
+Each cycle and valley map is one checked tree map and one unchecked code
+builder.  `phi_*` runs the literal membership test of its family (for a
+cycle form, also that it is canonical), raises NotInFamilyError on a
+non-member, and otherwise returns the tree of its kernel `phi_*_kernel`,
+which tests nothing.  The harness calls the kernels on generated members,
+which the tests hold equal to the literal filters.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
-from .families import FlipClass, is_cud_b, is_cud_d, is_vs_b, is_vs_d
+from .families import FlipClass, is_canonical, is_cud_b, is_cud_d, is_vs_b, is_vs_d
 from .signed_perm import (
     CycleForm,
     SignedPerm,
@@ -105,42 +106,32 @@ def _chain_code(cycles: list[Sequence[int]]) -> tuple[int, ...]:
 
 
 def phi_cud_b_kernel(cf: CycleForm) -> tuple[int, ...]:
-    """`phi_cud_b_code` of a type-B cycle-up-down member, untested."""
+    """Flat code of `phi_cud_b` for a type-B cycle-up-down member, untested."""
     return _chain_code([c.entries for c in cf.cycles])
 
 
 def phi_cud_d_kernel(cf: CycleForm) -> tuple[int, ...]:
-    """`phi_cud_d_code` of a type-D cycle-up-down member, untested: the
-    final (k,-k) cycle is chained as the one-entry cycle (-k), whose tree
-    is the labelled leaf k."""
+    """Flat code of `phi_cud_d` for a type-D cycle-up-down member,
+    untested: the final (k,-k) cycle is chained as the one-entry cycle
+    (-k), whose tree is the labelled leaf k."""
     cycles = [c.entries for c in cf.cycles[:-1]]
     return _chain_code(cycles + [(-cf.cycles[-1].leader,)])
-
-
-def phi_cud_b_code(cf: CycleForm) -> tuple[int, ...]:
-    """Flat code of `phi_cud_b`."""
-    if not is_cud_b(cf):
-        raise NotInFamilyError("not a type-B cycle-up-down cycle form")
-    return phi_cud_b_kernel(cf)
-
-
-def phi_cud_d_code(cf: CycleForm) -> tuple[int, ...]:
-    """Flat code of `phi_cud_d`."""
-    if not is_cud_d(cf):
-        raise NotInFamilyError("not a type-D cycle-up-down cycle form")
-    return phi_cud_d_kernel(cf)
 
 
 def phi_cud_b(cf: CycleForm) -> Node:
     """Tree image of a type-B cycle-up-down member; the rightmost leaf is
     empty and the rightmost label is the last cycle's leader."""
-    return tree_of(phi_cud_b_code(cf))
+    if not (is_cud_b(cf) and is_canonical(cf)):
+        raise NotInFamilyError("not a type-B cycle-up-down cycle form")
+    return tree_of(phi_cud_b_kernel(cf))
 
 
 def phi_cud_d(cf: CycleForm) -> Node:
     """Tree image of a type-D cycle-up-down member; the final (k,-k) cycle
     becomes a labelled leaf, so the rightmost leaf is labelled k."""
-    return tree_of(phi_cud_d_code(cf))
+    if not (is_cud_d(cf) and is_canonical(cf)):
+        raise NotInFamilyError("not a type-D cycle-up-down cycle form")
+    return tree_of(phi_cud_d_kernel(cf))
 
 
 def algo3_code(seq: Sequence[int]) -> list[int]:
@@ -190,7 +181,7 @@ def _paired_peaks(w: tuple[int, ...], start: int) -> list[int]:
 
 
 def phi_vs_b_kernel(p: SignedPerm) -> tuple[int, ...]:
-    """`phi_vs_b_code` of a type-B valley member, untested."""
+    """Flat code of `phi_vs_b` for a type-B valley member, untested."""
     code = algo3_code(p.abs_window())
     for peak_value in _paired_peaks(p.window, start=1):
         _make_leaf(code, peak_value)
@@ -198,7 +189,7 @@ def phi_vs_b_kernel(p: SignedPerm) -> tuple[int, ...]:
 
 
 def phi_vs_d_kernel(p: SignedPerm) -> tuple[int, ...]:
-    """`phi_vs_d_code` of a type-D valley member, untested."""
+    """Flat code of `phi_vs_d` for a type-D valley member, untested."""
     code = algo3_code(p.abs_window())
     _make_leaf(code, abs(p.window[0]))
     for peak_value in _paired_peaks(p.window, start=2):
@@ -206,31 +197,21 @@ def phi_vs_d_kernel(p: SignedPerm) -> tuple[int, ...]:
     return tuple(code)
 
 
-def phi_vs_b_code(p: SignedPerm) -> tuple[int, ...]:
-    """Flat code of `phi_vs_b`."""
-    if not is_vs_b(p.window):
-        raise NotInFamilyError("not a type-B valley signed permutation")
-    return phi_vs_b_kernel(p)
-
-
-def phi_vs_d_code(p: SignedPerm) -> tuple[int, ...]:
-    """Flat code of `phi_vs_d`."""
-    if not is_vs_d(p.window):
-        raise NotInFamilyError("not a type-D valley signed permutation")
-    return phi_vs_d_kernel(p)
-
-
 def phi_vs_b(p: SignedPerm) -> Node:
     """Tree image of a type-B valley member: min-split tree of the absolute
     window, then empty-leaf removal at the peak paired with each negated
     valley successor."""
-    return tree_of(phi_vs_b_code(p))
+    if not is_vs_b(p.window):
+        raise NotInFamilyError("not a type-B valley signed permutation")
+    return tree_of(phi_vs_b_kernel(p))
 
 
 def phi_vs_d(p: SignedPerm) -> Node:
     """Type-D variant: additionally turn the node of |first entry| into a
     labelled leaf, which makes the rightmost leaf labelled."""
-    return tree_of(phi_vs_d_code(p))
+    if not is_vs_d(p.window):
+        raise NotInFamilyError("not a type-D valley signed permutation")
+    return tree_of(phi_vs_d_kernel(p))
 
 
 def orient_flip_code(split: Sequence[int], window: Sequence[int]) -> tuple[int, ...]:

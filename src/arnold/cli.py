@@ -16,7 +16,6 @@ import csv
 import json
 import os
 import sys
-from itertools import chain
 from types import SimpleNamespace
 
 from . import bijections as bij
@@ -46,11 +45,13 @@ def _cmd_triangle(args) -> int:
 
 
 def _member_rows(family: str, n: int, index: int | None, with_stats: bool):
-    """Yield one output row per member; every refusal comes on the first `next`."""
+    """Yield the CSV header of the family, then one output row per member;
+    every refusal comes on the first `next`."""
     if family in TREE_FAMILIES:
         if index is not None and not 1 <= index <= n:
             raise fam.IndexOutOfRangeError(f"index {index} outside 1..{n}")
         tr.check_size(n)
+        yield ["tree", "index", "emp"]
         kind = "o" if family == "trees-o" else "*"
         for t in tr.gen_trees(n):
             c = tr.classify(t)
@@ -61,6 +62,8 @@ def _member_rows(family: str, n: int, index: int | None, with_stats: bool):
         members = fam.enumerate_family(family, n)
     else:
         members = fam.enumerate_indexed(family, n, index)
+    extra = {"cud": ["cycles"], "fl": ["members"]}.get(family.split("-")[0], [])
+    yield ["window", *extra] + ["stats"] * with_stats
     for m in members:
         if isinstance(m, fam.FlipClass):
             row = {"window": list(m.canon), "members": [list(w) for w in m.members]}
@@ -80,18 +83,11 @@ def _member_rows(family: str, n: int, index: int | None, with_stats: bool):
 
 def _cmd_enumerate(args) -> int:
     rows = _member_rows(args.family, args.n, args.index, args.with_stats)
+    header = next(rows)
     if args.format == "jsonl":
         for row in rows:
             print(json.dumps(row))
         return 0
-    first = next(rows, None)
-    if first is not None:
-        header = list(first)
-        rows = chain([first], rows)
-    elif args.family in TREE_FAMILIES:
-        header = ["tree", "index", "emp"]
-    else:  # an empty indexed slice
-        header = ["window", "stats"] if args.with_stats else ["window"]
     writer = csv.writer(sys.stdout)
     writer.writerow(header)
     for row in rows:

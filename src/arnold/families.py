@@ -15,9 +15,9 @@ size above the package cap (`trees.check_size`) before it starts.  The
 one-step maps rewrite cycle forms and windows; the cycle split of
 `psi_cud_b` takes one step of the block walk (`trees.split_block`) on
 the cycle's word, so no tree is built here.  Each step `psi_*` is its
-family's membership test and then its kernel `psi_*_kernel`;
-`_recurrence_step`, whose members come from `enumerate_indexed`, calls
-the kernels.
+family's membership test (for a cycle form, also `is_canonical`) and then
+its kernel `psi_*_kernel`; `_recurrence_step`, whose members come from
+`enumerate_indexed`, calls the kernels.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from .signed_perm import (
     Cycle,
     CycleForm,
     SignedPerm,
-    cycle_form,  # not called here: perfbench/layers.py times it as families.cycle_form
+    cycle_form,
     from_window,
     leaf_values,
     stat_neg,
@@ -41,6 +41,7 @@ from .signed_perm import (
     stat_smax,  # not called here: perfbench/layers.py times it as families.stat_smax
     stat_spk,  # likewise, as families.stat_spk
     valley_values,
+    window_of,
 )
 from .trees import SizeCapExceededError, check_size, complement, split_block, split_code
 
@@ -173,6 +174,15 @@ def is_snake_d(w: Sequence[int]) -> bool:
 
 def _cycles_up_down(cf: CycleForm) -> bool:
     return all(_up_down([abs(e) for e in c.entries]) for c in cf.cycles if not c.bracket)
+
+
+def is_canonical(cf: CycleForm) -> bool:
+    """True iff cf is the `cycle_form` of a signed permutation; a form
+    whose window cannot be built is not."""
+    try:
+        return cycle_form(window_of(cf)) == cf
+    except (IndexError, ValueError):
+        return False
 
 
 def is_cud_b(cf: CycleForm) -> bool:
@@ -507,7 +517,6 @@ def _times_cycle(ways: list[int], cycle: list[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
 def cud_distribution(n: int) -> Counter:
     """Counter over (side, index, npk) for both cycle-up-down families,
     side "b" or "d", index = last-cycle leader.  Signings multiply over the
@@ -528,7 +537,6 @@ def cud_distribution(n: int) -> Counter:
     return counts
 
 
-@lru_cache(maxsize=None)
 def vs_distribution(n: int) -> Counter:
     """Counter over (side, first-entry index, neg) for the valley families."""
     check_size(n)
@@ -666,7 +674,7 @@ def psi_cud_b_kernel(cf: CycleForm) -> StepRecord:
 def psi_cud_b(cf: CycleForm) -> StepRecord:
     """`psi_cud_b_kernel` of a type-B cycle-up-down member; ValueError on
     any other cycle form."""
-    if not is_cud_b(cf):
+    if not (is_cud_b(cf) and is_canonical(cf)):
         raise ValueError("not a type-B cycle-up-down cycle form")
     return psi_cud_b_kernel(cf)
 
@@ -674,7 +682,7 @@ def psi_cud_b(cf: CycleForm) -> StepRecord:
 def psi_cud_d(cf: CycleForm) -> StepRecord:
     """`psi_cud_d_kernel` of a type-D cycle-up-down member; ValueError on
     any other cycle form."""
-    if not is_cud_d(cf):
+    if not (is_cud_d(cf) and is_canonical(cf)):
         raise ValueError("not a type-D cycle-up-down cycle form")
     return psi_cud_d_kernel(cf)
 

@@ -478,7 +478,7 @@ def check_knuth_flip_euler(n_max: int, golden_dir: str | None = None) -> list[st
         classes = fam.unsigned_flip_classes(n)
         if len(classes) != euler[n - 1]:
             details.append(f"n={n}: {len(classes)} classes vs Euler number {euler[n - 1]}")
-        fibres: dict = {}  # keyed by `tr.tree12_of(p)` as each node's unordered children
+        fibres: dict = {}  # keyed by the non-plane min-split tree, as each node's unordered children
         for p in permutations(range(1, n + 1)):
             code = tr.split_code(p)
             fibres.setdefault(tuple(map(frozenset, zip(code[::2], code[1::2]))), []).append(p)

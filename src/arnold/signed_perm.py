@@ -163,11 +163,6 @@ def window_of(cf: CycleForm) -> SignedPerm:
     return from_window(window)
 
 
-def is_special(cf: CycleForm) -> bool:
-    """True iff no orbit closes through negation."""
-    return cf.is_special()
-
-
 def valleys(seq: Sequence[int]) -> frozenset[int]:
     """1-based valley positions: interior strict minima, plus position 1
     when the sequence starts ascending.  Empty for length 1."""

@@ -1,5 +1,5 @@
 """Complete increasing binary plane trees with empty leaves, and the
-non-plane increasing 1-2 trees that index flip classes.
+min-split walks that write them as flat codes.
 
 A tree of size n uses labels exactly 1..n, labels increase away from the
 root, and every node has either no children (a labelled leaf) or exactly
@@ -291,31 +291,3 @@ def is_tree_code(code: Sequence[int], n: int) -> bool:
         if 0 < c <= i // 2 + 1:
             return False
     return sorted(c for c in code if c > 0) == list(range(2, n + 1))
-
-
-@dataclass(frozen=True)
-class Tree12:
-    """Non-plane increasing tree with 1 or 2 children per internal node;
-    children kept sorted by label so values are canonical and hashable."""
-
-    label: int
-    children: tuple["Tree12", ...] = ()
-
-
-def tree12_of(perm: Sequence[int]) -> Tree12:
-    """Recursive min-split image of an unsigned permutation.
-
-    >>> tree12_of([2, 1, 3]) == tree12_of([3, 1, 2])
-    True
-    """
-    w = tuple(perm)
-    if not w:
-        raise ValueError("empty permutation")
-    i = w.index(min(w))
-    kids = []
-    if i > 0:
-        kids.append(tree12_of(w[:i]))
-    if i + 1 < len(w):
-        kids.append(tree12_of(w[i + 1 :]))
-    kids.sort(key=lambda t: t.label)
-    return Tree12(w[i], tuple(kids))

@@ -13,14 +13,14 @@ from arnold.bijections import (
     algo3,
     algo3_code,
     phi_cud_b,
-    phi_cud_b_code,
+    phi_cud_b_kernel,
     phi_cud_d,
-    phi_cud_d_code,
+    phi_cud_d_kernel,
     phi_f,
     phi_vs_b,
-    phi_vs_b_code,
+    phi_vs_b_kernel,
     phi_vs_d,
-    phi_vs_d_code,
+    phi_vs_d_kernel,
     tau_flip,
     tau_flip_code,
 )
@@ -485,25 +485,25 @@ def _code_of(t, n):
 class TestReferenceOracles:
     def test_cycle_maps_match_the_recursive_maps(self):
         for n in range(1, 7):
-            for family, mapping, code_map in (
-                ("cud-b", phi_cud_b, phi_cud_b_code),
-                ("cud-d", phi_cud_d, phi_cud_d_code),
+            for family, mapping, kernel in (
+                ("cud-b", phi_cud_b, phi_cud_b_kernel),
+                ("cud-d", phi_cud_d, phi_cud_d_kernel),
             ):
                 for cf in enumerate_family(family, n):
                     want = _phi_cud_reference(cf)
                     assert serialize(mapping(cf)) == serialize(want)
-                    assert code_map(cf) == _code_of(want, n)
+                    assert kernel(cf) == _code_of(want, n)
 
     def test_valley_maps_match_the_recursive_maps(self):
         for n in range(1, 7):
-            for family, mapping, code_map in (
-                ("vs-b", phi_vs_b, phi_vs_b_code),
-                ("vs-d", phi_vs_d, phi_vs_d_code),
+            for family, mapping, kernel in (
+                ("vs-b", phi_vs_b, phi_vs_b_kernel),
+                ("vs-d", phi_vs_d, phi_vs_d_kernel),
             ):
                 for p in enumerate_family(family, n):
                     want = _phi_vs_reference(p)
                     assert serialize(mapping(p)) == serialize(want)
-                    assert code_map(p) == _code_of(want, n)
+                    assert kernel(p) == _code_of(want, n)
 
     def test_flip_map_matches_the_recursive_map_on_every_window(self):
         for n in range(1, 7):

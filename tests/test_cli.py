@@ -127,8 +127,10 @@ class TestEnumerate:
             (["--family", "cud-b", "--n", "3"], "window,cycles"),
             (["--family", "fl-b", "--n", "3", "--with-stats"], "window,members,stats"),
             (["--family", "trees-s", "--n", "3"], "tree,index,emp"),
-            # an empty slice: no first row to read the extra columns from
-            (["--family", "cud-d", "--n", "3", "--index", "1", "--with-stats"], "window,stats"),
+            # empty slices: the columns come from the family, not from a row
+            (["--family", "vs-d", "--n", "3", "--index", "1", "--with-stats"], "window,stats"),
+            (["--family", "cud-d", "--n", "3", "--index", "1", "--with-stats"], "window,cycles,stats"),
+            (["--family", "fl-d", "--n", "2", "--index", "1"], "window,members"),
         ],
     )
     def test_csv_header(self, capsys, argv, header):

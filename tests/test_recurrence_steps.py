@@ -2,19 +2,23 @@ import pytest
 
 from arnold.bijections import (
     NotInFamilyError,
-    phi_cud_b_code,
+    phi_cud_b,
     phi_cud_b_kernel,
-    phi_cud_d_code,
+    phi_cud_d,
     phi_cud_d_kernel,
-    phi_vs_b_code,
+    phi_vs_b,
     phi_vs_b_kernel,
-    phi_vs_d_code,
+    phi_vs_d,
     phi_vs_d_kernel,
 )
 from arnold.families import (
     IndexOutOfRangeError,
     enumerate_family,
     enumerate_indexed,
+    is_cud_b,
+    is_cud_d,
+    is_vs_b,
+    is_vs_d,
     psi_cud_b,
     psi_cud_b_kernel,
     psi_cud_bridge,
@@ -27,9 +31,11 @@ from arnold.families import (
     psi_vs_d_kernel,
     recurrence_step_cud,
     recurrence_step_vs,
+    windows,
 )
 from arnold.harness import check_recstep_vs, verify
-from arnold.signed_perm import Cycle, CycleForm, from_window
+from arnold.signed_perm import Cycle, CycleForm, SignedPerm, cycle_form, from_window
+from arnold.trees import tree_of
 
 
 def cf(*cycles, bracket_last=False):
@@ -156,13 +162,13 @@ class TestPreconditions:
                 (psi_cud_b, ValueError, "not a type-B cycle-up-down cycle form"),
                 (psi_cud_d, ValueError, "not a type-D cycle-up-down cycle form"),
                 (psi_cud_bridge, ValueError, "bridge step needs last cycle (n) or (n,-n)"),
-                (phi_cud_b_code, NotInFamilyError, "not a type-B cycle-up-down cycle form"),
-                (phi_cud_d_code, NotInFamilyError, "not a type-D cycle-up-down cycle form"),
+                (phi_cud_b, NotInFamilyError, "not a type-B cycle-up-down cycle form"),
+                (phi_cud_d, NotInFamilyError, "not a type-D cycle-up-down cycle form"),
                 (psi_vs_b, ValueError, "not a type-B valley signed permutation"),
                 (psi_vs_d, ValueError, "not a type-D valley signed permutation"),
                 (psi_vs_bridge, ValueError, "bridge step needs first entry n or -n"),
-                (phi_vs_b_code, NotInFamilyError, "not a type-B valley signed permutation"),
-                (phi_vs_d_code, NotInFamilyError, "not a type-D valley signed permutation"),
+                (phi_vs_b, NotInFamilyError, "not a type-B valley signed permutation"),
+                (phi_vs_d, NotInFamilyError, "not a type-D valley signed permutation"),
             )
         ],
     )
@@ -190,10 +196,6 @@ class TestKernels:
         [
             pytest.param(family, public, kernel, id=public.__name__)
             for family, public, kernel in (
-                ("cud-b", phi_cud_b_code, phi_cud_b_kernel),
-                ("cud-d", phi_cud_d_code, phi_cud_d_kernel),
-                ("vs-b", phi_vs_b_code, phi_vs_b_kernel),
-                ("vs-d", phi_vs_d_code, phi_vs_d_kernel),
                 ("cud-b", psi_cud_b, psi_cud_b_kernel),
                 ("cud-d", psi_cud_d, psi_cud_d_kernel),
                 ("vs-b", psi_vs_b, psi_vs_b_kernel),
@@ -208,14 +210,41 @@ class TestKernels:
                 assert _outcome(kernel, m) == _outcome(public, m), m
 
     @pytest.mark.parametrize(
+        "public, kernel, is_member",
+        [
+            pytest.param(public, kernel, is_member, id=public.__name__)
+            for public, kernel, is_member in (
+                (phi_cud_b, phi_cud_b_kernel, is_cud_b),
+                (phi_cud_d, phi_cud_d_kernel, is_cud_d),
+                (phi_vs_b, phi_vs_b_kernel, is_vs_b),
+                (phi_vs_d, phi_vs_d_kernel, is_vs_d),
+            )
+        ],
+    )
+    def test_tree_map_is_the_literal_filter_then_the_kernel(self, public, kernel, is_member):
+        # cycle maps read cycle_form(p) and valley maps p, for every window
+        for n in range(1, 5):
+            for w in windows(n):
+                p = SignedPerm(w)
+                if "cud" in public.__name__:
+                    m = literal = cycle_form(p)
+                else:
+                    m, literal = p, w
+                if is_member(literal):
+                    assert public(m) == tree_of(kernel(m)), w
+                else:
+                    with pytest.raises(NotInFamilyError):
+                        public(m)
+
+    @pytest.mark.parametrize(
         "call, non_member, error, message",
         [
             pytest.param(call, non_member, error, message, id=call.__name__)
             for calls, non_member, message in (
-                ((phi_cud_b_code, psi_cud_b), cf((1, 2, 3)), "type-B cycle-up-down cycle form"),
-                ((phi_cud_d_code, psi_cud_d), cf((1, 2)), "type-D cycle-up-down cycle form"),
-                ((phi_vs_b_code, psi_vs_b), from_window([-1, 2]), "type-B valley signed permutation"),
-                ((phi_vs_d_code, psi_vs_d), from_window([1, 2]), "type-D valley signed permutation"),
+                ((phi_cud_b, psi_cud_b), cf((1, 2, 3)), "type-B cycle-up-down cycle form"),
+                ((phi_cud_d, psi_cud_d), cf((1, 2)), "type-D cycle-up-down cycle form"),
+                ((phi_vs_b, psi_vs_b), from_window([-1, 2]), "type-B valley signed permutation"),
+                ((phi_vs_d, psi_vs_d), from_window([1, 2]), "type-D valley signed permutation"),
             )
             for call, error in zip(calls, (NotInFamilyError, ValueError))
         ],
@@ -225,6 +254,32 @@ class TestKernels:
             call(non_member)
         assert type(caught.value) is error
         assert str(caught.value) == f"not a {message}"
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            # a bracket the window does not close, whose canonical form is (1)(2,-3)
+            CycleForm((Cycle((1,)), Cycle((2, -3), bracket=True))),
+            cf((2,), (1,)),  # cycles out of leader order
+            cf((1, 3)),  # a label above n: no window can be built
+        ],
+        ids=str,
+    )
+    @pytest.mark.parametrize(
+        "call, error, side",
+        [
+            (phi_cud_b, NotInFamilyError, "B"),
+            (phi_cud_d, NotInFamilyError, "D"),
+            (psi_cud_b, ValueError, "B"),
+            (psi_cud_d, ValueError, "D"),
+        ],
+        ids=lambda v: getattr(v, "__name__", None),
+    )
+    def test_cycle_guards_refuse_a_form_that_is_not_canonical(self, call, error, side, form):
+        with pytest.raises(ValueError) as caught:
+            call(form)
+        assert type(caught.value) is error
+        assert str(caught.value) == f"not a type-{side} cycle-up-down cycle form"
 
 
 class TestExhaustiveVerification:

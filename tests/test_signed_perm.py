@@ -15,7 +15,6 @@ from arnold.signed_perm import (
     ZeroEntryError,
     cycle_form,
     from_window,
-    is_special,
     leaf_values,
     left_to_right_minima,
     peak_values,
@@ -94,17 +93,17 @@ class TestCycleForm:
     def test_special_example(self):
         cf = cycle_form(from_window([-2, -4, 3, 1, -6, -7, 5]))
         assert str(cf) == "(1,-2,4)(3)(5,-6,7)"
-        assert is_special(cf)
+        assert cf.is_special()
 
     def test_bracket_example(self):
         cf = cycle_form(from_window([-2, 4, -5, -1, 9, 6, 3, -8, 7]))
         assert str(cf) == "(1,-2,-4)[3,-5,-9,-7,-3,5,9,7](6)[8,-8]"
-        assert not is_special(cf)
+        assert not cf.is_special()
 
     def test_identity(self):
         cf = cycle_form(from_window([1, 2, 3]))
         assert str(cf) == "(1)(2)(3)"
-        assert is_special(cf)
+        assert cf.is_special()
 
     def test_roundtrip_exhaustive_small(self):
         for n in range(1, 6):

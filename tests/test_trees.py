@@ -1,8 +1,5 @@
-from itertools import permutations
-
 import pytest
 
-from arnold.families import unsigned_flip_classes
 from arnold.trees import (
     EMPTY,
     Node,
@@ -14,9 +11,8 @@ from arnold.trees import (
     rightmost_path,
     serialize,
     to_json,
-    tree12_of,
 )
-from arnold.triangles import arnold_numbers, euler_numbers
+from arnold.triangles import arnold_numbers
 
 
 def test_size_one_trees():
@@ -103,31 +99,3 @@ def test_json_encoding():
     assert to_json(Node(2)) == {"label": 2}
     t = Node(1, (Node(2), EMPTY))
     assert to_json(t) == {"label": 1, "left": {"label": 2}, "right": None}
-
-
-class TestTree12:
-    def test_flip_equivalent_pair(self):
-        assert tree12_of([2, 1, 3]) == tree12_of([3, 1, 2])
-        t = tree12_of([2, 1, 3])
-        assert t.label == 1
-        assert [c.label for c in t.children] == [2, 3]
-
-    def test_increasing_chain(self):
-        t = tree12_of([1, 2, 3])
-        assert t.label == 1
-        assert len(t.children) == 1
-        assert t.children[0].label == 2
-
-    def test_image_counts_are_euler_numbers(self):
-        euler = euler_numbers(8)
-        for n in range(1, 9):
-            images = {tree12_of(p) for p in permutations(range(1, n + 1))}
-            assert len(images) == euler[n - 1]
-
-    def test_fibers_are_flip_classes(self):
-        for n in range(1, 7):
-            fibers = {}
-            for p in permutations(range(1, n + 1)):
-                fibers.setdefault(tree12_of(p), set()).add(p)
-            classes = {frozenset(c) for c in unsigned_flip_classes(n)}
-            assert {frozenset(f) for f in fibers.values()} == classes
