@@ -98,24 +98,25 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-_BIJECTIONS = {
-    "cud-b": bij.phi_cud_b,
-    "cud-d": bij.phi_cud_d,
-    "vs-b": bij.phi_vs_b,
-    "vs-d": bij.phi_vs_d,
+_KERNELS = {
+    "cud-b": bij.phi_cud_b_kernel,
+    "cud-d": bij.phi_cud_d_kernel,
+    "vs-b": bij.phi_vs_b_kernel,
+    "vs-d": bij.phi_vs_d_kernel,
 }
 
 
 def _map_triples(bijection: str, n: int):
-    """Yield (source, tree, index) per source; a flip class's index is |smax|."""
+    """Yield (source, tree, index) per source; a flip class's index is |smax|.
+    Generated members go through the kernels, as in the harness."""
     if bijection == "flip":
         for side in ("fl-b", "fl-d"):
             for cls in fam.enumerate_family(side, n):
                 yield cls, bij.phi_f(cls), abs(cls.smax)
         return
     for m in fam.enumerate_family(bijection, n):
-        t = _BIJECTIONS[bijection](m)
-        yield m, t, tr.classify(t).rightmost_label
+        code = _KERNELS[bijection](m)
+        yield m, tr.tree_of(code), tr.classify_code(code).rightmost_label
 
 
 def _cmd_map(args) -> int:
@@ -163,7 +164,7 @@ def _grammar():
             ("--format", {"choices": ("jsonl", "csv"), "default": "jsonl"}),
         )),
         ("map", "emit source/tree pairs of a bijection", _cmd_map, (
-            ("--bijection", {"choices": (*_BIJECTIONS, "flip"), "required": True}),
+            ("--bijection", {"choices": (*_KERNELS, "flip"), "required": True}),
             n,
             ("--format", {"choices": ("jsonl",), "default": "jsonl"}),
         )),

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import groupby, permutations, product
 from math import comb, factorial
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .signed_perm import (
@@ -181,7 +181,7 @@ def is_canonical(cf: CycleForm) -> bool:
     whose window cannot be built is not."""
     try:
         return cycle_form(window_of(cf)) == cf
-    except (IndexError, ValueError):
+    except ValueError:
         return False
 
 
@@ -298,8 +298,16 @@ def unsigned_flip_classes(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(out)
 
 
-def _signed_members(unsigned: tuple[tuple[int, ...], ...], signs: tuple[int, ...]):
-    return tuple(sorted(tuple([signs[a - 1] for a in u]) for u in unsigned))
+def _window_getters(unsigned: tuple[tuple[int, ...], ...]) -> tuple[Callable, ...]:
+    """One getter per permutation u, mapping signs to (signs[u_1 - 1], ...).
+    An itemgetter of one index returns a scalar, so size 1 keeps signs."""
+    if len(unsigned[0]) == 1:
+        return (tuple,)
+    return tuple(itemgetter(*(a - 1 for a in u)) for u in unsigned)
+
+
+def _signed_members(getters: tuple[Callable, ...], signs: tuple[int, ...]):
+    return tuple(sorted(get(signs) for get in getters))
 
 
 @lru_cache(maxsize=None)
@@ -312,6 +320,7 @@ def flip_classes(n: int) -> tuple[FlipClass, ...]:
     (zero-padded peaks).  The harness checks both on every member."""
     classes = []
     for unsigned in unsigned_flip_classes(n):
+        getters = _window_getters(unsigned)
         code = split_code(unsigned[0])
         pairs = [(0, 0), *zip(code[::2], code[1::2])]
         kids = [sorted(filter(None, pair)) for pair in pairs]
@@ -325,7 +334,7 @@ def flip_classes(n: int) -> tuple[FlipClass, ...]:
             while kids[node] and (signs[node - 1] < 0 or len(kids[node]) == 2):
                 node = kids[node][-1] if signs[node - 1] > 0 else kids[node][0]
             spk = sum(signs[v - 1] < 0 for v in leaves)
-            members = partial(_signed_members, unsigned, signs)
+            members = partial(_signed_members, getters, signs)
             classes.append(FlipClass(best[1], members, signs[node - 1], spk))
     classes.sort(key=lambda c: c.canon)
     return tuple(classes)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import neg
 from typing import Iterable, Sequence
 
 from .trees import block_code
@@ -149,17 +150,37 @@ def cycle_form(p: SignedPerm) -> CycleForm:
 
 
 def window_of(cf: CycleForm) -> SignedPerm:
-    """Rebuild the window from a canonical cycle form (inverse of cycle_form)."""
+    """Rebuild the window from a canonical cycle form (inverse of cycle_form).
+
+    Raises ValueError unless the labels |x| are 1..n, each in one cycle:
+    once in a plain cycle, and in a bracket cycle once in each half, the
+    second half negating the first.  The halves are compared; the rest is
+    one count and one zero test, as n plain and first-half entries must
+    write all n slots (a label above n fails its write, and a label 0
+    leaves the slot of its predecessor at 0).
+    """
     n = cf.n
     window = [0] * n
-    for c in cf.cycles:
-        e = c.entries
-        for j, x in enumerate(e):
-            y = e[(j + 1) % len(e)]
-            if x > 0:
-                window[x - 1] = y
+    written = 0
+    try:
+        for c in cf.cycles:
+            e = c.entries
+            if c.bracket:
+                half = len(e) // 2
+                if len(e) % 2 or e[half:] != tuple(map(neg, e[:half])):
+                    raise ValueError(f"bracket cycle {c} is not labels followed by their negatives")
+                written += half
             else:
-                window[-x - 1] = -y
+                written += len(e)
+            for x, y in zip(e, e[1:] + e[:1]):
+                if x > 0:
+                    window[x - 1] = y
+                else:
+                    window[-x - 1] = -y
+    except IndexError:
+        written = -1
+    if written != n or 0 in window:
+        raise ValueError(f"labels of {cf} are not 1..{n}, each in one cycle once")
     return from_window(window)
 
 

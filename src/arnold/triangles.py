@@ -7,6 +7,21 @@ Each triangle row is the running sum of the previous row read backwards
 and the operation that computes an entry or a coefficient range-checks it:
 a row beyond the first overflow raises OverflowError rather than wrapping.
 
+The polynomial triangle runs on packed integers (Kronecker substitution):
+an entry V_{n,k}(t) is one int holding the coefficient of t^e in the 64-bit
+slot e + 1, slot 0 holding t^-1.  Multiplying by t^-1 or t is a shift by
+one slot, and each running-sum step is one int add.  Every V_{n,k} has
+nonnegative coefficients, so two summands below 2^63 in every slot sum to
+below 2^64 in every slot: no slot carries into the next, and the sum is in
+range exactly when no slot has its bit 63 set, which one AND against a mask
+of those bits tests.  An overflow names the highest coefficient out of
+range, the one that adding the unpacked entries, whose exponents run from
+the highest down, would name first: the first overflowing row is 21, and
+its message names 11633834560661913600.  `arnold_hoffman` unpacks each
+finished entry into a LaurentPoly once; `check_hoffman_identities` builds
+none for a row, and compares packed row sums with the packed sides of the
+identities.
+
 The derivative polynomials P_n, Q_n are defined by
     d^n/dx^n tan(x) = P_n(tan x)      and      d^n/dx^n sec(x) = Q_n(tan x) sec(x).
 Differentiating once more and substituting t = tan(x) (so dt/dx = 1 + t^2)
@@ -18,7 +33,6 @@ seeded by P_1 = 1 + t^2 and Q_1 = t.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add as _add
 from typing import Generic, TypeVar
 
 from .laurent import INT64_MAX, INT64_MIN, LaurentPoly
@@ -105,6 +119,71 @@ def arnold_numbers(n_max: int) -> list[ArnoldRow[int]]:
     return rows
 
 
+# ---------------------------------------------------------------------------
+# packed polynomials: the coefficient of t^e in the 64-bit slot e + 1
+
+_SLOT = 64
+_DIGIT = (1 << _SLOT) - 1
+
+
+def _pack(poly: LaurentPoly) -> int:
+    """poly at t = 2^64, times 2^64.  One-to-one on coefficients in
+    [-2^63, 2^63) and exponents from -1 up.
+
+    >>> _pack(LaurentPoly({-1: 3, 1: -1})) == 3 - (1 << 128)
+    True
+    """
+    return sum(c << (_SLOT * e + _SLOT) for e, c in poly.items())
+
+
+def _unpack(x: int) -> LaurentPoly:
+    """The polynomial of a packed x >= 0 whose slots are all below 2^63,
+    read off from the top slot down, so its exponents run from the highest
+    down."""
+    coeffs = {}
+    while x:
+        k = (x.bit_length() - 1) // _SLOT * _SLOT
+        coeffs[k // _SLOT - 1] = c = x >> k
+        x -= c << k
+    return LaurentPoly._wrap(coeffs)
+
+
+def _packed_adder(slots: int):
+    """Addition of packed polynomials with nonnegative coefficients in
+    `slots` slots.  Summands below 2^63 in each slot sum below 2^64, so no
+    slot carries and the sum is in range iff no slot has bit 63 set.  An
+    overflow names the highest coefficient out of range, the one that
+    adding the unpacked polynomials, exponents from the highest down, names
+    first."""
+    high = ((1 << _SLOT * slots) - 1) // _DIGIT << (_SLOT - 1)
+
+    def add(a: int, b: int) -> int:
+        s = a + b
+        if s & high:
+            slot = ((s & high).bit_length() - 1) // _SLOT
+            raise OverflowError(f"coefficient {s >> _SLOT * slot & _DIGIT} exceeds 64-bit range")
+        return s
+
+    return add
+
+
+def _packed_hoffman(n_max: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Rows (neg, pos) of `arnold_hoffman`, packed.  t^-1 and t are shifts
+    by one slot; a positive-side entry is a sum of left shifts, so its slot
+    0 is empty and the right shift drops nothing.  Row n has exponents
+    0..n+1, so it fits in n + 3 slots, which the range check covers."""
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    rows = [((1 << _SLOT,), (1 << 3 * _SLOT,))]
+    for n in range(2, n_max + 1):
+        prev_neg, prev_pos = rows[-1]
+        add = _packed_adder(n + 3)
+        neg = _running_sums(0, (v >> _SLOT for v in reversed(prev_pos)), add)
+        pos = _running_sums(neg[-1] << 2 * _SLOT, (v << _SLOT for v in reversed(prev_neg)), add)
+        rows.append((neg, pos))
+    return rows
+
+
 def arnold_hoffman(n_max: int) -> list[ArnoldRow[LaurentPoly]]:
     """Polynomial refinement of the double triangle.
 
@@ -112,17 +191,13 @@ def arnold_hoffman(n_max: int) -> list[ArnoldRow[LaurentPoly]]:
         V_{n,-k} = V_{n,-k-1} + t^-1 V_{n-1,k}
         V_{n,1}  = t^2 V_{n,-1}
         V_{n,k}  = V_{n,k-1} + t V_{n-1,-k+1}.
-    Every finished entry has nonnegative exponents of parity n+1.
+    Every finished entry has nonnegative exponents of parity n+1, and lists
+    them from the highest down.  The rows come from `_packed_hoffman`.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    rows = [ArnoldRow(1, (LaurentPoly.one(),), (LaurentPoly.t_power(2),))]
-    for n in range(2, n_max + 1):
-        prev = rows[-1]
-        neg = _running_sums(LaurentPoly.zero(), (v.shifted(-1) for v in reversed(prev.pos)), _add)
-        pos = _running_sums(neg[-1].shifted(2), (v.shifted(1) for v in reversed(prev.neg)), _add)
-        rows.append(ArnoldRow(n, neg, pos))
-    return rows
+    return [
+        ArnoldRow(n, tuple(map(_unpack, neg)), tuple(map(_unpack, pos)))
+        for n, (neg, pos) in enumerate(_packed_hoffman(n_max), start=1)
+    ]
 
 
 def hoffman_pq(n_max: int) -> list[tuple[LaurentPoly, LaurentPoly]]:
@@ -152,11 +227,16 @@ class IdentityReport:
 
 
 def check_hoffman_identities(n_max: int) -> list[IdentityReport]:
-    """Check t*Q_n = sum_{k>0} V_{n,k} and P_n - t*Q_n = sum_{k>0} V_{n,-k}."""
+    """Check t*Q_n = sum_{k>0} V_{n,k} and P_n - t*Q_n = sum_{k>0} V_{n,-k}
+    on packed rows: both sides of each identity are packed, which is exact
+    because P_n - t*Q_n is range-checked and packing is one-to-one on
+    coefficients in [-2^63, 2^63)."""
+    rows = _packed_hoffman(n_max)
     reports = []
-    for row, (p, q) in zip(arnold_hoffman(n_max), hoffman_pq(n_max)):
-        pos_sum = sum(row.pos, LaurentPoly.zero())
-        neg_sum = sum(row.neg, LaurentPoly.zero())
+    for n, ((neg, pos), (p, q)) in enumerate(zip(rows, hoffman_pq(n_max)), start=1):
+        add = _packed_adder(n + 3)
+        pos_sum = _running_sums(0, pos, add)[-1]
+        neg_sum = _running_sums(0, neg, add)[-1]
         tq = q.shifted(1)
-        reports.append(IdentityReport(row.n, tq == pos_sum, p - tq == neg_sum))
+        reports.append(IdentityReport(n, _pack(tq) == pos_sum, _pack(p - tq) == neg_sum))
     return reports

@@ -169,6 +169,22 @@ class TestMap:
         assert len(rows) == 3
         assert all({"source", "target", "index"} <= set(r) for r in rows)
 
+    @pytest.mark.parametrize("bijection", ["cud-b", "cud-d", "vs-b", "vs-d"])
+    def test_kernel_rows_are_the_checked_map(self, capsys, bijection):
+        from arnold import bijections, families, trees
+
+        phi = getattr(bijections, "phi_" + bijection.replace("-", "_"))
+        for n in range(1, 5):
+            code, out = run(capsys, "map", "--bijection", bijection, "--n", str(n))
+            assert code == 0
+            want = []
+            for m in families.enumerate_family(bijection, n):
+                t = phi(m)
+                want.append(
+                    {"source": m.to_json(), "target": trees.to_json(t), "index": trees.classify(t).rightmost_label}
+                )
+            assert jsonl(out) == want
+
     def test_flip_pairs(self, capsys):
         code, out = run(capsys, "map", "--bijection", "flip", "--n", "2")
         assert code == 0

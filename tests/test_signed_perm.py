@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arnold.families import enumerate_family, windows
+from arnold.families import enumerate_family, is_canonical, windows
 from arnold.signed_perm import (
     AbsValueOutOfRangeError,
     Cycle,
@@ -130,6 +130,59 @@ class TestCycleForm:
         for n in range(1, 5):
             for cf in enumerate_family("cud-d", n):
                 assert cf.n == len(window_of(cf).window) == n
+
+
+def _form(*cycles):
+    """Cycles as tuples of entries; a list is a bracket cycle."""
+    return CycleForm(tuple(Cycle(tuple(c), bracket=isinstance(c, list)) for c in cycles))
+
+
+class TestWindowOfRefusals:
+    @pytest.mark.parametrize(
+        "form",
+        [
+            _form((1, 3)),  # a label above n
+            _form((1,), (-3,)),
+            _form((0,)),
+            _form((0, 1)),
+            _form((1, 1)),  # a label twice in a plain cycle
+            _form((2, -2)),
+            _form((1,), (1,)),  # a label in two cycles
+            _form((1, 2), (1, 2)),
+            _form([1, 1, -1, -1]),
+        ],
+        ids=str,
+    )
+    def test_labels_not_one_to_n_each_once(self, form):
+        with pytest.raises(ValueError) as caught:
+            window_of(form)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == f"labels of {form} are not 1..{form.n}, each in one cycle once"
+        assert not is_canonical(form)
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            _form((1,), [2, -3]),  # holds neither -2 nor 3
+            _form([2, -2, 2, -2]),
+            _form([1, 2, -2, -1]),  # both k and -k, but not as a negated half
+            _form([1, -2, 3]),
+        ],
+        ids=str,
+    )
+    def test_bracket_cycle_not_closed_by_negation(self, form):
+        with pytest.raises(ValueError) as caught:
+            window_of(form)
+        bracket = next(c for c in form.cycles if c.bracket)
+        assert str(caught.value) == f"bracket cycle {bracket} is not labels followed by their negatives"
+        assert not is_canonical(form)
+
+    def test_forms_that_are_not_canonical_still_have_a_window(self):
+        # leaders out of order, or a cycle not read from its least entry
+        assert window_of(_form((2,), (1,))).window == (1, 2)
+        assert window_of(_form((2, 1))).window == (2, 1)
+        assert window_of(_form([2, -1, -2, 1])).window == (2, -1)
+        assert window_of(_form()).window == ()
 
 
 class TestValleysPeaks:

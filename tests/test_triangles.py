@@ -1,10 +1,18 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from arnold.laurent import LaurentPoly
+from arnold import triangles
+from arnold.laurent import INT64_MAX, INT64_MIN, LaurentPoly
 from arnold.triangles import (
+    _DIGIT,
     IdentityReport,
+    _pack,
+    _packed_adder,
+    _running_sums,
+    _unpack,
     arnold_hoffman,
     arnold_numbers,
     check_hoffman_identities,
@@ -217,17 +225,142 @@ class TestAgainstConstructorRebuild:
             _assert_same_poly(q, want_q)
 
     def test_hoffman_identities_to_nineteen(self):
-        want = []
-        for n, (row, (p, q)) in enumerate(
-            zip(_arnold_hoffman_reference(19), _hoffman_pq_reference(19)), start=1
-        ):
-            tq = _ref_shift(q, 1)
-            pos_sum = _ref_sum(*(row[k] for k in range(1, n + 1)))
-            neg_sum = _ref_sum(*(row[-k] for k in range(1, n + 1)))
-            p_minus_tq = _ref_sum(p, LaurentPoly({e: -c for e, c in tq.items()}))
-            want.append(IdentityReport(n, tq == pos_sum, p_minus_tq == neg_sum))
+        want = _reference_reports(19, _hoffman_pq_reference(19))
         assert check_hoffman_identities(19) == want
         assert all(r.ok for r in want)
+
+
+def _reference_reports(n_max, pairs):
+    """IdentityReports from the reference rows and the given (P_n, Q_n)."""
+    want = []
+    for n, (row, (p, q)) in enumerate(zip(_arnold_hoffman_reference(n_max), pairs), start=1):
+        tq = _ref_shift(q, 1)
+        pos_sum = _ref_sum(*(row[k] for k in range(1, n + 1)))
+        neg_sum = _ref_sum(*(row[-k] for k in range(1, n + 1)))
+        p_minus_tq = _ref_sum(p, LaurentPoly({e: -c for e, c in tq.items()}))
+        want.append(IdentityReport(n, tq == pos_sum, p_minus_tq == neg_sum))
+    return want
+
+
+class TestPerturbedIdentities:
+    """The packed comparison must see a change of one coefficient of P_n
+    or Q_n, whichever way it moves a digit of P_n - t*Q_n."""
+
+    @pytest.mark.parametrize(
+        "side, bump, want",
+        [
+            # P_4 = 16t + 40t^3 + 24t^5 and Q_4 = 5 + 28t^2 + 24t^4
+            ("p", {1: 1}, (True, False)),
+            ("p", {0: 1}, (True, False)),  # an exponent P_4 lacks
+            ("p", {4: -1}, (True, False)),  # P_4 - t*Q_4 gets a negative digit
+            ("q", {1: 1}, (False, False)),  # and here
+            ("q", {4: -1}, (False, False)),
+        ],
+    )
+    def test_a_perturbed_side_is_reported(self, monkeypatch, side, bump, want):
+        true_pq = hoffman_pq
+
+        def perturbed(n_max):
+            pairs = true_pq(n_max)
+            p, q = pairs[3]
+            delta = LaurentPoly(bump)
+            pairs[3] = (p + delta, q) if side == "p" else (p, q + delta)
+            return pairs
+
+        monkeypatch.setattr(triangles, "hoffman_pq", perturbed)
+        reports = check_hoffman_identities(6)
+        assert (reports[3].q_side_ok, reports[3].p_side_ok) == want
+        assert all(r.ok for i, r in enumerate(reports) if i != 3)
+        assert reports == _reference_reports(6, perturbed(6))
+
+
+    def test_row_sums_are_range_checked(self, monkeypatch):
+        # with P_20 and Q_20 out of the way, the positive row sum of row 20
+        # is the first to leave the 64-bit range
+        monkeypatch.setattr(triangles, "hoffman_pq", lambda n: [(LaurentPoly(), LaurentPoly())] * n)
+        with pytest.raises(OverflowError) as exc:
+            check_hoffman_identities(20)
+        assert str(exc.value) == "coefficient 12419336669515776000 exceeds 64-bit range"
+
+
+# Packed polynomials.  Entries of the triangle have nonnegative
+# coefficients; P_n - t*Q_n may have digits of either sign.
+
+_EXPONENTS = st.integers(-1, 24)
+_NONNEG = st.sampled_from([0, 1, INT64_MAX]) | st.integers(0, INT64_MAX)
+_NONNEG_POLYS = st.dictionaries(_EXPONENTS, _NONNEG, max_size=8).map(LaurentPoly)
+
+
+class TestPacked:
+    @given(_NONNEG_POLYS)
+    def test_unpack_inverts_pack(self, poly):
+        got = _unpack(_pack(poly))
+        _assert_same_poly(got, poly)
+        assert list(got.to_json_map()) == [str(e) for e in poly.exponents()]
+        assert list(got._coeffs) == sorted(poly.exponents(), reverse=True)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [{}, {-1: 1}, {-1: INT64_MAX}, {-1: INT64_MAX, 0: INT64_MAX, 24: INT64_MAX}, {0: 1, 2: 0}],
+    )
+    def test_edge_coefficients_round_trip(self, coeffs):
+        poly = LaurentPoly(coeffs)
+        _assert_same_poly(_unpack(_pack(poly)), poly)
+
+    def test_row_n_fills_slots_one_to_n_plus_two(self):
+        # the range check of row n covers slots 0..n+2
+        for n, (neg, pos) in enumerate(triangles._packed_hoffman(20), start=1):
+            assert max(v.bit_length() for v in neg + pos) > 64 * (n + 2)
+            assert all(v.bit_length() <= 64 * (n + 3) and v & _DIGIT == 0 for v in neg + pos)
+
+    def test_the_t_minus_one_slot_is_the_lowest(self):
+        assert _pack(LaurentPoly({-1: 5, 0: 7})) == 5 + (7 << 64)
+        assert _pack(LaurentPoly({0: 1})) >> 64 == _pack(LaurentPoly({-1: 1}))
+
+    def test_adder_names_the_highest_overflowing_coefficient(self):
+        add = _packed_adder(4)
+        assert add(_pack(LaurentPoly({2: INT64_MAX})), _pack(LaurentPoly({-1: 1}))) == _pack(
+            LaurentPoly({-1: 1, 2: INT64_MAX})
+        )
+        a = _pack(LaurentPoly({0: INT64_MAX, 1: 5, 2: INT64_MAX}))
+        b = _pack(LaurentPoly({0: 2, 1: 5, 2: 1}))
+        with pytest.raises(OverflowError) as exc:
+            add(a, b)
+        assert str(exc.value) == f"coefficient {INT64_MAX + 1} exceeds 64-bit range"
+        with pytest.raises(OverflowError) as exc:
+            add(_pack(LaurentPoly({-1: INT64_MAX})), _pack(LaurentPoly({-1: INT64_MAX})))
+        assert str(exc.value) == f"coefficient {2 * INT64_MAX} exceeds 64-bit range"
+
+    @given(
+        st.lists(_NONNEG_POLYS, min_size=1, max_size=4),
+        _NONNEG_POLYS,
+        _NONNEG_POLYS,
+        st.sampled_from([None, 1, -1]),
+        _EXPONENTS,
+        st.booleans(),
+    )
+    def test_packed_p_minus_tq_comparison_is_laurent_equality(
+        self, entries, tq, other, sign, e, related
+    ):
+        """P - t*Q packed, against the packed running sum of nonnegative
+        entries, as `check_hoffman_identities` compares them.  P is t*Q plus
+        the sum, one digit up or down, or unrelated, so that P - t*Q has
+        digits of both signs."""
+        entries = [_divided(v, 8) for v in entries]
+        tq = _divided(tq, 2)
+        total = sum(entries, LaurentPoly.zero())
+        p = total + tq if related else _divided(other, 2)
+        if sign is not None:
+            p = p + LaurentPoly({e: sign})
+        diff = p - tq
+        packed_sum = _running_sums(0, map(_pack, entries), _packed_adder(26))[-1]
+        assert (_pack(diff) == packed_sum) is (diff == total)
+        if related and sign is None:
+            assert diff == total
+
+
+def _divided(poly, d):
+    return LaurentPoly({e: c // d for e, c in poly.items()})
 
 
 def test_overflow_refuses_large_rows():
