@@ -298,12 +298,23 @@ def unsigned_flip_classes(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(out)
 
 
-def _window_getters(unsigned: tuple[tuple[int, ...], ...]) -> tuple[Callable, ...]:
-    """One getter per permutation u, mapping signs to (signs[u_1 - 1], ...).
-    An itemgetter of one index returns a scalar, so size 1 keeps signs."""
-    if len(unsigned[0]) == 1:
-        return (tuple,)
-    return tuple(itemgetter(*(a - 1 for a in u)) for u in unsigned)
+def _member_windows(unsigned: tuple[tuple[int, ...], ...]) -> Callable:
+    """signs -> the sorted signed windows of one unsigned class.  The first
+    call builds one itemgetter per permutation u, mapping signs to
+    (signs[u_1 - 1], ...); an itemgetter of one index returns a scalar, so
+    size 1 keeps signs.  Classes whose members are never read build none."""
+    getters: tuple[Callable, ...] = ()
+
+    def members(signs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        nonlocal getters
+        if not getters:
+            if len(unsigned[0]) == 1:
+                getters = (tuple,)
+            else:
+                getters = tuple(itemgetter(*(a - 1 for a in u)) for u in unsigned)
+        return _signed_members(getters, signs)
+
+    return members
 
 
 def _signed_members(getters: tuple[Callable, ...], signs: tuple[int, ...]):
@@ -320,7 +331,7 @@ def flip_classes(n: int) -> tuple[FlipClass, ...]:
     (zero-padded peaks).  The harness checks both on every member."""
     classes = []
     for unsigned in unsigned_flip_classes(n):
-        getters = _window_getters(unsigned)
+        windows_of = _member_windows(unsigned)
         code = split_code(unsigned[0])
         pairs = [(0, 0), *zip(code[::2], code[1::2])]
         kids = [sorted(filter(None, pair)) for pair in pairs]
@@ -334,7 +345,7 @@ def flip_classes(n: int) -> tuple[FlipClass, ...]:
             while kids[node] and (signs[node - 1] < 0 or len(kids[node]) == 2):
                 node = kids[node][-1] if signs[node - 1] > 0 else kids[node][0]
             spk = sum(signs[v - 1] < 0 for v in leaves)
-            members = partial(_signed_members, getters, signs)
+            members = partial(windows_of, signs)
             classes.append(FlipClass(best[1], members, signs[node - 1], spk))
     classes.sort(key=lambda c: c.canon)
     return tuple(classes)
