@@ -18,13 +18,13 @@ Each map is computed as a flat code (see `trees`): a tuple where
 code[2v-2] and code[2v-1] are the left and right child labels of label v,
 0 is an empty leaf and (-1, -1) a labelled leaf.  The window and flip
 routes start from `trees.split_code`, the cycle route from
-`trees.block_code`; the sign rules then rewrite slot pairs in place.  The
-tree-valued maps return `trees.tree_of` of that code.
+`trees.block_code`; the sign rules then rewrite slot pairs in place.
+Every map returns its code.
 
-Each cycle and valley map is one checked tree map and one unchecked code
-builder.  `phi_*` runs the literal membership test of its family (for a
-cycle form, also that it is canonical), raises NotInFamilyError on a
-non-member, and otherwise returns the tree of its kernel `phi_*_kernel`,
+Each cycle and valley map is one checked map and one unchecked kernel.
+`phi_*` runs the literal membership test of its family (for a cycle
+form, also that it is canonical), raises NotInFamilyError on a
+non-member, and otherwise returns the code of its kernel `phi_*_kernel`,
 which tests nothing.  The harness calls the kernels on generated members,
 which the tests hold equal to the literal filters.
 """
@@ -39,7 +39,7 @@ from .signed_perm import (
     peaks,  # not called here: perfbench/layers.py times it as bijections.peaks
     valleys,  # likewise, as bijections.valleys
 )
-from .trees import Node, block_code, split_code, tree_of
+from .trees import block_code, split_code
 
 
 class MalformedSequenceError(ValueError):
@@ -75,8 +75,9 @@ def _orient_cycle(code: list[int], entries: Sequence[int]) -> None:
             code[i] = code[i + 1] = -1
 
 
-def algo2(cycle: Sequence[int]) -> Node:
-    """Orient the non-plane tree of a signed up-down cycle.
+def algo2(cycle: Sequence[int]) -> tuple[int, ...]:
+    """Code of the oriented non-plane tree of a signed up-down cycle, of
+    length 2*max over the absolute values.
 
     Negative entries pull their labelled child (or the smaller of two) to
     the right and drop empty-leaf pairs; positive entries do the mirror
@@ -90,7 +91,7 @@ def algo2(cycle: Sequence[int]) -> Node:
         raise MalformedCycleError("entries must have distinct absolute values")
     code = [0] * (2 * max(values))
     _orient_cycle(code, entries)
-    return tree_of(code, min(values))
+    return tuple(code)
 
 
 def _chain_code(cycles: list[Sequence[int]]) -> tuple[int, ...]:
@@ -118,36 +119,32 @@ def phi_cud_d_kernel(cf: CycleForm) -> tuple[int, ...]:
     return _chain_code(cycles + [(-cf.cycles[-1].leader,)])
 
 
-def phi_cud_b(cf: CycleForm) -> Node:
+def phi_cud_b(cf: CycleForm) -> tuple[int, ...]:
     """Tree image of a type-B cycle-up-down member; the rightmost leaf is
     empty and the rightmost label is the last cycle's leader."""
     if not (is_cud_b(cf) and is_canonical(cf)):
         raise NotInFamilyError("not a type-B cycle-up-down cycle form")
-    return tree_of(phi_cud_b_kernel(cf))
+    return phi_cud_b_kernel(cf)
 
 
-def phi_cud_d(cf: CycleForm) -> Node:
+def phi_cud_d(cf: CycleForm) -> tuple[int, ...]:
     """Tree image of a type-D cycle-up-down member; the final (k,-k) cycle
     becomes a labelled leaf, so the rightmost leaf is labelled k."""
     if not (is_cud_d(cf) and is_canonical(cf)):
         raise NotInFamilyError("not a type-D cycle-up-down cycle form")
-    return tree_of(phi_cud_d_kernel(cf))
+    return phi_cud_d_kernel(cf)
 
 
-def algo3_code(seq: Sequence[int]) -> list[int]:
-    """Flat code of `algo3`, as a list the valley maps edit in place."""
-    code = split_code(seq)
-    code[::2], code[1::2] = code[1::2], code[::2]
-    return code
-
-
-def algo3(seq: Sequence[int]) -> Node:
-    """Min-split tree of a sequence of distinct positive integers, with the
-    left factor becoming the right subtree; all leaves are empty."""
+def algo3(seq: Sequence[int]) -> list[int]:
+    """Code of the min-split tree of a sequence of distinct positive
+    integers, with the left factor becoming the right subtree; all leaves
+    are empty.  It is a list, which the valley maps edit in place."""
     s = tuple(seq)
     if not s:
         raise MalformedSequenceError("empty sequence")
-    return tree_of(algo3_code(s), min(s))
+    code = split_code(s)
+    code[::2], code[1::2] = code[1::2], code[::2]
+    return code
 
 
 def _make_leaf(code: list[int], label: int) -> None:
@@ -182,7 +179,7 @@ def _paired_peaks(w: tuple[int, ...], start: int) -> list[int]:
 
 def phi_vs_b_kernel(p: SignedPerm) -> tuple[int, ...]:
     """Flat code of `phi_vs_b` for a type-B valley member, untested."""
-    code = algo3_code(p.abs_window())
+    code = algo3(p.abs_window())
     for peak_value in _paired_peaks(p.window, start=1):
         _make_leaf(code, peak_value)
     return tuple(code)
@@ -190,32 +187,32 @@ def phi_vs_b_kernel(p: SignedPerm) -> tuple[int, ...]:
 
 def phi_vs_d_kernel(p: SignedPerm) -> tuple[int, ...]:
     """Flat code of `phi_vs_d` for a type-D valley member, untested."""
-    code = algo3_code(p.abs_window())
+    code = algo3(p.abs_window())
     _make_leaf(code, abs(p.window[0]))
     for peak_value in _paired_peaks(p.window, start=2):
         _make_leaf(code, peak_value)
     return tuple(code)
 
 
-def phi_vs_b(p: SignedPerm) -> Node:
+def phi_vs_b(p: SignedPerm) -> tuple[int, ...]:
     """Tree image of a type-B valley member: min-split tree of the absolute
     window, then empty-leaf removal at the peak paired with each negated
     valley successor."""
     if not is_vs_b(p.window):
         raise NotInFamilyError("not a type-B valley signed permutation")
-    return tree_of(phi_vs_b_kernel(p))
+    return phi_vs_b_kernel(p)
 
 
-def phi_vs_d(p: SignedPerm) -> Node:
+def phi_vs_d(p: SignedPerm) -> tuple[int, ...]:
     """Type-D variant: additionally turn the node of |first entry| into a
     labelled leaf, which makes the rightmost leaf labelled."""
     if not is_vs_d(p.window):
         raise NotInFamilyError("not a type-D valley signed permutation")
-    return tree_of(phi_vs_d_kernel(p))
+    return phi_vs_d_kernel(p)
 
 
 def orient_flip_code(split: Sequence[int], window: Sequence[int]) -> tuple[int, ...]:
-    """`tau_flip_code` of a window from `split`, the `trees.split_code` of
+    """`tau_flip` of a window from `split`, the `trees.split_code` of
     |window|.  Each child is the minimum of its side, so a node orients its
     children by comparing labels, an empty side counting as +infinity: a
     positive pivot puts the smaller on the left, a negative one on the
@@ -237,17 +234,13 @@ def orient_flip_code(split: Sequence[int], window: Sequence[int]) -> tuple[int, 
     return tuple(code)
 
 
-def tau_flip_code(window: Sequence[int]) -> tuple[int, ...]:
-    """Flat code of `tau_flip` for a signed window (see `orient_flip_code`)."""
-    return orient_flip_code(split_code([abs(x) for x in window]), window)
+def tau_flip(p: SignedPerm) -> tuple[int, ...]:
+    """Code of the min-split tree of a signed window, oriented by pivot
+    sign and the side minima (see `orient_flip_code`); constant on flip
+    equivalence classes."""
+    return orient_flip_code(split_code(p.abs_window()), p.window)
 
 
-def tau_flip(p: SignedPerm) -> Node:
-    """Min-split tree of a signed window, oriented by pivot sign and the
-    side minima; constant on flip equivalence classes."""
-    return tree_of(tau_flip_code(p.window))
-
-
-def phi_f(cls: FlipClass) -> Node:
+def phi_f(cls: FlipClass) -> tuple[int, ...]:
     """Tree of a flip class, computed from its canonical member."""
-    return tree_of(tau_flip_code(cls.canon))
+    return tau_flip(SignedPerm(cls.canon))

@@ -53,10 +53,10 @@ def _member_rows(family: str, n: int, index: int | None, with_stats: bool):
         tr.check_size(n)
         yield ["tree", "index", "emp"]
         kind = "o" if family == "trees-o" else "*"
-        for t in tr.gen_trees(n):
-            c = tr.classify(t)
+        for code in tr.gen_trees(n):
+            c = tr.classify(code)
             if c.kind == kind and index in (None, c.rightmost_label):
-                yield {"tree": tr.to_json(t), "index": c.rightmost_label, "emp": c.emp}
+                yield {"tree": tr.to_json(code), "index": c.rightmost_label, "emp": c.emp}
         return
     if index is None:
         members = fam.enumerate_family(family, n)
@@ -107,8 +107,8 @@ _KERNELS = {
 
 
 def _map_triples(bijection: str, n: int):
-    """Yield (source, tree, index) per source; a flip class's index is |smax|.
-    Generated members go through the kernels, as in the harness."""
+    """Yield (source, tree code, index) per source; a flip class's index is
+    |smax|.  Generated members go through the kernels, as in the harness."""
     if bijection == "flip":
         for side in ("fl-b", "fl-d"):
             for cls in fam.enumerate_family(side, n):
@@ -116,12 +116,12 @@ def _map_triples(bijection: str, n: int):
         return
     for m in fam.enumerate_family(bijection, n):
         code = _KERNELS[bijection](m)
-        yield m, tr.tree_of(code), tr.classify_code(code).rightmost_label
+        yield m, code, tr.classify(code).rightmost_label
 
 
 def _cmd_map(args) -> int:
-    for source, t, index in _map_triples(args.bijection, args.n):
-        print(json.dumps({"source": source.to_json(), "target": tr.to_json(t), "index": index}))
+    for source, code, index in _map_triples(args.bijection, args.n):
+        print(json.dumps({"source": source.to_json(), "target": tr.to_json(code), "index": index}))
     return 0
 
 

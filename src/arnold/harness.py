@@ -14,9 +14,10 @@ tree/npk exponent identity holds at each size).  `verify_all` reports a
 check that raises with status "error", so one crash does not hide the
 other results.
 
-No check builds a `trees.Node`.  The tree side of `thm-trees` and of the
-bijection checks is counted by `_tree_distribution` over the increasing
-plane trees, and the maps write flat codes.  The cycle and valley maps
+The tree side of `thm-trees` and of the bijection checks is counted by
+`_tree_distribution` over the increasing plane trees, not generated; the
+maps write flat codes (see `trees`), which the checks read through
+`trees.classify` and `trees.rightmost_path`.  The cycle and valley maps
 and steps run as their unguarded kernels (`bijections.phi_*_kernel`,
 `families.psi_*_kernel`), since every member they get comes from the
 family generators, which the tests hold equal to the literal filters.
@@ -110,13 +111,21 @@ def _load_golden(name: str, golden_dir: str | None):
     return json.loads(resources.files("arnold.golden").joinpath(name).read_text())
 
 
-def _load_table(name: str, key: str, n_max: int, golden_dir: str | None):
-    """A stored table that covers n = 1..n_max; a shorter one is refused,
-    so that a check never reports a range it did not compare."""
+# the per-n lists of each stored table
+_TABLE_LISTS = {"table1.json": ("rows", "springer_b", "springer_d"), "table2.json": ("rows",)}
+
+
+def _load_table(name: str, n_max: int, golden_dir: str | None) -> dict:
+    """A stored table whose every per-n list covers n = 1..n_max; a table
+    with a list missing or shorter is refused, so that a check never
+    crashes on it or reports a range it did not compare."""
     golden = _load_golden(name, golden_dir)
-    stored = len(golden[key])
-    if n_max > stored:
-        raise ValueError(f"{name} stores {stored} rows, fewer than n_max={n_max}")
+    for key in _TABLE_LISTS[name]:
+        stored = golden.get(key) if isinstance(golden, dict) else None
+        if not isinstance(stored, list):
+            raise ValueError(f"{name} has no list {key!r}")
+        if n_max > len(stored):
+            raise ValueError(f"{name} stores {len(stored)} {key}, fewer than n_max={n_max}")
     return golden
 
 
@@ -141,7 +150,7 @@ def _poly_of_counts(stat_counts: dict[int, int], n: int) -> LaurentPoly:
 
 @check("table-arnold", "numeric double triangle matches the stored table", 5, capped=False)
 def check_table_arnold(n_max: int, golden_dir: str | None = None) -> list[str]:
-    golden = _load_table("table1.json", "rows", n_max, golden_dir)
+    golden = _load_table("table1.json", n_max, golden_dir)
     details = []
     for row, grow in zip(arnold_numbers(n_max), golden["rows"]):
         if list(row.neg) != grow["neg"] or list(row.pos) != grow["pos"]:
@@ -155,7 +164,7 @@ def check_table_arnold(n_max: int, golden_dir: str | None = None) -> list[str]:
 
 @check("table-polys", "polynomial double triangle matches the stored table", 5, capped=False)
 def check_table_polys(n_max: int, golden_dir: str | None = None) -> list[str]:
-    golden = _load_table("table2.json", "rows", n_max, golden_dir)
+    golden = _load_table("table2.json", n_max, golden_dir)
     details = []
     for row, grow in zip(arnold_hoffman(n_max), golden["rows"]):
         want_neg = [LaurentPoly.from_json_map(m) for m in grow["neg"]]
@@ -179,7 +188,7 @@ def check_poly_at_1(n_max: int, golden_dir: str | None = None) -> list[str]:
 
 @check("row-sums-springer", "row sums give the Springer numbers", 5, capped=False)
 def check_row_sums_springer(n_max: int, golden_dir: str | None = None) -> list[str]:
-    golden = _load_table("table1.json", "springer_b", n_max, golden_dir)
+    golden = _load_table("table1.json", n_max, golden_dir)
     details = []
     for row in arnold_numbers(n_max):
         if sum(row.pos) != golden["springer_b"][row.n - 1]:
@@ -346,10 +355,10 @@ def _check_bijection_into_trees(
             index = fam.family_index(family, m)
             by_index[index] += 1
             code = code_map(m)
-            if not tr.is_tree_code(code, n):
+            if not tr.is_complete_increasing(code, n):
                 details.append(f"{family} n={n}: invalid image tree for {m}")
                 continue
-            c = tr.classify_code(code)
+            c = tr.classify(code)
             if c.kind != kind or c.rightmost_label != index:
                 details.append(
                     f"{family} n={n}: {m} lands at ({c.kind},{c.rightmost_label}), "
@@ -401,10 +410,10 @@ def check_bij_fl(n_max: int, golden_dir: str | None = None) -> list[str]:
                 details.append(f"fl n={n}: members of {cls.canon} map to different trees")
                 continue
             code = member_codes.pop()
-            if not tr.is_tree_code(code, n):
+            if not tr.is_complete_increasing(code, n):
                 details.append(f"fl n={n}: invalid image tree for class {cls.canon}")
                 continue
-            c = tr.classify_code(code)
+            c = tr.classify(code)
             want_kind = "o" if cls.smax > 0 else "*"
             if c.kind != want_kind or c.rightmost_label != abs(cls.smax):
                 details.append(
@@ -427,7 +436,7 @@ def check_cor_rightmost_cycle_min(n_max: int, golden_dir: str | None = None) -> 
         for family, code_map in (("cud-b", bij.phi_cud_b_kernel), ("cud-d", bij.phi_cud_d_kernel)):
             for cf in fam.enumerate_family(family, n):
                 want = frozenset(c.leader for c in cf.cycles)
-                got = tr.path_labels(code_map(cf))
+                got = tr.rightmost_path(code_map(cf))
                 if got != want:
                     details.append(f"{family} n={n}: {cf} path labels {sorted(got)}")
     return details
@@ -440,7 +449,7 @@ def check_cor_rightmost_ltr_min(n_max: int, golden_dir: str | None = None) -> li
         for family, code_map in (("vs-b", bij.phi_vs_b_kernel), ("vs-d", bij.phi_vs_d_kernel)):
             for p in fam.enumerate_family(family, n):
                 want = left_to_right_minima(p.abs_window())
-                got = tr.path_labels(code_map(p))
+                got = tr.rightmost_path(code_map(p))
                 if got != want:
                     details.append(f"{family} n={n}: {p} path labels {sorted(got)}")
     return details
@@ -451,7 +460,7 @@ def check_lemma_emp_spk(n_max: int, golden_dir: str | None = None) -> list[str]:
     details = []
     for n in range(1, n_max + 1):
         for cls in fam.flip_classes(n):
-            emp = bij.tau_flip_code(cls.canon).count(0)
+            emp = tr.count_empty(bij.phi_f(cls))
             if emp != n - 2 * cls.spk + 1:
                 details.append(f"n={n}: class {cls.canon} has emp {emp}, spk {cls.spk}")
     return details
@@ -463,7 +472,7 @@ def check_lemma_peak_leaf(n_max: int, golden_dir: str | None = None) -> list[str
     for n in range(1, n_max + 1):
         labels = range(1, n + 1)
         for p in permutations(labels):
-            code = bij.algo3_code(p)
+            code = bij.algo3(p)
             found = {v for v in labels if not (code[2 * v - 2] or code[2 * v - 1])}
             if found - {p[0]} != set(peak_values(p)):
                 details.append(f"n={n} perm {p}: double-empty labels {sorted(found)}")

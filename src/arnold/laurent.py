@@ -1,8 +1,10 @@
 """Exact integer Laurent polynomials in one variable t.
 
-Coefficients are signed 64-bit integers.  The constructor range-checks its
-input, each operation only the coefficients it computes, and the product
-and evaluation each term but no running sum, raising OverflowError.
+Coefficients are signed 64-bit integers.  The constructor refuses an
+exponent or coefficient that is not an int with ValueError, so nothing is
+truncated.  It range-checks its input, each operation only the
+coefficients it computes, and the product and evaluation each term but no
+running sum, raising OverflowError.
 Negative exponents are allowed so that t^-1 scaling used by the triangle
 recurrences needs no special casing.
 """
@@ -37,8 +39,10 @@ class LaurentPoly:
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         clean = {}
         for exp, c in (coeffs or {}).items():
-            if c != 0:
-                clean[int(exp)] = _checked(int(c))
+            if type(exp) is not int or type(c) is not int:
+                raise ValueError(f"term {exp!r}: {c!r} needs an int exponent and an int coefficient")
+            if c:
+                clean[exp] = _checked(c)
         self._coeffs = clean
 
     @classmethod

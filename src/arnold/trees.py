@@ -1,19 +1,21 @@
-"""Complete increasing binary plane trees with empty leaves, and the
-min-split walks that write them as flat codes.
+"""Complete increasing binary plane trees with empty leaves, written as
+flat codes, and the min-split walks that build them.
 
 A tree of size n uses labels exactly 1..n, labels increase away from the
 root, and every node has either no children (a labelled leaf) or exactly
 two child slots, each holding a subtree or an empty leaf.
 
-The tree maps build a tree as a flat code: a tuple of length 2n in which
-code[2v-2] and code[2v-1] hold the labels of the left and right children
-of label v, 0 for an empty leaf, and a labelled leaf reads (-1, -1).  A
-code hashes and compares as a plain tuple; `tree_of` turns it into
-`Node`s.  For a label set other than 1..n the code has length 2*max and
-the slots of absent labels stay 0.  Two min-split walks write codes:
-`split_code`, the plain min-split (Cartesian tree) in one stack pass, and
-`block_code`, the min-split with the per-block complement rule, one
-`split_block` step per block.
+Every tree in the package is a flat code: a sequence of length 2n in
+which code[2v-2] and code[2v-1] hold the labels of the left and right
+children of label v, 0 for an empty leaf, and a labelled leaf reads
+(-1, -1).  As a tuple a code hashes and compares like any other.  For a
+label set other than 1..n the code has length 2*max and the slots of
+absent labels stay 0; the functions that read a whole tree (`classify`,
+`count_empty`, `rightmost_path`, `is_complete_increasing`, `to_json`)
+take a tree on labels 1..n, rooted at 1.  Two min-split walks write
+codes: `split_code`, the plain min-split (Cartesian tree) in one stack
+pass, and `block_code`, the min-split with the per-block complement rule,
+one `split_block` step per block.
 
 `check_size` is the one size cap of the package: every enumeration, and
 `harness.verify` for every check that enumerates, refuses a size above
@@ -33,73 +35,60 @@ class SizeCapExceededError(ValueError):
 
 def check_size(n: int) -> None:
     """Refuse a size below 1 or above the cap `ARNOLD_MAX_N` (default 8),
-    read at call time."""
+    read at call time; a cap that is not a positive integer is refused
+    too."""
     if n < 1:
         raise SizeCapExceededError("n must be at least 1")
-    cap = int(os.environ.get("ARNOLD_MAX_N") or 8)
+    raw = os.environ.get("ARNOLD_MAX_N") or "8"
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise SizeCapExceededError(f"ARNOLD_MAX_N={raw!r} is not a positive integer")
     if n > cap:
         raise SizeCapExceededError(f"n={n} exceeds the configured cap {cap}")
 
 
-class _EmptyLeaf:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "EMPTY"
-
-
-EMPTY = _EmptyLeaf()
-
-
-@dataclass(frozen=True)
-class Node:
-    label: int
-    children: tuple[object, object] | None = None  # None means labelled leaf
-
-
-def _gen(labels: tuple[int, ...]) -> Iterator:
+def _fill(code: list[int], labels: tuple[int, ...]) -> Iterator[None]:
+    """Write each tree on the ascending `labels` in turn into their slots
+    of `code`, yielding once per tree; the empty label set is the empty
+    leaf."""
     if not labels:
-        yield EMPTY
+        yield
         return
-    root = labels[0]
-    rest = labels[1:]
+    root, rest = labels[0], labels[1:]
+    i = 2 * root - 2
     if not rest:
-        yield Node(root)
-        yield Node(root, (EMPTY, EMPTY))
+        code[i] = code[i + 1] = -1
+        yield
+        code[i] = code[i + 1] = 0
+        yield
         return
-    m = len(rest)
-    for mask in range(1 << m):
-        left_labels = tuple(rest[i] for i in range(m) if mask >> i & 1)
-        right_labels = tuple(rest[i] for i in range(m) if not mask >> i & 1)
-        for lt in _gen(left_labels):
-            for rt in _gen(right_labels):
-                yield Node(root, (lt, rt))
+    for mask in range(1 << len(rest)):
+        left = tuple(v for k, v in enumerate(rest) if mask >> k & 1)
+        right = tuple(v for k, v in enumerate(rest) if not mask >> k & 1)
+        code[i] = left[0] if left else 0
+        code[i + 1] = right[0] if right else 0
+        for _ in _fill(code, left):
+            yield from _fill(code, right)
 
 
-def gen_trees(n: int) -> Iterator[Node]:
-    """All complete increasing binary trees on labels 1..n, each once.
+def gen_trees(n: int) -> Iterator[tuple[int, ...]]:
+    """The codes of all complete increasing binary trees on labels 1..n,
+    each once.
 
-    Deterministic order: left-subtree label subsets by ascending bitmask.
+    Deterministic order: a labelled leaf before a node with two empty
+    leaves, left-subtree label subsets by ascending bitmask over the
+    labels below a node, then left subtrees before right ones.
+
+    >>> list(gen_trees(1))
+    [(-1, -1), (0, 0)]
     """
     check_size(n)
-    yield from _gen(tuple(range(1, n + 1)))
-
-
-def rightmost_path(t: Node) -> list:
-    """Nodes from the root along right children, ending at the rightmost
-    leaf (which may be EMPTY or a labelled leaf)."""
-    path: list = [t]
-    while isinstance(path[-1], Node) and path[-1].children is not None:
-        path.append(path[-1].children[1])
-    return path
-
-
-def count_empty(t) -> int:
-    if t is EMPTY:
-        return 1
-    if t.children is None:
-        return 0
-    return count_empty(t.children[0]) + count_empty(t.children[1])
+    code = [0] * (2 * n)
+    for _ in _fill(code, tuple(range(1, n + 1))):
+        yield tuple(code)
 
 
 @dataclass(frozen=True)
@@ -109,66 +98,61 @@ class TreeClass:
     emp: int
 
 
-def classify(t: Node) -> TreeClass:
+def classify(code: Sequence[int]) -> TreeClass:
     """Kind, rightmost label (deepest labelled node on the rightmost path),
-    and the number of empty leaves."""
-    path = rightmost_path(t)
-    end = path[-1]
-    if end is EMPTY:
-        return TreeClass("o", path[-2].label, count_empty(t))
-    return TreeClass("*", end.label, count_empty(t))
+    and the number of empty leaves of a tree."""
+    v = 1
+    while (right := code[2 * v - 1]) > 0:
+        v = right
+    return TreeClass("o" if right == 0 else "*", v, code.count(0))
 
 
-def labels(t) -> set[int]:
-    if t is EMPTY:
-        return set()
-    out = {t.label}
-    if t.children is not None:
-        out |= labels(t.children[0])
-        out |= labels(t.children[1])
-    return out
+def count_empty(code: Sequence[int]) -> int:
+    """The number of empty leaves of a tree."""
+    return code.count(0)
 
 
-def is_complete_increasing(t: Node, n: int) -> bool:
-    """Structural invariants: label set 1..n, root label 1, labels increase
-    along every path, every node has zero or two children."""
+def rightmost_path(code: Sequence[int]) -> frozenset[int]:
+    """Labels on the path from the root along right children."""
+    out = [1]
+    while (right := code[2 * out[-1] - 1]) > 0:
+        out.append(right)
+    return frozenset(out)
 
-    def walk(s, lower: int) -> bool:
-        if s is EMPTY:
-            return True
-        if not isinstance(s, Node) or s.label <= lower:
+
+def is_complete_increasing(code: Sequence[int], n: int) -> bool:
+    """Whether a code is a complete increasing tree on labels 1..n: slots
+    pair up as two children or (-1, -1), each child label exceeds its
+    parent's, and the child labels are exactly 2..n, so that every label
+    hangs below the root 1."""
+    if len(code) != 2 * n:
+        return False
+    for i, c in enumerate(code):
+        if c < 0 and (c != -1 or code[i ^ 1] != -1):
             return False
-        if s.children is None:
-            return True
-        return walk(s.children[0], s.label) and walk(s.children[1], s.label)
-
-    return labels(t) == set(range(1, n + 1)) and t.label == 1 and walk(t, 0)
+        if 0 < c <= i // 2 + 1:
+            return False
+    return sorted(c for c in code if c > 0) == list(range(2, n + 1))
 
 
-def serialize(t) -> str:
-    """Preorder string form; equality of strings is structural equality."""
-    if t is EMPTY:
-        return "."
-    if t.children is None:
-        return f"{t.label}"
-    return f"{t.label}({serialize(t.children[0])},{serialize(t.children[1])})"
+def to_json(code: Sequence[int], v: int = 1):
+    """The subtree of label v (the whole tree by default) as JSON: an
+    empty leaf is null, a labelled leaf {"label": v}, and a node adds its
+    "left" and "right" subtrees.
 
-
-def to_json(t):
-    """EMPTY -> null, labelled leaf -> {"label": k}, node -> with left/right."""
-    if t is EMPTY:
+    >>> to_json((2, 0, -1, -1))
+    {'label': 1, 'left': {'label': 2}, 'right': None}
+    """
+    if not v:
         return None
-    if t.children is None:
-        return {"label": t.label}
-    return {
-        "label": t.label,
-        "left": to_json(t.children[0]),
-        "right": to_json(t.children[1]),
-    }
+    left, right = code[2 * v - 2], code[2 * v - 1]
+    if left < 0:
+        return {"label": v}
+    return {"label": v, "left": to_json(code, left), "right": to_json(code, right)}
 
 
 # ---------------------------------------------------------------------------
-# flat codes
+# min-split walks
 
 def split_code(values: Sequence[int]) -> list[int]:
     """Code of the min-split tree of distinct positive integers, with the
@@ -243,51 +227,3 @@ def block_code(seq: tuple[int, ...]) -> tuple[int, ...]:
         code[2 * low - 2], code[2 * low - 1] = kids
         blocks += (left, right)
     return tuple(code)
-
-
-def tree_of(code: Sequence[int], root: int = 1):
-    """The tree a flat code describes, from `root` down.
-
-    >>> serialize(tree_of((2, 0, -1, -1)))
-    '1(2,.)'
-    """
-
-    def build(v: int):
-        if not v:
-            return EMPTY
-        left, right = code[2 * v - 2], code[2 * v - 1]
-        if left < 0:
-            return Node(v)
-        return Node(v, (build(left), build(right)))
-
-    return build(root)
-
-
-def classify_code(code: Sequence[int]) -> TreeClass:
-    """`classify` of the tree a code describes (labels 1..n)."""
-    v = 1
-    while (right := code[2 * v - 1]) > 0:
-        v = right
-    return TreeClass("o" if right == 0 else "*", v, code.count(0))
-
-
-def path_labels(code: Sequence[int]) -> frozenset[int]:
-    """Labels on the rightmost path of the tree a code describes."""
-    out = [1]
-    while (right := code[2 * out[-1] - 1]) > 0:
-        out.append(right)
-    return frozenset(out)
-
-
-def is_tree_code(code: Sequence[int], n: int) -> bool:
-    """`is_complete_increasing` for a code: slots pair up as two children
-    or (-1, -1), each child label exceeds its parent's, and the child
-    labels are exactly 2..n, so that every label hangs below the root 1."""
-    if len(code) != 2 * n:
-        return False
-    for i, c in enumerate(code):
-        if c < 0 and (c != -1 or code[i ^ 1] != -1):
-            return False
-        if 0 < c <= i // 2 + 1:
-            return False
-    return sorted(c for c in code if c > 0) == list(range(2, n + 1))

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import shlex
@@ -8,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from arnold import cli
+import tree_reference as ref
+from arnold import cli, families
 from arnold.cli import _grammar, _parse_plain, build_parser, main
+from arnold.signed_perm import SignedPerm
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_SRC = ROOT / "src/arnold/golden"
@@ -152,6 +156,18 @@ class TestEnumerate:
     def test_size_cap_exit_code(self, capsys):
         assert main(["enumerate", "--family", "vs-b", "--n", "12"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--family", "vs-b", "--n", "3"],
+        ["enumerate", "--family", "trees-o", "--n", "3"],
+        ["verify", "--all", "--max-n", "3"],
+    ])
+    def test_malformed_size_cap_is_refused_once(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("ARNOLD_MAX_N", "abc")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ARNOLD_MAX_N='abc' is not a positive integer\n"
+
     @pytest.mark.parametrize("family", ["trees-o", "trees-s", "vs-b"])
     @pytest.mark.parametrize("index", [0, 4])
     def test_index_out_of_range_exit_code(self, capsys, family, index):
@@ -194,6 +210,53 @@ class TestMap:
         assert any(r["source"]["smax"] < 0 for r in rows)
 
 
+class TestTreeOutputMatchesReference:
+    """`enumerate --family trees-*` and `map` print, byte for byte, the rows
+    built from the recursive reference trees of `tree_reference`."""
+
+    @staticmethod
+    def tree_rows(family, n, index):
+        kind = "o" if family == "trees-o" else "*"
+        for t in ref.gen_trees(n):
+            c = ref.classify(t)
+            if c.kind == kind and index in (None, c.rightmost_label):
+                yield {"tree": ref.to_json(t), "index": c.rightmost_label, "emp": c.emp}
+
+    @pytest.mark.parametrize("family", ["trees-o", "trees-s"])
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_tree_families(self, capsys, family, n):
+        for index in (None, *range(1, n + 1)):
+            argv = ["enumerate", "--family", family, "--n", str(n)]
+            argv += [] if index is None else ["--index", str(index)]
+            rows = list(self.tree_rows(family, n, index))
+            assert run(capsys, *argv) == (0, "".join(json.dumps(r) + "\n" for r in rows))
+            table = io.StringIO()
+            writer = csv.writer(table)
+            writer.writerow(["tree", "index", "emp"])
+            writer.writerows([json.dumps(value) for value in r.values()] for r in rows)
+            assert run(capsys, *argv, "--format", "csv", "--with-stats") == (0, table.getvalue())
+
+    @pytest.mark.parametrize("bijection", ["cud-b", "cud-d", "vs-b", "vs-d", "flip"])
+    def test_map(self, capsys, bijection):
+        for n in range(1, 5):
+            if bijection == "flip":
+                sources = [c for side in ("fl-b", "fl-d") for c in families.enumerate_family(side, n)]
+                trees = [ref.tau_flip(SignedPerm(c.canon)) for c in sources]
+            else:
+                sources = families.enumerate_family(bijection, n)
+                tree_map = ref.phi_cud if bijection.startswith("cud") else ref.phi_vs
+                trees = [tree_map(m) for m in sources]
+            want = "".join(
+                json.dumps({
+                    "source": m.to_json(),
+                    "target": ref.to_json(t),
+                    "index": ref.classify(t).rightmost_label,
+                }) + "\n"
+                for m, t in zip(sources, trees)
+            )
+            assert run(capsys, "map", "--bijection", bijection, "--n", str(n)) == (0, want)
+
+
 class TestVerify:
     def test_single_check(self, capsys):
         code, out = run(capsys, "verify", "--check", "knuth-flip-euler", "--max-n", "4")
@@ -228,6 +291,37 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: table1.json stores 5 rows, fewer than n_max=10\n"
+
+    @pytest.mark.parametrize("check_id", ["table-arnold", "row-sums-springer"])
+    @pytest.mark.parametrize(
+        "key, cut, message",
+        [
+            ("springer_d", 3, "table1.json stores 3 springer_d, fewer than n_max=5"),
+            ("springer_b", 4, "table1.json stores 4 springer_b, fewer than n_max=5"),
+            ("springer_d", None, "table1.json has no list 'springer_d'"),
+        ],
+    )
+    def test_short_or_missing_springer_list_is_refused(self, capsys, tmp_path, check_id, key, cut, message):
+        data = json.loads((GOLDEN_SRC / "table1.json").read_text())
+        if cut is None:
+            del data[key]
+        else:
+            del data[key][cut:]
+        (tmp_path / "table1.json").write_text(json.dumps(data))
+        assert main(["verify", "--check", check_id, "--golden-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_non_integer_stored_coefficient_is_refused(self, capsys, tmp_path):
+        data = json.loads((GOLDEN_SRC / "table2.json").read_text())
+        assert data["rows"][1]["pos"][0] == {"3": 1}
+        data["rows"][1]["pos"][0] = {"3": 1.5}  # was truncated to 1, and the check passed
+        (tmp_path / "table2.json").write_text(json.dumps(data))
+        assert main(["verify", "--check", "table-polys", "--golden-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: term 3: 1.5 needs an int exponent and an int coefficient\n"
 
     def test_missing_golden_dir_exit_code(self, capsys, tmp_path):
         missing = tmp_path / "missing"

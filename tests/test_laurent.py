@@ -11,6 +11,22 @@ def test_zero_coefficients_are_dropped():
     assert not LaurentPoly({1: 1}).is_zero
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [{0: 1.5}, {1.7: 2}, {0: 1.0}, {2.0: 1}, {0: True}, {0: "1"}, {"1": 1}],
+)
+def test_terms_that_are_not_ints_are_refused(coeffs):
+    # 1.5 and 1.7 used to be truncated to 1 and t, which an exact table must not allow
+    with pytest.raises(ValueError, match="needs an int exponent and an int coefficient"):
+        LaurentPoly(coeffs)
+
+
+@pytest.mark.parametrize("data", [{"0": 1.5}, {"1": "2"}, {"1.5": 1}])
+def test_json_maps_with_non_int_terms_are_refused(data):
+    with pytest.raises(ValueError):
+        LaurentPoly.from_json_map(data)
+
+
 def test_addition_and_subtraction():
     p = LaurentPoly({1: 1, 3: 1})
     q = LaurentPoly({1: -1, 2: 4})

@@ -5,6 +5,7 @@ renamed or retired function would only show up as a crashed traced run.
 This test reads the same table and fails first.
 """
 import importlib.util
+import inspect
 from pathlib import Path
 
 import arnold
@@ -27,3 +28,11 @@ def test_every_wrapped_name_is_defined_on_its_owner():
         if attr not in vars(layers._owner(arnold, module))
     ]
     assert missing == []
+
+
+def test_generator_targets_are_generator_functions():
+    # wrap_generator calls `next` on what these return, so a list or tuple
+    # would only show up as a crashed traced run
+    for name in (layers.GEN_TREES, layers.WINDOWS):
+        module, attr = name.rsplit(".", 1)
+        assert inspect.isgeneratorfunction(vars(layers._owner(arnold, module))[attr]), name

@@ -35,7 +35,6 @@ from arnold.families import (
 )
 from arnold.harness import check_recstep_vs, verify
 from arnold.signed_perm import Cycle, CycleForm, SignedPerm, cycle_form, from_window
-from arnold.trees import tree_of
 
 
 def cf(*cycles, bracket_last=False):
@@ -231,7 +230,7 @@ class TestKernels:
                 else:
                     m, literal = p, w
                 if is_member(literal):
-                    assert public(m) == tree_of(kernel(m)), w
+                    assert public(m) == kernel(m), w
                 else:
                     with pytest.raises(NotInFamilyError):
                         public(m)

@@ -1,15 +1,14 @@
 import pytest
 
+import tree_reference as ref
 from arnold.trees import (
-    EMPTY,
-    Node,
     SizeCapExceededError,
+    check_size,
     classify,
     count_empty,
     gen_trees,
     is_complete_increasing,
     rightmost_path,
-    serialize,
     to_json,
 )
 from arnold.triangles import arnold_numbers
@@ -38,19 +37,30 @@ def test_generated_trees_are_valid_and_distinct():
         seen = set()
         for t in gen_trees(n):
             assert is_complete_increasing(t, n)
-            seen.add(serialize(t))
+            seen.add(t)
         assert len(seen) == sum(1 for _ in gen_trees(n))
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_generated_codes_are_the_reference_trees_in_order(n):
+    codes = list(gen_trees(n))
+    trees = list(ref.gen_trees(n))
+    assert codes == [ref.code_of(t, n) for t in trees]
+    for code, t in zip(codes, trees):
+        assert to_json(code) == ref.to_json(t)
+        assert classify(code) == ref.classify(t)
+        assert count_empty(code) == ref.count_empty(t)
+        assert rightmost_path(code) == {s.label for s in ref.rightmost_path(t) if s is not ref.EMPTY}
+
+
 def test_rightmost_path_and_classify():
-    c = classify(Node(1))
+    c = classify((-1, -1))  # a labelled leaf
     assert (c.kind, c.rightmost_label, c.emp) == ("*", 1, 0)
-    double = Node(1, (EMPTY, EMPTY))
-    c = classify(double)
+    c = classify((0, 0))  # a node with two empty leaves
     assert (c.kind, c.rightmost_label, c.emp) == ("o", 1, 2)
-    chain = Node(1, (Node(2, (EMPTY, Node(3, (EMPTY, EMPTY)))), EMPTY))
-    path = rightmost_path(chain)
-    assert [getattr(v, "label", None) for v in path] == [1, None]
+    chain = (2, 0, 0, 3, 0, 0)  # 1(2(.,3(.,.)),.)
+    assert ref.serialize(ref.tree_of(chain)) == "1(2(.,3(.,.)),.)"
+    assert rightmost_path(chain) == {1}
     c = classify(chain)
     assert (c.kind, c.rightmost_label) == ("o", 1)
 
@@ -68,20 +78,10 @@ def test_classification_counts_match_triangle_row_three():
 
 def test_leaf_count_identity():
     # empty leaves + labelled leaves = internal nodes + 1
-    def walk(t):
-        if t is EMPTY:
-            return 1, 0, 0
-        if t.children is None:
-            return 0, 1, 0
-        e1, l1, i1 = walk(t.children[0])
-        e2, l2, i2 = walk(t.children[1])
-        return e1 + e2, l1 + l2, i1 + i2 + 1
-
     for n in range(1, 6):
         for t in gen_trees(n):
-            empties, labelled, internal = walk(t)
-            assert empties + labelled == internal + 1
-            assert empties == count_empty(t)
+            labelled = t.count(-1) // 2
+            assert count_empty(t) + labelled == (n - labelled) + 1
 
 
 def test_size_cap(monkeypatch):
@@ -94,8 +94,14 @@ def test_size_cap(monkeypatch):
         next(gen_trees(4))
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5", " "])
+def test_a_cap_that_is_not_a_positive_integer_is_refused(monkeypatch, raw):
+    monkeypatch.setenv("ARNOLD_MAX_N", raw)
+    with pytest.raises(SizeCapExceededError, match=f"^ARNOLD_MAX_N={raw!r} is not a positive integer$"):
+        check_size(1)
+
+
 def test_json_encoding():
-    assert to_json(EMPTY) is None
-    assert to_json(Node(2)) == {"label": 2}
-    t = Node(1, (Node(2), EMPTY))
-    assert to_json(t) == {"label": 1, "left": {"label": 2}, "right": None}
+    assert to_json((2, 0, -1, -1), 0) is None
+    assert to_json((2, 0, -1, -1), 2) == {"label": 2}
+    assert to_json((2, 0, -1, -1)) == {"label": 1, "left": {"label": 2}, "right": None}
