@@ -116,9 +116,10 @@ _TABLE_LISTS = {"table1.json": ("rows", "springer_b", "springer_d"), "table2.jso
 
 
 def _load_table(name: str, n_max: int, golden_dir: str | None) -> dict:
-    """A stored table whose every per-n list covers n = 1..n_max; a table
-    with a list missing or shorter is refused, so that a check never
-    crashes on it or reports a range it did not compare."""
+    """A stored table whose every per-n list covers n = 1..n_max, each of
+    those rows holding a `neg` and a `pos` list; a table with a list
+    missing or shorter is refused, so that a check never crashes on it or
+    reports a range it did not compare."""
     golden = _load_golden(name, golden_dir)
     for key in _TABLE_LISTS[name]:
         stored = golden.get(key) if isinstance(golden, dict) else None
@@ -126,6 +127,9 @@ def _load_table(name: str, n_max: int, golden_dir: str | None) -> dict:
             raise ValueError(f"{name} has no list {key!r}")
         if n_max > len(stored):
             raise ValueError(f"{name} stores {len(stored)} {key}, fewer than n_max={n_max}")
+    for n, row in enumerate(golden["rows"][:n_max], start=1):
+        if not (isinstance(row, dict) and all(isinstance(row.get(k), list) for k in ("neg", "pos"))):
+            raise ValueError(f"{name} row {n} has no list 'neg' or no list 'pos'")
     return golden
 
 

@@ -313,6 +313,19 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "check_id, table, side",
+        [("table-arnold", "table1.json", "neg"), ("table-polys", "table2.json", "pos")],
+    )
+    def test_row_without_a_side_list_is_refused(self, capsys, tmp_path, check_id, table, side):
+        data = json.loads((GOLDEN_SRC / table).read_text())
+        data["rows"][2][side] = None
+        (tmp_path / table).write_text(json.dumps(data))
+        assert main(["verify", "--check", check_id, "--golden-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {table} row 3 has no list 'neg' or no list 'pos'\n"
+
     def test_non_integer_stored_coefficient_is_refused(self, capsys, tmp_path):
         data = json.loads((GOLDEN_SRC / "table2.json").read_text())
         assert data["rows"][1]["pos"][0] == {"3": 1}
