@@ -25,13 +25,15 @@ Each cycle and valley map is one checked map and one unchecked kernel.
 `phi_*` runs the literal membership test of its family (for a cycle
 form, also that it is canonical), raises NotInFamilyError on a
 non-member, and otherwise returns the code of its kernel `phi_*_kernel`,
-which tests nothing.  The harness calls the kernels on generated members,
-which the tests hold equal to the literal filters.
+which tests nothing.  `images` alone pairs a family with the map that runs
+its generated members unguarded (a kernel, or `phi_f`), for the harness and
+`arnold map`; the tests hold the generators equal to the literal filters.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
+from . import families as fam
 from .families import FlipClass, is_canonical, is_cud_b, is_cud_d, is_vs_b, is_vs_d
 from .signed_perm import (
     CycleForm,
@@ -244,3 +246,22 @@ def tau_flip(p: SignedPerm) -> tuple[int, ...]:
 def phi_f(cls: FlipClass) -> tuple[int, ...]:
     """Tree of a flip class, computed from its canonical member."""
     return tau_flip(SignedPerm(cls.canon))
+
+
+_MAPS = {"cud-b": "phi_cud_b_kernel", "cud-d": "phi_cud_d_kernel", "vs-b": "phi_vs_b_kernel",
+         "vs-d": "phi_vs_d_kernel", "fl-b": "phi_f", "fl-d": "phi_f"}
+
+
+def images(family: str, n: int) -> Iterator[tuple[object, tuple[int, ...]]]:
+    """(member, code) for every generated member of a cycle, valley or flip
+    family, in family order.  The map and `families.enumerate_family` are
+    looked up when the walk starts, so a replaced name is the one that runs.
+
+    >>> [code for _, code in images("vs-b", 1)]
+    [(0, 0)]
+    """
+    if family not in _MAPS:
+        raise fam.UnknownFamilyError(f"{family} has no tree map")
+    tree_map = globals()[_MAPS[family]]
+    for m in fam.enumerate_family(family, n):
+        yield m, tree_map(m)

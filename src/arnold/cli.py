@@ -1,5 +1,7 @@
 """Command line front door: triangles, family enumeration, tree maps, and
 the verification suite.  The first three print each row as it is built.
+`map` prints each member and code of `bijections.images` with the code's
+rightmost label as the index, which for a flip class is |smax|.
 
 Exit codes: 0 success; 1 a failing or crashed check under `verify`, or a
 reader that closed the pipe early; 2 on usage, size or file errors.
@@ -98,30 +100,12 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-_KERNELS = {
-    "cud-b": bij.phi_cud_b_kernel,
-    "cud-d": bij.phi_cud_d_kernel,
-    "vs-b": bij.phi_vs_b_kernel,
-    "vs-d": bij.phi_vs_d_kernel,
-}
-
-
-def _map_triples(bijection: str, n: int):
-    """Yield (source, tree code, index) per source; a flip class's index is
-    |smax|.  Generated members go through the kernels, as in the harness."""
-    if bijection == "flip":
-        for side in ("fl-b", "fl-d"):
-            for cls in fam.enumerate_family(side, n):
-                yield cls, bij.phi_f(cls), abs(cls.smax)
-        return
-    for m in fam.enumerate_family(bijection, n):
-        code = _KERNELS[bijection](m)
-        yield m, code, tr.classify(code).rightmost_label
-
-
 def _cmd_map(args) -> int:
-    for source, code, index in _map_triples(args.bijection, args.n):
-        print(json.dumps({"source": source.to_json(), "target": tr.to_json(code), "index": index}))
+    sides = ("fl-b", "fl-d") if args.bijection == "flip" else (args.bijection,)
+    for family in sides:
+        for source, code in bij.images(family, args.n):
+            index = tr.classify(code).rightmost_label
+            print(json.dumps({"source": source.to_json(), "target": tr.to_json(code), "index": index}))
     return 0
 
 
@@ -164,7 +148,7 @@ def _grammar():
             ("--format", {"choices": ("jsonl", "csv"), "default": "jsonl"}),
         )),
         ("map", "emit source/tree pairs of a bijection", _cmd_map, (
-            ("--bijection", {"choices": (*_KERNELS, "flip"), "required": True}),
+            ("--bijection", {"choices": ("cud-b", "cud-d", "vs-b", "vs-d", "flip"), "required": True}),
             n,
             ("--format", {"choices": ("jsonl",), "default": "jsonl"}),
         )),

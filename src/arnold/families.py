@@ -17,7 +17,7 @@ one-step maps rewrite cycle forms and windows; the cycle split of
 the cycle's word, so no tree is built here.  Each step `psi_*` is its
 family's membership test (for a cycle form, also `is_canonical`) and then
 its kernel `psi_*_kernel`; `_recurrence_step`, whose members come from
-`enumerate_indexed`, calls the kernels.
+`enumerate_indexed`, returns the kernels' `StepRecord`s as a plain tuple.
 """
 from __future__ import annotations
 
@@ -586,15 +586,6 @@ class StepRecord:
     stat_after: int
 
 
-@dataclass(frozen=True)
-class StepReport:
-    family: str
-    side: str
-    n: int
-    k: int
-    records: tuple[StepRecord, ...]
-
-
 def _remove_shift(v: int, removed: int) -> int:
     if abs(v) < removed:
         return v
@@ -787,29 +778,27 @@ def psi_vs_bridge(p: SignedPerm) -> StepRecord:
     raise ValueError("bridge step needs first entry n or -n")
 
 
-def _recurrence_step(kind: str, n: int, k: int, side: str, psi_b, psi_d) -> StepReport:
-    """Apply the one-step kernel to every member of the indexed family;
-    the members come from the generators, so none is tested again."""
+def _recurrence_step(kind: str, n: int, k: int, side: str, psi_b, psi_d) -> tuple[StepRecord, ...]:
+    """The one-step kernel's records over the members of `kind`-`side` with
+    index k; the members come from the generators, so none is tested again."""
     if side == "d":
         if not 1 < k <= n:
             raise IndexOutOfRangeError("type-D step needs 1 < k <= n")
-        records = tuple(psi_d(m) for m in enumerate_indexed(f"{kind}-d", n, k))
-    elif side == "b":
+        return tuple(psi_d(m) for m in enumerate_indexed(f"{kind}-d", n, k))
+    if side == "b":
         if not 1 <= k < n:
             raise IndexOutOfRangeError("type-B step needs 1 <= k < n")
-        records = tuple(psi_b(m) for m in enumerate_indexed(f"{kind}-b", n, k))
-    else:
-        raise ValueError("side must be 'b' or 'd'")
-    return StepReport(kind, side, n, k, records)
+        return tuple(psi_b(m) for m in enumerate_indexed(f"{kind}-b", n, k))
+    raise ValueError("side must be 'b' or 'd'")
 
 
-def recurrence_step_cud(n: int, k: int, side: str) -> StepReport:
+def recurrence_step_cud(n: int, k: int, side: str) -> tuple[StepRecord, ...]:
     """Apply the cycle-family one-step map to every member of cud-`side`
     with index k."""
     return _recurrence_step("cud", n, k, side, psi_cud_b_kernel, psi_cud_d_kernel)
 
 
-def recurrence_step_vs(n: int, k: int, side: str) -> StepReport:
+def recurrence_step_vs(n: int, k: int, side: str) -> tuple[StepRecord, ...]:
     """Apply the valley-family one-step map to every member of vs-`side`
     with index k."""
     return _recurrence_step("vs", n, k, side, psi_vs_b_kernel, psi_vs_d_kernel)

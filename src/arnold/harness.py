@@ -17,10 +17,11 @@ other results.
 The tree side of `thm-trees` and of the bijection checks is counted by
 `_tree_distribution` over the increasing plane trees, not generated; the
 maps write flat codes (see `trees`), which the checks read through
-`trees.classify` and `trees.rightmost_path`.  The cycle and valley maps
-and steps run as their unguarded kernels (`bijections.phi_*_kernel`,
-`families.psi_*_kernel`), since every member they get comes from the
-family generators, which the tests hold equal to the literal filters.
+`trees.classify` and `trees.rightmost_path`.  The member checks read each
+member with its code from `bijections.images`, and the step checks read the
+records of `families.recurrence_step_*`; both run the maps unguarded, on
+members of the family generators, which the tests hold equal to the
+literal filters.
 """
 from __future__ import annotations
 
@@ -171,9 +172,11 @@ def check_table_polys(n_max: int, golden_dir: str | None = None) -> list[str]:
     golden = _load_table("table2.json", n_max, golden_dir)
     details = []
     for row, grow in zip(arnold_hoffman(n_max), golden["rows"]):
-        want_neg = [LaurentPoly.from_json_map(m) for m in grow["neg"]]
-        want_pos = [LaurentPoly.from_json_map(m) for m in grow["pos"]]
-        if list(row.neg) != want_neg or list(row.pos) != want_pos:
+        try:
+            want = [[LaurentPoly.from_json_map(m) for m in grow[side]] for side in ("neg", "pos")]
+        except ValueError as exc:
+            raise ValueError(f"table2.json row {row.n}: {exc}") from None
+        if [list(row.neg), list(row.pos)] != want:
             details.append(f"row {row.n} differs from the stored polynomials")
     return details
 
@@ -347,18 +350,17 @@ def check_thm_trees(n_max: int, golden_dir: str | None = None) -> list[str]:
 # ---------------------------------------------------------------------------
 # bijection checks
 
-def _check_bijection_into_trees(
-    n_max: int, family: str, code_map: Callable, kind: str
-) -> list[str]:
-    side = "b" if kind == "o" else "d"
+def _check_bijection_into_trees(n_max: int, family: str) -> list[str]:
+    """Check that the family maps bijectively, index to rightmost label, onto the trees of its side."""
+    side = family[-1]
+    kind = "o" if side == "b" else "*"
     details = []
     for n in range(1, n_max + 1):
-        images = []
+        codes = []
         by_index: Counter = Counter()
-        for m in fam.enumerate_family(family, n):
+        for m, code in bij.images(family, n):
             index = fam.family_index(family, m)
             by_index[index] += 1
-            code = code_map(m)
             if not tr.is_complete_increasing(code, n):
                 details.append(f"{family} n={n}: invalid image tree for {m}")
                 continue
@@ -368,8 +370,8 @@ def _check_bijection_into_trees(
                     f"{family} n={n}: {m} lands at ({c.kind},{c.rightmost_label}), "
                     f"expected ({kind},{index})"
                 )
-            images.append(code)
-        if len(set(images)) != len(images):
+            codes.append(code)
+        if len(set(codes)) != len(codes):
             details.append(f"{family} n={n}: images collide")
         trees = _tree_distribution(n)
         for k in range(1, n + 1):
@@ -383,22 +385,22 @@ def _check_bijection_into_trees(
 
 @check("bij-cud-b", "type-B cycle map is an index-preserving bijection to empty-ended trees", 6)
 def check_bij_cud_b(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _check_bijection_into_trees(n_max, "cud-b", bij.phi_cud_b_kernel, "o")
+    return _check_bijection_into_trees(n_max, "cud-b")
 
 
 @check("bij-cud-d", "type-D cycle map is an index-preserving bijection to labelled-ended trees", 6)
 def check_bij_cud_d(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _check_bijection_into_trees(n_max, "cud-d", bij.phi_cud_d_kernel, "*")
+    return _check_bijection_into_trees(n_max, "cud-d")
 
 
 @check("bij-vs-b", "type-B valley map is an index-preserving bijection", 6)
 def check_bij_vs_b(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _check_bijection_into_trees(n_max, "vs-b", bij.phi_vs_b_kernel, "o")
+    return _check_bijection_into_trees(n_max, "vs-b")
 
 
 @check("bij-vs-d", "type-D valley map is an index-preserving bijection", 6)
 def check_bij_vs_d(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _check_bijection_into_trees(n_max, "vs-d", bij.phi_vs_d_kernel, "*")
+    return _check_bijection_into_trees(n_max, "vs-d")
 
 
 @check("bij-fl", "flip-class map is well defined and bijective", 6)
@@ -433,30 +435,26 @@ def check_bij_fl(n_max: int, golden_dir: str | None = None) -> list[str]:
     return details
 
 
-@check("cor-rightmost-cycle-min", "rightmost-path labels are the cycle minima", 6)
-def check_cor_rightmost_cycle_min(n_max: int, golden_dir: str | None = None) -> list[str]:
+def _check_rightmost_path(n_max: int, families: tuple[str, str], want: Callable) -> list[str]:
+    """Check that the labels on each image's rightmost path are want(member)."""
     details = []
     for n in range(1, n_max + 1):
-        for family, code_map in (("cud-b", bij.phi_cud_b_kernel), ("cud-d", bij.phi_cud_d_kernel)):
-            for cf in fam.enumerate_family(family, n):
-                want = frozenset(c.leader for c in cf.cycles)
-                got = tr.rightmost_path(code_map(cf))
-                if got != want:
-                    details.append(f"{family} n={n}: {cf} path labels {sorted(got)}")
+        for family in families:
+            for m, code in bij.images(family, n):
+                got = tr.rightmost_path(code)
+                if got != want(m):
+                    details.append(f"{family} n={n}: {m} path labels {sorted(got)}")
     return details
+
+
+@check("cor-rightmost-cycle-min", "rightmost-path labels are the cycle minima", 6)
+def check_cor_rightmost_cycle_min(n_max: int, golden_dir: str | None = None) -> list[str]:
+    return _check_rightmost_path(n_max, ("cud-b", "cud-d"), lambda cf: frozenset(c.leader for c in cf.cycles))
 
 
 @check("cor-rightmost-ltr-min", "rightmost-path labels are the left-to-right minima", 6)
 def check_cor_rightmost_ltr_min(n_max: int, golden_dir: str | None = None) -> list[str]:
-    details = []
-    for n in range(1, n_max + 1):
-        for family, code_map in (("vs-b", bij.phi_vs_b_kernel), ("vs-d", bij.phi_vs_d_kernel)):
-            for p in fam.enumerate_family(family, n):
-                want = left_to_right_minima(p.abs_window())
-                got = tr.rightmost_path(code_map(p))
-                if got != want:
-                    details.append(f"{family} n={n}: {p} path labels {sorted(got)}")
-    return details
+    return _check_rightmost_path(n_max, ("vs-b", "vs-d"), lambda p: left_to_right_minima(p.abs_window()))
 
 
 @check("lemma-emp-spk", "emp equals n - 2*spk + 1 on every flip class", 6)
@@ -556,7 +554,7 @@ def _verify_step_partition(
 def _check_recstep(
     n_max: int,
     kind: str,
-    step: Callable[[int, int, str], fam.StepReport],
+    step: Callable[[int, int, str], tuple[fam.StepRecord, ...]],
     bridge: Callable[[object], fam.StepRecord],
     d_cases: tuple[str, str],
     b_cases: tuple[str, ...],
@@ -572,14 +570,10 @@ def _check_recstep(
     for n in range(2, n_max + 1):
         for k in range(2, n + 1):
             expected = {d_drop: (fb, n - 1, k - 1, -1), d_stay: (fd, n, k - 1, 0)}
-            details += _verify_step_partition(
-                step(n, k, "d").records, expected, f"{fd} n={n} k={k}"
-            )
+            details += _verify_step_partition(step(n, k, "d"), expected, f"{fd} n={n} k={k}")
         for k in range(1, n):
             expected = {b_drop: (fd, n - 1, k, 0), **dict.fromkeys(b_stay, (fb, n, k + 1, 0))}
-            details += _verify_step_partition(
-                step(n, k, "b").records, expected, f"{fb} n={n} k={k}"
-            )
+            details += _verify_step_partition(step(n, k, "b"), expected, f"{fb} n={n} k={k}")
         bridge_images = {bridge(m).image for m in fam.enumerate_indexed(fb, n, n)}
         if bridge_images != set(fam.enumerate_indexed(fd, n, n)):
             details.append(f"{kind} bridge n={n}: images differ from the type-D family")
@@ -634,14 +628,11 @@ def check_report_emp_npk(n_max: int, golden_dir: str | None = None) -> list[str]
     """Report-only: where does emp(tree image) equal n+1-2*npk per object?"""
     findings = []
     for n in range(1, n_max + 1):
-        agree = 0
-        total = 0
-        for family, code_map in (("cud-b", bij.phi_cud_b_kernel), ("cud-d", bij.phi_cud_d_kernel)):
-            for cf in fam.enumerate_family(family, n):
-                emp = code_map(cf).count(0)
+        agree = total = 0
+        for family in ("cud-b", "cud-d"):
+            for cf, code in bij.images(family, n):
                 total += 1
-                if emp == n + 1 - 2 * stat_npk(cf):
-                    agree += 1
+                agree += tr.count_empty(code) == n + 1 - 2 * stat_npk(cf)
         findings.append(f"n={n}: per-object identity holds for {agree}/{total} members")
     return findings
 

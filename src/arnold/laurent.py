@@ -141,6 +141,13 @@ class LaurentPoly:
 
     @classmethod
     def from_json_map(cls, data: Mapping[str, int]) -> "LaurentPoly":
+        """Inverse of `to_json_map`: ValueError unless data is a mapping whose
+        every key is `str(e)` of an int e, so "03", " 3" or "1_0" is not misread."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"{data!r} is not an exponent map")
+        for key in data:
+            if not (isinstance(key, str) and key.removeprefix("-").isdecimal() and str(int(key)) == key):
+                raise ValueError(f"exponent key {key!r} is not written as an int")
         return cls({int(e): c for e, c in data.items()})
 
     def __str__(self) -> str:

@@ -59,15 +59,17 @@ class SignedPerm:
 
 
 def from_window(ints: Iterable[int]) -> SignedPerm:
-    """Validate a window and build a SignedPerm; the size is inferred.
+    """Validate a window of ints and build a SignedPerm; the size is inferred.
 
     >>> from_window([2, -4, 3, 1]).n
     4
     """
-    window = tuple(int(v) for v in ints)
+    window = tuple(ints)
     n = len(window)
     seen: set[int] = set()
     for v in window:
+        if type(v) is not int:
+            raise InvalidWindowError(f"window entry {v!r} is not an int")
         if v == 0:
             raise ZeroEntryError("window entries must be nonzero")
         a = abs(v)

@@ -204,13 +204,13 @@ def hoffman_pq(n_max: int) -> list[tuple[LaurentPoly, LaurentPoly]]:
     """Pairs (P_n, Q_n) for n = 1..n_max (see module docstring)."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    sec2 = LaurentPoly({0: 1, 2: 1})
-    p = sec2
+    p = LaurentPoly({0: 1, 2: 1})
     q = LaurentPoly.t_power(1)
     out = [(p, q)]
-    for _ in range(n_max - 1):
-        p = sec2 * p.derivative()
-        q = sec2 * q.derivative() + q.shifted(1)
+    for _ in range(n_max - 1):  # (1 + t^2) * f' as f' plus its shift by t^2
+        dp, dq = p.derivative(), q.derivative()
+        p = dp + dp.shifted(2)
+        q = dq + dq.shifted(2) + q.shifted(1)
         out.append((p, q))
     return out
 

@@ -9,6 +9,7 @@ from arnold.bijections import (
     _make_leaf,
     algo2,
     algo3,
+    images,
     phi_cud_b,
     phi_cud_b_kernel,
     phi_cud_d,
@@ -20,7 +21,7 @@ from arnold.bijections import (
     phi_vs_d_kernel,
     tau_flip,
 )
-from arnold.families import _up_down, enumerate_family, flip_classes, psi_cud_b, windows
+from arnold.families import UnknownFamilyError, _up_down, enumerate_family, flip_classes, psi_cud_b, windows
 from arnold.signed_perm import (
     Cycle,
     CycleForm,
@@ -279,6 +280,29 @@ class TestFlipMap:
                 c = classify(phi_f(cls))
                 assert c.kind == ("o" if cls.smax > 0 else "*")
                 assert c.rightmost_label == abs(cls.smax)
+
+
+class TestImages:
+    @pytest.mark.parametrize(
+        "family, checked_map",
+        [("cud-b", phi_cud_b), ("cud-d", phi_cud_d), ("vs-b", phi_vs_b), ("vs-d", phi_vs_d),
+         ("fl-b", phi_f), ("fl-d", phi_f)],
+    )
+    def test_each_member_comes_with_its_checked_map_image(self, family, checked_map):
+        for n in range(1, 5):
+            want = [(m, checked_map(m)) for m in enumerate_family(family, n)]
+            assert list(images(family, n)) == want
+
+    @pytest.mark.parametrize("family", ["alternating", "snakes-b", "cud-a", "trees-o"])
+    def test_a_family_without_a_tree_map_is_refused(self, family):
+        with pytest.raises(UnknownFamilyError, match="has no tree map"):
+            next(images(family, 2))
+
+    def test_the_map_is_read_from_the_module_when_the_walk_starts(self, monkeypatch):
+        import arnold.bijections as bijections
+
+        monkeypatch.setattr(bijections, "phi_vs_d_kernel", lambda p: ("patched", p.window))
+        assert list(images("vs-d", 2)) == [(p, ("patched", p.window)) for p in enumerate_family("vs-d", 2)]
 
 
 class TestReferenceOracles:

@@ -201,6 +201,31 @@ class TestMap:
                 )
             assert jsonl(out) == want
 
+    @pytest.mark.parametrize(
+        "bijection, sides",
+        [("cud-b", ["cud-b"]), ("cud-d", ["cud-d"]), ("vs-b", ["vs-b"]), ("vs-d", ["vs-d"]),
+         ("flip", ["fl-b", "fl-d"])],
+    )
+    def test_rows_come_from_images(self, capsys, monkeypatch, bijection, sides):
+        from arnold import bijections
+
+        real, log = bijections.images, []
+        monkeypatch.setattr(bijections, "images", lambda family, n: log.append((family, n)) or real(family, n))
+        code, out = run(capsys, "map", "--bijection", bijection, "--n", "3")
+        assert code == 0
+        assert log == [(side, 3) for side in sides]
+        assert len(jsonl(out)) == sum(len(families.enumerate_family(side, 3)) for side in sides)
+
+    def test_flip_rows_run_the_flip_map_as_the_module_holds_it(self, capsys, monkeypatch):
+        from arnold import bijections
+
+        real, seen = bijections.phi_f, []
+        monkeypatch.setattr(bijections, "phi_f", lambda cls: seen.append(cls) or real(cls))
+        code, out = run(capsys, "map", "--bijection", "flip", "--n", "3")
+        assert code == 0
+        assert seen == [*families.enumerate_family("fl-b", 3), *families.enumerate_family("fl-d", 3)]
+        assert [r["source"] for r in jsonl(out)] == [cls.to_json() for cls in seen]
+
     def test_flip_pairs(self, capsys):
         code, out = run(capsys, "map", "--bijection", "flip", "--n", "2")
         assert code == 0
@@ -334,7 +359,27 @@ class TestVerify:
         assert main(["verify", "--check", "table-polys", "--golden-dir", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: term 3: 1.5 needs an int exponent and an int coefficient\n"
+        assert captured.err == "error: table2.json row 2: term 3: 1.5 needs an int exponent and an int coefficient\n"
+
+    @pytest.mark.parametrize(
+        "row, entry, message",
+        [
+            (3, [3, 1], "[3, 1] is not an exponent map"),  # was an AttributeError traceback
+            (3, {"1_0": 3}, "exponent key '1_0' is not written as an int"),  # was read as 3t^10
+            (3, {" 2": 1}, "exponent key ' 2' is not written as an int"),  # was read as t^2
+            (2, {"3": 7, "03": 1}, "exponent key '03' is not written as an int"),  # passed as t^3
+        ],
+    )
+    def test_stored_polynomial_not_written_by_to_json_map_is_refused(
+        self, capsys, tmp_path, row, entry, message
+    ):
+        data = json.loads((GOLDEN_SRC / "table2.json").read_text())
+        data["rows"][row - 1]["pos"][0] = entry
+        (tmp_path / "table2.json").write_text(json.dumps(data))
+        assert main(["verify", "--check", "table-polys", "--golden-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: table2.json row {row}: {message}\n"
 
     def test_missing_golden_dir_exit_code(self, capsys, tmp_path):
         missing = tmp_path / "missing"

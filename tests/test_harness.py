@@ -277,6 +277,33 @@ def test_checks_run_no_membership_guard(monkeypatch):
         assert verify(check_id, 4).status in ("pass", "report-only"), check_id
 
 
+@pytest.mark.parametrize(
+    "check_id, sides",
+    [
+        ("bij-cud-b", ["cud-b"]),
+        ("bij-cud-d", ["cud-d"]),
+        ("bij-vs-b", ["vs-b"]),
+        ("bij-vs-d", ["vs-d"]),
+        ("cor-rightmost-cycle-min", ["cud-b", "cud-d"]),
+        ("cor-rightmost-ltr-min", ["vs-b", "vs-d"]),
+        ("report-emp-npk-perobject", ["cud-b", "cud-d"]),
+    ],
+)
+def test_member_tree_checks_read_images(monkeypatch, check_id, sides):
+    # `bijections.images` is the one place that pairs a family with its map
+    import arnold.bijections as bijections
+
+    real, log = bijections.images, []
+
+    def recorder(family, n):
+        log.append((family, n))
+        return real(family, n)
+
+    monkeypatch.setattr(bijections, "images", recorder)
+    assert verify(check_id, 3).status in ("pass", "report-only")
+    assert log == [(family, n) for n in (1, 2, 3) for family in sides]
+
+
 # Injected faults: each test breaks one function the harness calls and pins
 # the details its check reports, so that checks sharing a driver keep
 # their failure text.

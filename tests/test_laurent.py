@@ -80,6 +80,31 @@ def test_json_roundtrip():
     assert LaurentPoly.from_json_map(p.to_json_map()) == p
 
 
+def test_json_roundtrip_with_negative_exponents():
+    p = LaurentPoly({-3: 2, -1: -1, 0: 5, 4: 1})
+    assert p.to_json_map() == {"-3": 2, "-1": -1, "0": 5, "4": 1}
+    assert LaurentPoly.from_json_map(p.to_json_map()) == p
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([3, 1], "[3, 1] is not an exponent map"),
+        ({"1_0": 3}, "exponent key '1_0' is not written as an int"),  # was read as 3t^10
+        ({" 2": 1}, "exponent key ' 2' is not written as an int"),  # was read as t^2
+        ({"3": 7, "03": 1}, "exponent key '03' is not written as an int"),  # one term was lost
+        ({"-0": 1}, "exponent key '-0' is not written as an int"),
+        ({"+1": 1}, "exponent key '+1' is not written as an int"),
+        ({"--1": 1}, "exponent key '--1' is not written as an int"),
+        ({1: 1}, "exponent key 1 is not written as an int"),
+    ],
+)
+def test_json_maps_that_to_json_map_does_not_write_are_refused(data, message):
+    with pytest.raises(ValueError) as info:
+        LaurentPoly.from_json_map(data)
+    assert str(info.value) == message
+
+
 def test_str_forms():
     assert str(LaurentPoly()) == "0"
     assert str(LaurentPoly({2: 1})) == "t^2"

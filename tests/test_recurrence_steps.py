@@ -306,4 +306,4 @@ class TestExhaustiveVerification:
         from arnold.families import enumerate_indexed
 
         report = recurrence_step_vs(4, 2, "b")
-        assert len(report.records) == len(enumerate_indexed("vs-b", 4, 2))
+        assert len(report) == len(enumerate_indexed("vs-b", 4, 2))

@@ -9,6 +9,7 @@ from arnold.signed_perm import (
     AbsValueOutOfRangeError,
     Cycle,
     CycleForm,
+    InvalidWindowError,
     MalformedCudCycleFormError,
     RepeatedAbsValueError,
     SignedPerm,
@@ -87,6 +88,12 @@ class TestFromWindow:
     def test_out_of_range(self):
         with pytest.raises(AbsValueOutOfRangeError):
             from_window([1, 3])
+
+    @pytest.mark.parametrize("window", [[1.9, 2], ["2", "1"], [True], [2, 1.0]])
+    def test_entries_that_are_not_ints_are_refused(self, window):
+        # these were truncated or coerced to [1,2], [2,1], [1] and [2,1]
+        with pytest.raises(InvalidWindowError, match="is not an int"):
+            from_window(window)
 
 
 class TestCycleForm:
