@@ -251,10 +251,6 @@ class FlipClass:
     def members(self) -> tuple[tuple[int, ...], ...]:
         return self._members() if callable(self._members) else self._members
 
-    @property
-    def n(self) -> int:
-        return len(self.canon)
-
     def __eq__(self, other: object) -> bool:
         key = attrgetter("canon", "smax", "spk", "members")
         return isinstance(other, FlipClass) and key(self) == key(other)

@@ -4,15 +4,18 @@ expected values are fixed numbers.
 
 Each check function is registered with `@check`, which fixes its id, claim
 and default ceiling, and whether it enumerates (`capped`) or reads triangle
-tables only.  `verify` refuses the ceiling of a capped check with
-`trees.check_size` before the check starts, so that a request such as
-n_max = 9 does not first sweep every size up to 8.  It wraps the check's
-list of mismatch records in a CheckResult, and a pass/fail check fails
-exactly when that list is not empty.  Report-only checks never fail: they
-exist to record findings (currently, for how many members the per-object
-tree/npk exponent identity holds at each size).  `verify_all` reports a
-check that raises with status "error", so one crash does not hide the
-other results.
+tables only.  A capped check is a check of one size n that yields its
+mismatch records, and `verify` is the one place that sweeps the sizes: it
+refuses the ceiling with `trees.check_size` before the first size runs, so
+that a request such as n_max = 9 does not first sweep every size up to 8,
+then collects the records of n = 1..n_max in order.  A triangle check
+reads whole stored tables, so it takes the ceiling and returns its
+records.  `verify` wraps the records in a CheckResult, and a pass/fail
+check fails exactly when there are some.  Report-only checks never fail:
+they exist to record findings (currently, for how many members the
+per-object tree/npk exponent identity holds at each size).  `verify_all`
+reports a check that raises with status "error", so one crash does not
+hide the other results.
 
 The tree side of `thm-trees` and of the bijection checks is counted by
 `_tree_distribution` over the increasing plane trees, not generated; the
@@ -34,7 +37,7 @@ from importlib import resources
 from itertools import permutations
 from math import comb
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import bijections as bij
 from . import families as fam
@@ -85,7 +88,7 @@ class RegisteredCheck:
     check_id: str
     claim: str
     default_max_n: int
-    run: Callable[..., list[str]]
+    run: Callable[..., Iterable[str]]  # run(n) if capped, else run(n_max, golden_dir)
     report_only: bool = False
     capped: bool = True  # False only for checks that read triangle tables
 
@@ -99,7 +102,7 @@ def check(
     """Register the decorated function as a check; the registry keeps
     definition order, which is the order `verify_all` reports in."""
 
-    def register(fn: Callable[..., list[str]]) -> Callable[..., list[str]]:
+    def register(fn: Callable[..., Iterable[str]]) -> Callable[..., Iterable[str]]:
         CHECKS.append(RegisteredCheck(check_id, claim, default_max_n, fn, report_only, capped))
         return fn
 
@@ -224,72 +227,59 @@ def check_hoffman_p(n_max: int, golden_dir: str | None = None) -> list[str]:
 
 
 @check("entringer-alternating", "triangle entries count alternating permutations by first entry", 8)
-def check_entringer_alternating(n_max: int, golden_dir: str | None = None) -> list[str]:
+def check_entringer_alternating(n: int) -> Iterator[str]:
     from .triangles import entringer
 
-    details = []
-    rows = entringer(n_max)
-    for n in range(1, n_max + 1):
-        counts = Counter(p.window[0] for p in fam.enumerate_family("alternating", n))
-        for k in range(1, n + 1):
-            if counts.get(k, 0) != rows[n - 1][k - 1]:
-                details.append(
-                    f"n={n} k={k}: {counts.get(k, 0)} alternating vs entry {rows[n - 1][k - 1]}"
-                )
-    return details
+    row = entringer(n)[n - 1]
+    counts = Counter(p.window[0] for p in fam.enumerate_family("alternating", n))
+    for k in range(1, n + 1):
+        if counts.get(k, 0) != row[k - 1]:
+            yield (
+                f"n={n} k={k}: {counts.get(k, 0)} alternating vs entry {row[k - 1]}"
+            )
 
 
 @check("snakes-arnold", "snake counts by first entry reproduce the triangle", 5)
-def check_snakes_arnold(n_max: int, golden_dir: str | None = None) -> list[str]:
-    details = []
-    rows = arnold_numbers(n_max)
-    for n in range(1, n_max + 1):
-        row = rows[n - 1]
-        b_counts = Counter(p.window[0] for p in fam.enumerate_family("snakes-b", n))
-        d_counts = Counter(-p.window[0] for p in fam.enumerate_family("snakes-d", n))
-        for k in range(1, n + 1):
-            if b_counts.get(k, 0) != row.value(k):
-                details.append(f"n={n}: {b_counts.get(k, 0)} type-B snakes start {k}, triangle {row.value(k)}")
-            if d_counts.get(k, 0) != row.value(-k):
-                details.append(f"n={n}: {d_counts.get(k, 0)} type-D snakes start -{k}, triangle {row.value(-k)}")
-    return details
+def check_snakes_arnold(n: int) -> Iterator[str]:
+    row = arnold_numbers(n)[n - 1]
+    b_counts = Counter(p.window[0] for p in fam.enumerate_family("snakes-b", n))
+    d_counts = Counter(-p.window[0] for p in fam.enumerate_family("snakes-d", n))
+    for k in range(1, n + 1):
+        if b_counts.get(k, 0) != row.value(k):
+            yield f"n={n}: {b_counts.get(k, 0)} type-B snakes start {k}, triangle {row.value(k)}"
+        if d_counts.get(k, 0) != row.value(-k):
+            yield f"n={n}: {d_counts.get(k, 0)} type-D snakes start -{k}, triangle {row.value(-k)}"
 
 
 # ---------------------------------------------------------------------------
 # refined-family theorems
 
-def _compare_family_polys(
-    n_max: int, dist_of_n: Callable[[int], Counter], b_label: str, d_label: str
-) -> list[str]:
-    """Compare a Counter over (side, index, statistic s) with the refined
-    triangle, each member contributing t^(n+1-2s) to its cell."""
-    details = []
-    polys = arnold_hoffman(n_max)
-    for n in range(1, n_max + 1):
-        dist = dist_of_n(n)
-        grouped: dict[tuple[str, int], dict[int, int]] = {}
-        for (side, idx, s), c in dist.items():
-            grouped.setdefault((side, idx), {}).setdefault(s, 0)
-            grouped[(side, idx)][s] += c
-        row = polys[n - 1]
-        for k in range(1, n + 1):
-            got_b = _poly_of_counts(grouped.get(("b", n - k + 1), {}), n)
-            if got_b != row.value(k):
-                details.append(f"{b_label} n={n} k={k}: {got_b} != {row.value(k)}")
-            got_d = _poly_of_counts(grouped.get(("d", n - k + 1), {}), n)
-            if got_d != row.value(-k):
-                details.append(f"{d_label} n={n} k={k}: {got_d} != {row.value(-k)}")
-    return details
+def _compare_family_polys(n: int, dist: Counter, b_label: str, d_label: str) -> Iterator[str]:
+    """Compare a Counter over (side, index, statistic s) of the size-n
+    members with row n of the refined triangle, each member contributing
+    t^(n+1-2s) to its cell."""
+    grouped: dict[tuple[str, int], dict[int, int]] = {}
+    for (side, idx, s), c in dist.items():
+        grouped.setdefault((side, idx), {}).setdefault(s, 0)
+        grouped[(side, idx)][s] += c
+    row = arnold_hoffman(n)[n - 1]
+    for k in range(1, n + 1):
+        got_b = _poly_of_counts(grouped.get(("b", n - k + 1), {}), n)
+        if got_b != row.value(k):
+            yield f"{b_label} n={n} k={k}: {got_b} != {row.value(k)}"
+        got_d = _poly_of_counts(grouped.get(("d", n - k + 1), {}), n)
+        if got_d != row.value(-k):
+            yield f"{d_label} n={n} k={k}: {got_d} != {row.value(-k)}"
 
 
 @check("thm-cud", "cycle-up-down npk polynomials reproduce the refined triangle", 7)
-def check_thm_cud(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _compare_family_polys(n_max, fam.cud_distribution, "cud B", "cud D")
+def check_thm_cud(n: int) -> Iterator[str]:
+    return _compare_family_polys(n, fam.cud_distribution(n), "cud B", "cud D")
 
 
 @check("thm-vs", "valley-family neg polynomials reproduce the refined triangle", 8)
-def check_thm_vs(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _compare_family_polys(n_max, fam.vs_distribution, "vs B", "vs D")
+def check_thm_vs(n: int) -> Iterator[str]:
+    return _compare_family_polys(n, fam.vs_distribution(n), "vs B", "vs D")
 
 
 def _fl_distribution(n: int) -> Counter:
@@ -301,8 +291,8 @@ def _fl_distribution(n: int) -> Counter:
 
 
 @check("thm-fl", "flip-class spk polynomials reproduce the refined triangle", 6)
-def check_thm_fl(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _compare_family_polys(n_max, _fl_distribution, "fl B", "fl D")
+def check_thm_fl(n: int) -> Iterator[str]:
+    return _compare_family_polys(n, _fl_distribution(n), "fl B", "fl D")
 
 
 @lru_cache(maxsize=None)
@@ -343,167 +333,148 @@ def _tree_distribution(n: int) -> Counter:
 
 
 @check("thm-trees", "tree emp polynomials reproduce the refined triangle", 8)
-def check_thm_trees(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _compare_family_polys(n_max, _tree_distribution, "trees-o", "trees-s")
+def check_thm_trees(n: int) -> Iterator[str]:
+    return _compare_family_polys(n, _tree_distribution(n), "trees-o", "trees-s")
 
 
 # ---------------------------------------------------------------------------
 # bijection checks
 
-def _check_bijection_into_trees(n_max: int, family: str) -> list[str]:
+def _check_bijection_into_trees(n: int, family: str) -> Iterator[str]:
     """Check that the family maps bijectively, index to rightmost label, onto the trees of its side."""
     side = family[-1]
     kind = "o" if side == "b" else "*"
-    details = []
-    for n in range(1, n_max + 1):
-        codes = []
-        by_index: Counter = Counter()
-        for m, code in bij.images(family, n):
-            index = fam.family_index(family, m)
-            by_index[index] += 1
-            if not tr.is_complete_increasing(code, n):
-                details.append(f"{family} n={n}: invalid image tree for {m}")
-                continue
-            c = tr.classify(code)
-            if c.kind != kind or c.rightmost_label != index:
-                details.append(
-                    f"{family} n={n}: {m} lands at ({c.kind},{c.rightmost_label}), "
-                    f"expected ({kind},{index})"
-                )
-            codes.append(code)
-        if len(set(codes)) != len(codes):
-            details.append(f"{family} n={n}: images collide")
-        trees = _tree_distribution(n)
-        for k in range(1, n + 1):
-            n_trees = sum(cnt for (s, idx, _), cnt in trees.items() if (s, idx) == (side, k))
-            if by_index.get(k, 0) != n_trees:
-                details.append(
-                    f"{family} n={n} k={k}: {by_index.get(k, 0)} members vs {n_trees} trees"
-                )
-    return details
+    codes = []
+    by_index: Counter = Counter()
+    for m, code in bij.images(family, n):
+        index = fam.family_index(family, m)
+        by_index[index] += 1
+        if not tr.is_complete_increasing(code, n):
+            yield f"{family} n={n}: invalid image tree for {m}"
+            continue
+        c = tr.classify(code)
+        if c.kind != kind or c.rightmost_label != index:
+            yield (
+                f"{family} n={n}: {m} lands at ({c.kind},{c.rightmost_label}), "
+                f"expected ({kind},{index})"
+            )
+        codes.append(code)
+    if len(set(codes)) != len(codes):
+        yield f"{family} n={n}: images collide"
+    trees = _tree_distribution(n)
+    for k in range(1, n + 1):
+        n_trees = sum(cnt for (s, idx, _), cnt in trees.items() if (s, idx) == (side, k))
+        if by_index.get(k, 0) != n_trees:
+            yield (
+                f"{family} n={n} k={k}: {by_index.get(k, 0)} members vs {n_trees} trees"
+            )
 
 
 @check("bij-cud-b", "type-B cycle map is an index-preserving bijection to empty-ended trees", 6)
-def check_bij_cud_b(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _check_bijection_into_trees(n_max, "cud-b")
+def check_bij_cud_b(n: int) -> Iterator[str]:
+    return _check_bijection_into_trees(n, "cud-b")
 
 
 @check("bij-cud-d", "type-D cycle map is an index-preserving bijection to labelled-ended trees", 6)
-def check_bij_cud_d(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _check_bijection_into_trees(n_max, "cud-d")
+def check_bij_cud_d(n: int) -> Iterator[str]:
+    return _check_bijection_into_trees(n, "cud-d")
 
 
 @check("bij-vs-b", "type-B valley map is an index-preserving bijection", 6)
-def check_bij_vs_b(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _check_bijection_into_trees(n_max, "vs-b")
+def check_bij_vs_b(n: int) -> Iterator[str]:
+    return _check_bijection_into_trees(n, "vs-b")
 
 
 @check("bij-vs-d", "type-D valley map is an index-preserving bijection", 6)
-def check_bij_vs_d(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _check_bijection_into_trees(n_max, "vs-d")
+def check_bij_vs_d(n: int) -> Iterator[str]:
+    return _check_bijection_into_trees(n, "vs-d")
 
 
 @check("bij-fl", "flip-class map is well defined and bijective", 6)
-def check_bij_fl(n_max: int, golden_dir: str | None = None) -> list[str]:
-    details = []
-    for n in range(1, n_max + 1):
-        classes = fam.flip_classes(n)
-        split = {u: tr.split_code(u) for u in permutations(range(1, n + 1))}  # for every signing
-        images = []
-        for cls in classes:
-            member_codes = {bij.orient_flip_code(split[tuple(map(abs, w))], w) for w in cls.members}
-            if len(member_codes) != 1:
-                details.append(f"fl n={n}: members of {cls.canon} map to different trees")
-                continue
-            code = member_codes.pop()
-            if not tr.is_complete_increasing(code, n):
-                details.append(f"fl n={n}: invalid image tree for class {cls.canon}")
-                continue
-            c = tr.classify(code)
-            want_kind = "o" if cls.smax > 0 else "*"
-            if c.kind != want_kind or c.rightmost_label != abs(cls.smax):
-                details.append(
-                    f"fl n={n}: class {cls.canon} lands at ({c.kind},{c.rightmost_label}), "
-                    f"expected ({want_kind},{abs(cls.smax)})"
-                )
-            images.append(code)
-        if len(set(images)) != len(images):
-            details.append(f"fl n={n}: class images collide")
-        total_trees = sum(_tree_distribution(n).values())
-        if len(images) != total_trees:
-            details.append(f"fl n={n}: {len(images)} classes vs {total_trees} trees")
-    return details
+def check_bij_fl(n: int) -> Iterator[str]:
+    classes = fam.flip_classes(n)
+    split = {u: tr.split_code(u) for u in permutations(range(1, n + 1))}  # for every signing
+    images = []
+    for cls in classes:
+        member_codes = {bij.orient_flip_code(split[tuple(map(abs, w))], w) for w in cls.members}
+        if len(member_codes) != 1:
+            yield f"fl n={n}: members of {cls.canon} map to different trees"
+            continue
+        code = member_codes.pop()
+        if not tr.is_complete_increasing(code, n):
+            yield f"fl n={n}: invalid image tree for class {cls.canon}"
+            continue
+        c = tr.classify(code)
+        want_kind = "o" if cls.smax > 0 else "*"
+        if c.kind != want_kind or c.rightmost_label != abs(cls.smax):
+            yield (
+                f"fl n={n}: class {cls.canon} lands at ({c.kind},{c.rightmost_label}), "
+                f"expected ({want_kind},{abs(cls.smax)})"
+            )
+        images.append(code)
+    if len(set(images)) != len(images):
+        yield f"fl n={n}: class images collide"
+    total_trees = sum(_tree_distribution(n).values())
+    if len(images) != total_trees:
+        yield f"fl n={n}: {len(images)} classes vs {total_trees} trees"
 
 
-def _check_rightmost_path(n_max: int, families: tuple[str, str], want: Callable) -> list[str]:
+def _check_rightmost_path(n: int, families: tuple[str, str], want: Callable) -> Iterator[str]:
     """Check that the labels on each image's rightmost path are want(member)."""
-    details = []
-    for n in range(1, n_max + 1):
-        for family in families:
-            for m, code in bij.images(family, n):
-                got = tr.rightmost_path(code)
-                if got != want(m):
-                    details.append(f"{family} n={n}: {m} path labels {sorted(got)}")
-    return details
+    for family in families:
+        for m, code in bij.images(family, n):
+            got = tr.rightmost_path(code)
+            if got != want(m):
+                yield f"{family} n={n}: {m} path labels {sorted(got)}"
 
 
 @check("cor-rightmost-cycle-min", "rightmost-path labels are the cycle minima", 6)
-def check_cor_rightmost_cycle_min(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _check_rightmost_path(n_max, ("cud-b", "cud-d"), lambda cf: frozenset(c.leader for c in cf.cycles))
+def check_cor_rightmost_cycle_min(n: int) -> Iterator[str]:
+    return _check_rightmost_path(n, ("cud-b", "cud-d"), lambda cf: frozenset(c.leader for c in cf.cycles))
 
 
 @check("cor-rightmost-ltr-min", "rightmost-path labels are the left-to-right minima", 6)
-def check_cor_rightmost_ltr_min(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _check_rightmost_path(n_max, ("vs-b", "vs-d"), lambda p: left_to_right_minima(p.abs_window()))
+def check_cor_rightmost_ltr_min(n: int) -> Iterator[str]:
+    return _check_rightmost_path(n, ("vs-b", "vs-d"), lambda p: left_to_right_minima(p.abs_window()))
 
 
 @check("lemma-emp-spk", "emp equals n - 2*spk + 1 on every flip class", 6)
-def check_lemma_emp_spk(n_max: int, golden_dir: str | None = None) -> list[str]:
-    details = []
-    for n in range(1, n_max + 1):
-        for cls in fam.flip_classes(n):
-            emp = tr.count_empty(bij.phi_f(cls))
-            if emp != n - 2 * cls.spk + 1:
-                details.append(f"n={n}: class {cls.canon} has emp {emp}, spk {cls.spk}")
-    return details
+def check_lemma_emp_spk(n: int) -> Iterator[str]:
+    for cls in fam.flip_classes(n):
+        emp = tr.count_empty(bij.phi_f(cls))
+        if emp != n - 2 * cls.spk + 1:
+            yield f"n={n}: class {cls.canon} has emp {emp}, spk {cls.spk}"
 
 
 @check("lemma-peak-leaf", "double-empty nodes of the min-split tree are the peaks", 8)
-def check_lemma_peak_leaf(n_max: int, golden_dir: str | None = None) -> list[str]:
-    details = []
-    for n in range(1, n_max + 1):
-        labels = range(1, n + 1)
-        for p in permutations(labels):
-            code = bij.algo3(p)
-            found = {v for v in labels if not (code[2 * v - 2] or code[2 * v - 1])}
-            if found - {p[0]} != set(peak_values(p)):
-                details.append(f"n={n} perm {p}: double-empty labels {sorted(found)}")
-    return details
+def check_lemma_peak_leaf(n: int) -> Iterator[str]:
+    labels = range(1, n + 1)
+    for p in permutations(labels):
+        code = bij.algo3(p)
+        found = {v for v in labels if not (code[2 * v - 2] or code[2 * v - 1])}
+        if found - {p[0]} != set(peak_values(p)):
+            yield f"n={n} perm {p}: double-empty labels {sorted(found)}"
 
 
 @check("knuth-flip-euler", "unsigned flip classes are counted by Euler numbers", 8)
-def check_knuth_flip_euler(n_max: int, golden_dir: str | None = None) -> list[str]:
-    details = []
-    euler = euler_numbers(n_max)
-    for n in range(1, n_max + 1):
-        classes = fam.unsigned_flip_classes(n)
-        if len(classes) != euler[n - 1]:
-            details.append(f"n={n}: {len(classes)} classes vs Euler number {euler[n - 1]}")
-        fibres: dict = {}  # keyed by the non-plane min-split tree, as each node's unordered children
-        for p in permutations(range(1, n + 1)):
-            code = tr.split_code(p)
-            fibres.setdefault(tuple(map(frozenset, zip(code[::2], code[1::2]))), []).append(p)
-        if tuple(map(tuple, fibres.values())) != classes:
-            details.append(f"n={n}: classes differ from the fibres of the non-plane tree")
-    if n_max >= 3:
-        classes3 = {frozenset(c) for c in fam.unsigned_flip_classes(3)}
+def check_knuth_flip_euler(n: int) -> Iterator[str]:
+    euler = euler_numbers(n)[n - 1]
+    classes = fam.unsigned_flip_classes(n)
+    if len(classes) != euler:
+        yield f"n={n}: {len(classes)} classes vs Euler number {euler}"
+    fibres: dict = {}  # keyed by the non-plane min-split tree, as each node's unordered children
+    for p in permutations(range(1, n + 1)):
+        code = tr.split_code(p)
+        fibres.setdefault(tuple(map(frozenset, zip(code[::2], code[1::2]))), []).append(p)
+    if tuple(map(tuple, fibres.values())) != classes:
+        yield f"n={n}: classes differ from the fibres of the non-plane tree"
+    if n == 3:
         want = {
             frozenset({(1, 2, 3), (3, 2, 1), (2, 3, 1), (1, 3, 2)}),
             frozenset({(2, 1, 3), (3, 1, 2)}),
         }
-        if classes3 != want:
-            details.append("n=3: class structure differs from the two known classes")
-    return details
+        if {frozenset(c) for c in classes} != want:
+            yield "n=3: class structure differs from the two known classes"
 
 
 # ---------------------------------------------------------------------------
@@ -513,109 +484,101 @@ def _verify_step_partition(
     records: Iterable[fam.StepRecord],
     expected: dict[str, tuple[str, int, int, int]],
     label: str,
-) -> list[str]:
+) -> Iterator[str]:
     """Check case targets and statistic shifts, then exact coverage of each
     indexed family the expected cases name, with no collisions."""
-    details = []
     keys = dict.fromkeys(target[:3] for target in expected.values())
     target_sets = {key: set(fam.enumerate_indexed(*key)) for key in keys}
     seen: dict[tuple[str, int, int], set] = {key: set() for key in target_sets}
     for rec in records:
         if rec.case not in expected:
-            details.append(f"{label}: unexpected case {rec.case} for {rec.source}")
+            yield f"{label}: unexpected case {rec.case} for {rec.source}"
             continue
         family, t_n, t_index, shift = expected[rec.case]
         if (rec.target_family, rec.target_n, rec.target_index) != (family, t_n, t_index):
-            details.append(
+            yield (
                 f"{label}: {rec.source} sent to ({rec.target_family},{rec.target_n},"
                 f"{rec.target_index}), expected ({family},{t_n},{t_index})"
             )
             continue
         if rec.stat_after - rec.stat_before != shift:
-            details.append(
+            yield (
                 f"{label}: {rec.source} shifts stat by {rec.stat_after - rec.stat_before},"
                 f" expected {shift}"
             )
         bucket = seen[(family, t_n, t_index)]
         if rec.image in bucket:
-            details.append(f"{label}: image {rec.image} hit twice")
+            yield f"{label}: image {rec.image} hit twice"
         bucket.add(rec.image)
     for key, want in target_sets.items():
         got = seen[key]
         if got != want:
             missing = len(want - got)
             extra = len(got - want)
-            details.append(
+            yield (
                 f"{label}: target {key} covered with {missing} missing, {extra} extra"
             )
-    return details
 
 
 def _check_recstep(
-    n_max: int,
+    n: int,
     kind: str,
     step: Callable[[int, int, str], tuple[fam.StepRecord, ...]],
     bridge: Callable[[object], fam.StepRecord],
     d_cases: tuple[str, str],
     b_cases: tuple[str, ...],
-) -> list[str]:
-    """Check the one-step maps of a pair of indexed families.  `d_cases`
-    names the type-D step's case that drops to size n-1, then the one that
-    stays; `b_cases` names the type-B step's dropping case, then every case
-    that stays at size n."""
+) -> Iterator[str]:
+    """Check the one-step maps of a pair of indexed families at size n.
+    `d_cases` names the type-D step's case that drops to size n-1, then the
+    one that stays; `b_cases` names the type-B step's dropping case, then
+    every case that stays at size n."""
     fb, fd = f"{kind}-b", f"{kind}-d"
     d_drop, d_stay = d_cases
     b_drop, *b_stay = b_cases
-    details = []
-    for n in range(2, n_max + 1):
-        for k in range(2, n + 1):
-            expected = {d_drop: (fb, n - 1, k - 1, -1), d_stay: (fd, n, k - 1, 0)}
-            details += _verify_step_partition(step(n, k, "d"), expected, f"{fd} n={n} k={k}")
-        for k in range(1, n):
-            expected = {b_drop: (fd, n - 1, k, 0), **dict.fromkeys(b_stay, (fb, n, k + 1, 0))}
-            details += _verify_step_partition(step(n, k, "b"), expected, f"{fb} n={n} k={k}")
-        bridge_images = {bridge(m).image for m in fam.enumerate_indexed(fb, n, n)}
-        if bridge_images != set(fam.enumerate_indexed(fd, n, n)):
-            details.append(f"{kind} bridge n={n}: images differ from the type-D family")
-    return details
+    for k in range(2, n + 1):
+        expected = {d_drop: (fb, n - 1, k - 1, -1), d_stay: (fd, n, k - 1, 0)}
+        yield from _verify_step_partition(step(n, k, "d"), expected, f"{fd} n={n} k={k}")
+    for k in range(1, n):
+        expected = {b_drop: (fd, n - 1, k, 0), **dict.fromkeys(b_stay, (fb, n, k + 1, 0))}
+        yield from _verify_step_partition(step(n, k, "b"), expected, f"{fb} n={n} k={k}")
+    bridge_images = {bridge(m).image for m in fam.enumerate_indexed(fb, n, n)}
+    if bridge_images != set(fam.enumerate_indexed(fd, n, n)):
+        yield f"{kind} bridge n={n}: images differ from the type-D family"
 
 
 @check("recstep-cud", "cycle-family one-step maps partition their targets", 6)
-def check_recstep_cud(n_max: int, golden_dir: str | None = None) -> list[str]:
+def check_recstep_cud(n: int) -> Iterator[str]:
     return _check_recstep(
-        n_max, "cud", fam.recurrence_step_cud, fam.psi_cud_bridge, ("i", "ii"), ("i", "ii", "iii")
+        n, "cud", fam.recurrence_step_cud, fam.psi_cud_bridge, ("i", "ii"), ("i", "ii", "iii")
     )
 
 
 @check("recstep-vs", "valley-family one-step maps partition their targets", 6)
-def check_recstep_vs(n_max: int, golden_dir: str | None = None) -> list[str]:
+def check_recstep_vs(n: int) -> Iterator[str]:
     return _check_recstep(
-        n_max, "vs", fam.recurrence_step_vs, fam.psi_vs_bridge, ("1", "2"), ("1", "1b", "2")
+        n, "vs", fam.recurrence_step_vs, fam.psi_vs_bridge, ("1", "2"), ("1", "1b", "2")
     )
 
 
-def _check_constant_on_classes(n_max: int, name: str, stat: Callable) -> list[str]:
+def _check_constant_on_classes(n: int, name: str, stat: Callable) -> Iterator[str]:
     """Check that stat, applied to each member window, gives the value the
     flip class records under `name`.  `flip_classes` reads the statistics
     off the class's non-plane tree only, so this is the one test that they
     are constant on every member."""
-    details = []
-    for n in range(1, n_max + 1):
-        for cls in fam.flip_classes(n):
-            values = {stat(w) for w in cls.members}
-            if values != {getattr(cls, name)}:
-                details.append(f"n={n}: class {cls.canon} has {name} values {values}")
-    return details
+    for cls in fam.flip_classes(n):
+        values = {stat(w) for w in cls.members}
+        if values != {getattr(cls, name)}:
+            yield f"n={n}: class {cls.canon} has {name} values {values}"
 
 
 @check("smax-well-defined", "smax is constant on every flip class", 6)
-def check_smax_well_defined(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _check_constant_on_classes(n_max, "smax", stat_smax)
+def check_smax_well_defined(n: int) -> Iterator[str]:
+    return _check_constant_on_classes(n, "smax", stat_smax)
 
 
 @check("spk-well-defined", "spk is constant on every flip class", 6)
-def check_spk_well_defined(n_max: int, golden_dir: str | None = None) -> list[str]:
-    return _check_constant_on_classes(n_max, "spk", lambda w: stat_spk(SignedPerm(w)))
+def check_spk_well_defined(n: int) -> Iterator[str]:
+    return _check_constant_on_classes(n, "spk", lambda w: stat_spk(SignedPerm(w)))
 
 
 @check(
@@ -624,17 +587,14 @@ def check_spk_well_defined(n_max: int, golden_dir: str | None = None) -> list[st
     6,
     report_only=True,
 )
-def check_report_emp_npk(n_max: int, golden_dir: str | None = None) -> list[str]:
+def check_report_emp_npk(n: int) -> Iterator[str]:
     """Report-only: where does emp(tree image) equal n+1-2*npk per object?"""
-    findings = []
-    for n in range(1, n_max + 1):
-        agree = total = 0
-        for family in ("cud-b", "cud-d"):
-            for cf, code in bij.images(family, n):
-                total += 1
-                agree += tr.count_empty(code) == n + 1 - 2 * stat_npk(cf)
-        findings.append(f"n={n}: per-object identity holds for {agree}/{total} members")
-    return findings
+    agree = total = 0
+    for family in ("cud-b", "cud-d"):
+        for cf, code in bij.images(family, n):
+            total += 1
+            agree += tr.count_empty(code) == n + 1 - 2 * stat_npk(cf)
+    yield f"n={n}: per-object identity holds for {agree}/{total} members"
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +612,9 @@ def _spec(check_id: str) -> RegisteredCheck:
 
 
 def verify(check_id: str, max_n: int | None = None, golden_dir: str | None = None) -> CheckResult:
-    """Run one registered check up to max_n (its default ceiling if omitted)."""
+    """Run one registered check up to max_n (its default ceiling if omitted).
+    A capped check has its ceiling refused above the size cap before any
+    size runs, then runs once for each n = 1..max_n in turn."""
     spec = _spec(check_id)
     n_max = spec.default_max_n if max_n is None else max_n
     if n_max < 1:
@@ -660,7 +622,10 @@ def verify(check_id: str, max_n: int | None = None, golden_dir: str | None = Non
     if spec.capped:
         tr.check_size(n_max)
     start = time.perf_counter()
-    details = spec.run(n_max, golden_dir)
+    if spec.capped:
+        details = [detail for n in range(1, n_max + 1) for detail in spec.run(n)]
+    else:
+        details = spec.run(n_max, golden_dir)
     elapsed = time.perf_counter() - start
     if spec.report_only:
         status = "report-only"

@@ -57,18 +57,11 @@ class LaurentPoly:
         return cls()
 
     @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    @classmethod
     def t_power(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
         return cls({exp: coeff})
 
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._coeffs.items()))
-
-    def coeff(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
 
     @property
     def is_zero(self) -> bool:

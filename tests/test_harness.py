@@ -117,8 +117,9 @@ def test_npk_statistic_mismatch_is_reported_precisely():
                 counts[(side, cf.cycles[-1].leader, tops + (side == "d"))] += 1
         return counts
 
-    assert _compare_family_polys(3, ascent_top_distribution, "cud B", "cud D") == []
-    details = _compare_family_polys(4, ascent_top_distribution, "cud B", "cud D")
+    for n in (1, 2, 3):
+        assert list(_compare_family_polys(n, ascent_top_distribution(n), "cud B", "cud D")) == []
+    details = list(_compare_family_polys(4, ascent_top_distribution(4), "cud B", "cud D"))
     assert "cud B n=4 k=4: 4t + 8t^3 + 4t^5 != 2t + 8t^3 + 6t^5" in details
     assert all("n=4 k=4" in d for d in details if "B n=" in d)
 
@@ -172,20 +173,80 @@ def test_verify_all_keeps_registry_order():
     assert all(r.status != "fail" for r in results)
 
 
-def _crash(monkeypatch, check_id, exc):
-    """Make one registered check raise `exc`; returns its registry index."""
+def _replace_run(monkeypatch, check_id, run):
+    """Put `run` in place of one registered check's; returns its registry index."""
     from dataclasses import replace
 
     import arnold.harness as harness
-
-    def run(*_args):
-        raise exc
 
     i = check_ids().index(check_id)
     patched = list(CHECKS)
     patched[i] = replace(CHECKS[i], run=run)
     monkeypatch.setattr(harness, "CHECKS", patched)
     return i
+
+
+def _crash(monkeypatch, check_id, exc):
+    """Make one registered check raise `exc`; returns its registry index."""
+
+    def run(*_args):
+        raise exc
+
+    return _replace_run(monkeypatch, check_id, run)
+
+
+def _record(monkeypatch, check_id):
+    """Record the arguments of every call of one registered check's run."""
+    real, calls = CHECKS[check_ids().index(check_id)].run, []
+
+    def run(*args):
+        calls.append(args)
+        return real(*args)
+
+    _replace_run(monkeypatch, check_id, run)
+    return calls
+
+
+def test_verify_runs_a_capped_check_once_per_size_in_order(monkeypatch):
+    monkeypatch.delenv("ARNOLD_MAX_N", raising=False)
+    calls = _record(monkeypatch, "bij-vs-b")
+    assert verify("bij-vs-b", 3).status == "pass"
+    assert calls == [(1,), (2,), (3,)]
+    calls.clear()
+    with pytest.raises(SizeCapExceededError, match="n=9 exceeds the configured cap 8"):
+        verify("bij-vs-b", 9)
+    assert calls == []
+
+
+def test_verify_runs_a_triangle_check_once_on_the_whole_range(monkeypatch):
+    calls = _record(monkeypatch, "table-arnold")
+    assert verify("table-arnold", 5).status == "pass"
+    assert calls == [(5, None)]
+
+
+def test_capped_check_raising_mid_sweep_is_one_error_row(monkeypatch):
+    def run(n):
+        if n == 2:
+            raise RuntimeError("at n=2")
+        yield f"n={n}: mismatch"
+
+    i = _replace_run(monkeypatch, "thm-vs", run)
+    result = verify_all(3)[i]
+    assert (result.check_id, result.n_range, result.status) == ("thm-vs", (1, 3), "error")
+    assert result.details == ("RuntimeError('at n=2')",)
+    with pytest.raises(RuntimeError, match="at n=2"):
+        verify("thm-vs", 3)
+
+
+def test_every_capped_check_takes_one_size():
+    import inspect
+
+    params = {
+        spec.check_id: len(inspect.signature(spec.run).parameters)
+        for spec in CHECKS
+        if spec.capped
+    }
+    assert params == dict.fromkeys(params, 1)
 
 
 def test_crashing_check_is_reported_and_the_rest_still_run(monkeypatch):

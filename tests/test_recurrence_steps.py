@@ -283,7 +283,7 @@ class TestKernels:
 
 class TestExhaustiveVerification:
     def test_vs_steps_partition_targets(self):
-        assert check_recstep_vs(5) == []
+        assert [d for n in range(1, 6) for d in check_recstep_vs(n)] == []
 
     def test_cud_d_steps_partition_targets(self):
         result = verify("recstep-cud", 5)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from arnold.bijections import MissingPeakError
-from arnold.bijections import _paired_peaks as paired_peaks
+from arnold.signed_perm import peaks, valleys
 from arnold.trees import TreeClass, complement
 
 
@@ -305,6 +305,18 @@ def remove_empty_pair(t, label):
     if label in labels(left):
         return Node(t.label, (remove_empty_pair(left, label), right))
     return Node(t.label, (left, remove_empty_pair(right, label)))
+
+
+def paired_peaks(w, start):
+    """The value at the least peak position above each valley position v of
+    |w| with v >= start whose successor w[v] is negative, in valley order."""
+    aw = [abs(v) for v in w]
+    tops = peaks(aw)
+    return [
+        aw[min(q for q in tops if q > v) - 1]
+        for v in sorted(valleys(aw))
+        if v >= start and w[v] < 0
+    ]
 
 
 def phi_vs(p):
