@@ -18,16 +18,18 @@ the cycle's word, so no tree is built here.  Each step `psi_*` is its
 family's membership test (for a cycle form, also `is_canonical`) and then
 its kernel `psi_*_kernel`; `_recurrence_step`, whose members come from
 `enumerate_indexed`, returns the kernels' `StepRecord`s as a plain tuple.
+`FlipClass` and `StepRecord` are NamedTuples, like the `signed_perm` types;
+a FlipClass keeps its members in `stored` (`_members` before: a NamedTuple
+field may not start with an underscore).
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import groupby, permutations, product
 from math import comb, factorial
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .signed_perm import (
     Cycle,
@@ -238,22 +240,25 @@ def flip(obj, k: int):
     return SignedPerm(out) if isinstance(obj, SignedPerm) else out
 
 
-@dataclass(frozen=True, eq=False)
-class FlipClass:
-    """A signed flip class; its sorted `members` are a tuple or built on read."""
+class FlipClass(NamedTuple):
+    """A signed flip class.  `stored` holds its sorted members as a tuple,
+    or as a callable that `members` calls to build them on read; equality
+    compares the members, not what is stored."""
 
     canon: tuple[int, ...]
-    _members: tuple[tuple[int, ...], ...] | Callable[[], tuple[tuple[int, ...], ...]]
+    stored: tuple[tuple[int, ...], ...] | Callable[[], tuple[tuple[int, ...], ...]]
     smax: int
     spk: int
 
     @property
     def members(self) -> tuple[tuple[int, ...], ...]:
-        return self._members() if callable(self._members) else self._members
+        return self.stored() if callable(self.stored) else self.stored
 
     def __eq__(self, other: object) -> bool:
         key = attrgetter("canon", "smax", "spk", "members")
         return isinstance(other, FlipClass) and key(self) == key(other)
+
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's !=
 
     def __hash__(self) -> int:
         return hash(self.canon)
@@ -570,8 +575,7 @@ def vs_distribution(n: int) -> Counter:
 # ---------------------------------------------------------------------------
 # one-step recurrence maps between indexed families
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     source: object
     case: str
     target_family: str

@@ -31,13 +31,12 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import permutations
 from math import comb
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import bijections as bij
 from . import families as fam
@@ -61,8 +60,7 @@ class UnknownCheckError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     n_range: tuple[int, int]
     status: str  # "pass" | "fail" | "report-only" | "error"
@@ -83,8 +81,7 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class RegisteredCheck:
+class RegisteredCheck(NamedTuple):
     check_id: str
     claim: str
     default_max_n: int

@@ -3,13 +3,17 @@
 A signed permutation of size n is written in window notation: a tuple of n
 nonzero integers whose absolute values are exactly 1..n.  It extends to a
 bijection of {-n..-1, 1..n} via sigma(-i) = -sigma(i).
+
+`SignedPerm`, `Cycle` and `CycleForm` are NamedTuples, so they hash,
+compare, iterate and order like the tuples of their fields: a SignedPerm
+equals the tuple (window,), and `x._replace(...)` gives a changed copy.
+`CycleForm.n` counts the labels on every read; nothing is cached.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import neg
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .trees import block_code
 
@@ -34,8 +38,7 @@ class MalformedCudCycleFormError(ValueError):
     """Cycle form is not special-or-special-plus-final-bracket."""
 
 
-@dataclass(frozen=True)
-class SignedPerm:
+class SignedPerm(NamedTuple):
     window: tuple[int, ...]
 
     @property
@@ -81,8 +84,7 @@ def from_window(ints: Iterable[int]) -> SignedPerm:
     return SignedPerm(window)
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(NamedTuple):
     entries: tuple[int, ...]
     bracket: bool = False
 
@@ -95,11 +97,10 @@ class Cycle:
         return f"[{body}]" if self.bracket else f"({body})"
 
 
-@dataclass(frozen=True)
-class CycleForm:
+class CycleForm(NamedTuple):
     cycles: tuple[Cycle, ...]
 
-    @cached_property
+    @property
     def n(self) -> int:
         return sum(len({abs(e) for e in c.entries}) for c in self.cycles)
 

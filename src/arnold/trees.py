@@ -24,9 +24,8 @@ one `split_block` step per block.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 
 class SizeCapExceededError(ValueError):
@@ -91,8 +90,7 @@ def gen_trees(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(code)
 
 
-@dataclass(frozen=True)
-class TreeClass:
+class TreeClass(NamedTuple):
     kind: str  # "o" when the rightmost leaf is empty, "*" when labelled
     rightmost_label: int
     emp: int

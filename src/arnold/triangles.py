@@ -32,8 +32,7 @@ seeded by P_1 = 1 + t^2 and Q_1 = t.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generic, TypeVar
+from typing import NamedTuple, TypeVar
 
 from .laurent import INT64_MAX, INT64_MIN, LaurentPoly
 
@@ -47,8 +46,7 @@ def _checked_add(a: int, b: int) -> int:
     return s
 
 
-@dataclass(frozen=True)
-class ArnoldRow(Generic[V]):
+class ArnoldRow(NamedTuple):
     """One row of the double triangle.
 
     neg holds v_{n,-n}..v_{n,-1} (that order), pos holds v_{n,1}..v_{n,n}.
@@ -215,8 +213,7 @@ def hoffman_pq(n_max: int) -> list[tuple[LaurentPoly, LaurentPoly]]:
     return out
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     n: int
     q_side_ok: bool  # t*Q_n == sum of positive-side polynomials
     p_side_ok: bool  # P_n - t*Q_n == sum of negative-side polynomials

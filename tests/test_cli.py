@@ -531,7 +531,8 @@ class TestPlainParser:
             "import sys\n"
             "from arnold import cli\n"
             "assert cli.main(['enumerate', '--family', 'vs-b', '--n', '2']) == 0\n"
-            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)), file=sys.stderr)\n"
+            "unwanted = {'argparse', 'gettext', 'locale', 'dataclasses', 'inspect'}\n"
+            "print(sorted(unwanted & set(sys.modules)), file=sys.stderr)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run(

@@ -275,6 +275,7 @@ class TestFlipClasses:
         cls = FlipClass((1, 2), lambda: ((1, 2), (2, 1)), 1, 0)
         assert cls.members == ((1, 2), (2, 1))
         assert cls == FlipClass((1, 2), ((1, 2), (2, 1)), 1, 0)
+        assert not cls != FlipClass((1, 2), ((1, 2), (2, 1)), 1, 0)
         assert cls != FlipClass((1, 2), ((1, 2),), 1, 0)
         assert cls.to_json()["members"] == [[1, 2], [2, 1]]
 

@@ -175,13 +175,11 @@ def test_verify_all_keeps_registry_order():
 
 def _replace_run(monkeypatch, check_id, run):
     """Put `run` in place of one registered check's; returns its registry index."""
-    from dataclasses import replace
-
     import arnold.harness as harness
 
     i = check_ids().index(check_id)
     patched = list(CHECKS)
-    patched[i] = replace(CHECKS[i], run=run)
+    patched[i] = CHECKS[i]._replace(run=run)
     monkeypatch.setattr(harness, "CHECKS", patched)
     return i
 
@@ -411,15 +409,13 @@ def test_invalid_flip_class_image_is_reported(monkeypatch):
 
 
 def test_unknown_step_case_is_reported(monkeypatch):
-    import dataclasses
-
     import arnold.families as families
 
     real = families.psi_vs_b_kernel
 
     def odd_case(p):
         rec = real(p)
-        return dataclasses.replace(rec, case="zz") if p.window == (1, -2, 3) else rec
+        return rec._replace(case="zz") if p.window == (1, -2, 3) else rec
 
     monkeypatch.setattr(families, "psi_vs_b_kernel", odd_case)
     assert verify("recstep-vs", 3).details == (
@@ -429,15 +425,13 @@ def test_unknown_step_case_is_reported(monkeypatch):
 
 
 def test_mislabelled_step_target_is_reported(monkeypatch):
-    import dataclasses
-
     import arnold.families as families
 
     real = families.psi_cud_d_kernel
 
     def wrong_index(cf):
         rec = real(cf)
-        return dataclasses.replace(rec, target_index=rec.target_index + 1)
+        return rec._replace(target_index=rec.target_index + 1)
 
     monkeypatch.setattr(families, "psi_cud_d_kernel", wrong_index)
     details = verify("recstep-cud", 2).details
@@ -616,10 +610,8 @@ def test_merged_flip_classes_are_reported(monkeypatch):
 
 
 def test_negated_class_smax_is_reported(monkeypatch):
-    import dataclasses
-
     _patched_classes(
-        monkeypatch, lambda cs: (dataclasses.replace(cs[0], smax=-cs[0].smax),) + cs[1:]
+        monkeypatch, lambda cs: (cs[0]._replace(smax=-cs[0].smax),) + cs[1:]
     )
     assert verify("bij-fl", 2).details == (
         "fl n=1: class (-1,) lands at (*,1), expected (o,1)",
@@ -628,10 +620,8 @@ def test_negated_class_smax_is_reported(monkeypatch):
 
 
 def test_shifted_class_spk_is_reported(monkeypatch):
-    import dataclasses
-
     _patched_classes(
-        monkeypatch, lambda cs: (dataclasses.replace(cs[0], spk=cs[0].spk + 1),) + cs[1:]
+        monkeypatch, lambda cs: (cs[0]._replace(spk=cs[0].spk + 1),) + cs[1:]
     )
     assert verify("lemma-emp-spk", 2).details == (
         "n=1: class (-1,) has emp 0, spk 2",
