@@ -20,11 +20,23 @@ hide the other results.
 The tree side of `thm-trees` and of the bijection checks is counted by
 `_tree_distribution` over the increasing plane trees, not generated; the
 maps write flat codes (see `trees`), which the checks read through
-`trees.classify` and `trees.rightmost_path`.  The member checks read each
-member with its code from `bijections.images`, and the step checks read the
-records of `families.recurrence_step_*`; both run the maps unguarded, on
-members of the family generators, which the tests hold equal to the
-literal filters.
+`trees.classify` and `trees.rightmost_path`.  The cycle and valley member
+checks read each member with its code from `bijections.images`, the flip
+checks orient every member of `families.flip_classes`, and the step
+checks read the records of `families.recurrence_step_*`; all of them run
+the maps unguarded, on members of the family generators, which the tests
+hold equal to the literal filters.
+
+Within one `verify_all` run the eleven member checks share their walks:
+one pass per (family, n), a walk of `bijections.images` for each of
+`cud-b`, `cud-d`, `vs-b` and `vs-d` and a walk of the flip classes of size
+n and their members, yields the details of every check that reads those
+members (`_fuse`).  The refined-family theorems likewise share one triangle
+row per size.  The first check to read a pass pays for it, and each part
+of a pass keeps its own exception, so that a crash fails only the checks
+that read that part.  What a run shares lives in `_shared` until
+`verify_all` returns or raises, so `verify` on its own (`verify --check`)
+computes it fresh.
 """
 from __future__ import annotations
 
@@ -36,7 +48,7 @@ from importlib import resources
 from itertools import permutations
 from math import comb
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Generator, Iterable, Iterator, NamedTuple
 
 from . import bijections as bij
 from . import families as fam
@@ -151,6 +163,64 @@ def _poly_of_counts(stat_counts: dict[int, int], n: int) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
+# results shared by the checks of one verify_all run
+
+# What the running `verify_all` has computed, by key; None outside one.
+_shared: dict | None = None
+
+
+def _per_run(key, compute: Callable):
+    """compute(), kept under key until the running `verify_all` returns,
+    so that the checks of one run share it; outside a run, computed fresh."""
+    if _shared is None:
+        return compute()
+    if key not in _shared:
+        _shared[key] = compute()
+    return _shared[key]
+
+
+def _fuse(items: Iterable, parts: dict[str, Generator]) -> dict[str, object]:
+    """Run the parts of one pass in step over one walk of items.  A part is
+    a generator that takes each item from `(yield)`, yielding None, until
+    it is sent None, and then yields its result.  A part that raises has
+    the exception as its result and is sent nothing more, so that it hides
+    none of the others; an exception from the walk itself is the result of
+    every part still running."""
+    results: dict[str, object] = {}
+
+    def send(value) -> None:
+        for name, part in parts.items():
+            if name not in results:
+                try:
+                    reply = part.send(value)
+                except Exception as exc:
+                    reply = exc
+                if reply is not None:
+                    results[name] = reply
+
+    send(None)  # start each part
+    try:
+        for item in items:
+            send(item)
+    except Exception as exc:
+        for name in parts:
+            results.setdefault(name, exc)
+    send(None)  # each part still running yields its result
+    return results
+
+
+def _part(family: str, n: int, name: str):
+    """The result of one part of the pass of (family, n), where family is a
+    cycle or valley family or "fl" for the flip classes; raises the
+    exception that the part raised."""
+    results = _per_run((family, n), lambda: _flip_pass(n) if family == "fl" else _member_pass(family, n))
+    result = results[name]
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+# ---------------------------------------------------------------------------
 # triangle and table checks
 
 @check("table-arnold", "numeric double triangle matches the stored table", 5, capped=False)
@@ -259,7 +329,7 @@ def _compare_family_polys(n: int, dist: Counter, b_label: str, d_label: str) -> 
     for (side, idx, s), c in dist.items():
         grouped.setdefault((side, idx), {}).setdefault(s, 0)
         grouped[(side, idx)][s] += c
-    row = arnold_hoffman(n)[n - 1]
+    row = _per_run(("row", n), lambda: arnold_hoffman(n)[n - 1])
     for k in range(1, n + 1):
         got_b = _poly_of_counts(grouped.get(("b", n - k + 1), {}), n)
         if got_b != row.value(k):
@@ -337,110 +407,199 @@ def check_thm_trees(n: int) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 # bijection checks
 
-def _check_bijection_into_trees(n: int, family: str) -> Iterator[str]:
-    """Check that the family maps bijectively, index to rightmost label, onto the trees of its side."""
+def _bijection_part(family: str, n: int) -> Generator:
+    """Part: that the family maps bijectively, index to rightmost label,
+    onto the trees of its side."""
     side = family[-1]
     kind = "o" if side == "b" else "*"
-    codes = []
+    details, codes = [], []
     by_index: Counter = Counter()
-    for m, code in bij.images(family, n):
+    while (item := (yield)) is not None:
+        m, code = item
         index = fam.family_index(family, m)
         by_index[index] += 1
         if not tr.is_complete_increasing(code, n):
-            yield f"{family} n={n}: invalid image tree for {m}"
+            details.append(f"{family} n={n}: invalid image tree for {m}")
             continue
         c = tr.classify(code)
         if c.kind != kind or c.rightmost_label != index:
-            yield (
+            details.append(
                 f"{family} n={n}: {m} lands at ({c.kind},{c.rightmost_label}), "
                 f"expected ({kind},{index})"
             )
         codes.append(code)
     if len(set(codes)) != len(codes):
-        yield f"{family} n={n}: images collide"
+        details.append(f"{family} n={n}: images collide")
     trees = _tree_distribution(n)
     for k in range(1, n + 1):
         n_trees = sum(cnt for (s, idx, _), cnt in trees.items() if (s, idx) == (side, k))
         if by_index.get(k, 0) != n_trees:
-            yield (
-                f"{family} n={n} k={k}: {by_index.get(k, 0)} members vs {n_trees} trees"
-            )
+            details.append(f"{family} n={n} k={k}: {by_index.get(k, 0)} members vs {n_trees} trees")
+    yield tuple(details)
+
+
+def _path_part(family: str, n: int, want: Callable) -> Generator:
+    """Part: that the labels on each image's rightmost path are want(member)."""
+    details = []
+    while (item := (yield)) is not None:
+        m, code = item
+        got = tr.rightmost_path(code)
+        if got != want(m):
+            details.append(f"{family} n={n}: {m} path labels {sorted(got)}")
+    yield tuple(details)
+
+
+def _emp_npk_part(n: int) -> Generator:
+    """Part: for how many members emp(image) = n + 1 - 2*npk, and of how many."""
+    agree = total = 0
+    while (item := (yield)) is not None:
+        cf, code = item
+        total += 1
+        agree += tr.count_empty(code) == n + 1 - 2 * stat_npk(cf)
+    yield agree, total
+
+
+def _member_pass(family: str, n: int) -> dict:
+    """The parts of one walk of `bijections.images(family, n)`: "bij" and
+    "path" for every cycle and valley family, and "report" for a cycle one."""
+    parts = {"bij": _bijection_part(family, n)}
+    if family.startswith("cud"):
+        parts["path"] = _path_part(family, n, lambda cf: frozenset(c.leader for c in cf.cycles))
+        parts["report"] = _emp_npk_part(n)
+    else:
+        parts["path"] = _path_part(family, n, lambda p: left_to_right_minima(p.abs_window()))
+    return _fuse(bij.images(family, n), parts)
 
 
 @check("bij-cud-b", "type-B cycle map is an index-preserving bijection to empty-ended trees", 6)
-def check_bij_cud_b(n: int) -> Iterator[str]:
-    return _check_bijection_into_trees(n, "cud-b")
+def check_bij_cud_b(n: int) -> tuple[str, ...]:
+    return _part("cud-b", n, "bij")
 
 
 @check("bij-cud-d", "type-D cycle map is an index-preserving bijection to labelled-ended trees", 6)
-def check_bij_cud_d(n: int) -> Iterator[str]:
-    return _check_bijection_into_trees(n, "cud-d")
+def check_bij_cud_d(n: int) -> tuple[str, ...]:
+    return _part("cud-d", n, "bij")
 
 
 @check("bij-vs-b", "type-B valley map is an index-preserving bijection", 6)
-def check_bij_vs_b(n: int) -> Iterator[str]:
-    return _check_bijection_into_trees(n, "vs-b")
+def check_bij_vs_b(n: int) -> tuple[str, ...]:
+    return _part("vs-b", n, "bij")
 
 
 @check("bij-vs-d", "type-D valley map is an index-preserving bijection", 6)
-def check_bij_vs_d(n: int) -> Iterator[str]:
-    return _check_bijection_into_trees(n, "vs-d")
+def check_bij_vs_d(n: int) -> tuple[str, ...]:
+    return _part("vs-d", n, "bij")
 
 
-@check("bij-fl", "flip-class map is well defined and bijective", 6)
-def check_bij_fl(n: int) -> Iterator[str]:
+def _flip_members(n: int) -> Iterator[tuple]:
+    """(class, members, codes) for each flip class of size n: the code of
+    each member window, or the exception that orienting it raised, which
+    then fails only the parts that read that code."""
     classes = fam.flip_classes(n)
     split = {u: tr.split_code(u) for u in permutations(range(1, n + 1))}  # for every signing
-    images = []
+
+    def oriented(w: tuple[int, ...]):
+        try:
+            return bij.orient_flip_code(split[tuple(map(abs, w))], w)
+        except Exception as exc:
+            return exc
+
     for cls in classes:
-        member_codes = {bij.orient_flip_code(split[tuple(map(abs, w))], w) for w in cls.members}
+        members = cls.members
+        yield cls, members, [oriented(w) for w in members]
+
+
+def _flip_bijection_part(n: int) -> Generator:
+    """Part: that every member of a class maps to one tree, and the classes
+    bijectively, smax to rightmost label, onto the trees."""
+    details, images = [], []
+    while (item := (yield)) is not None:
+        cls, _, codes = item
+        errors = [code for code in codes if isinstance(code, Exception)]
+        if errors:
+            raise errors[0]
+        member_codes = set(codes)
         if len(member_codes) != 1:
-            yield f"fl n={n}: members of {cls.canon} map to different trees"
+            details.append(f"fl n={n}: members of {cls.canon} map to different trees")
             continue
         code = member_codes.pop()
         if not tr.is_complete_increasing(code, n):
-            yield f"fl n={n}: invalid image tree for class {cls.canon}"
+            details.append(f"fl n={n}: invalid image tree for class {cls.canon}")
             continue
         c = tr.classify(code)
         want_kind = "o" if cls.smax > 0 else "*"
         if c.kind != want_kind or c.rightmost_label != abs(cls.smax):
-            yield (
+            details.append(
                 f"fl n={n}: class {cls.canon} lands at ({c.kind},{c.rightmost_label}), "
                 f"expected ({want_kind},{abs(cls.smax)})"
             )
         images.append(code)
     if len(set(images)) != len(images):
-        yield f"fl n={n}: class images collide"
+        details.append(f"fl n={n}: class images collide")
     total_trees = sum(_tree_distribution(n).values())
     if len(images) != total_trees:
-        yield f"fl n={n}: {len(images)} classes vs {total_trees} trees"
+        details.append(f"fl n={n}: {len(images)} classes vs {total_trees} trees")
+    yield tuple(details)
 
 
-def _check_rightmost_path(n: int, families: tuple[str, str], want: Callable) -> Iterator[str]:
-    """Check that the labels on each image's rightmost path are want(member)."""
-    for family in families:
-        for m, code in bij.images(family, n):
-            got = tr.rightmost_path(code)
-            if got != want(m):
-                yield f"{family} n={n}: {m} path labels {sorted(got)}"
+def _constant_part(n: int, name: str, stat: Callable) -> Generator:
+    """Part: that stat, applied to each member window, gives the value the
+    flip class records under `name`.  `flip_classes` reads the statistics
+    off the class's non-plane tree only, so this is the one test that they
+    are constant on every member."""
+    details = []
+    while (item := (yield)) is not None:
+        cls, members, _ = item
+        values = {stat(w) for w in members}
+        if values != {getattr(cls, name)}:
+            details.append(f"n={n}: class {cls.canon} has {name} values {values}")
+    yield tuple(details)
+
+
+def _emp_spk_part(n: int) -> Generator:
+    """Part: that the tree of each class, the code of its canonical member,
+    has n - 2*spk + 1 empty leaves."""
+    details = []
+    while (item := (yield)) is not None:
+        cls, members, codes = item
+        code = codes[members.index(cls.canon)]
+        if isinstance(code, Exception):
+            raise code
+        emp = tr.count_empty(code)
+        if emp != n - 2 * cls.spk + 1:
+            details.append(f"n={n}: class {cls.canon} has emp {emp}, spk {cls.spk}")
+    yield tuple(details)
+
+
+def _flip_pass(n: int) -> dict:
+    """The parts of one walk of the flip classes of size n and their members."""
+    parts = {
+        "bij": _flip_bijection_part(n),
+        "smax": _constant_part(n, "smax", stat_smax),
+        "spk": _constant_part(n, "spk", lambda w: stat_spk(SignedPerm(w))),
+        "emp": _emp_spk_part(n),
+    }
+    return _fuse(_flip_members(n), parts)
+
+
+@check("bij-fl", "flip-class map is well defined and bijective", 6)
+def check_bij_fl(n: int) -> tuple[str, ...]:
+    return _part("fl", n, "bij")
 
 
 @check("cor-rightmost-cycle-min", "rightmost-path labels are the cycle minima", 6)
-def check_cor_rightmost_cycle_min(n: int) -> Iterator[str]:
-    return _check_rightmost_path(n, ("cud-b", "cud-d"), lambda cf: frozenset(c.leader for c in cf.cycles))
+def check_cor_rightmost_cycle_min(n: int) -> tuple[str, ...]:
+    return _part("cud-b", n, "path") + _part("cud-d", n, "path")
 
 
 @check("cor-rightmost-ltr-min", "rightmost-path labels are the left-to-right minima", 6)
-def check_cor_rightmost_ltr_min(n: int) -> Iterator[str]:
-    return _check_rightmost_path(n, ("vs-b", "vs-d"), lambda p: left_to_right_minima(p.abs_window()))
+def check_cor_rightmost_ltr_min(n: int) -> tuple[str, ...]:
+    return _part("vs-b", n, "path") + _part("vs-d", n, "path")
 
 
 @check("lemma-emp-spk", "emp equals n - 2*spk + 1 on every flip class", 6)
-def check_lemma_emp_spk(n: int) -> Iterator[str]:
-    for cls in fam.flip_classes(n):
-        emp = tr.count_empty(bij.phi_f(cls))
-        if emp != n - 2 * cls.spk + 1:
-            yield f"n={n}: class {cls.canon} has emp {emp}, spk {cls.spk}"
+def check_lemma_emp_spk(n: int) -> tuple[str, ...]:
+    return _part("fl", n, "emp")
 
 
 @check("lemma-peak-leaf", "double-empty nodes of the min-split tree are the peaks", 8)
@@ -557,25 +716,14 @@ def check_recstep_vs(n: int) -> Iterator[str]:
     )
 
 
-def _check_constant_on_classes(n: int, name: str, stat: Callable) -> Iterator[str]:
-    """Check that stat, applied to each member window, gives the value the
-    flip class records under `name`.  `flip_classes` reads the statistics
-    off the class's non-plane tree only, so this is the one test that they
-    are constant on every member."""
-    for cls in fam.flip_classes(n):
-        values = {stat(w) for w in cls.members}
-        if values != {getattr(cls, name)}:
-            yield f"n={n}: class {cls.canon} has {name} values {values}"
-
-
 @check("smax-well-defined", "smax is constant on every flip class", 6)
-def check_smax_well_defined(n: int) -> Iterator[str]:
-    return _check_constant_on_classes(n, "smax", stat_smax)
+def check_smax_well_defined(n: int) -> tuple[str, ...]:
+    return _part("fl", n, "smax")
 
 
 @check("spk-well-defined", "spk is constant on every flip class", 6)
-def check_spk_well_defined(n: int) -> Iterator[str]:
-    return _check_constant_on_classes(n, "spk", lambda w: stat_spk(SignedPerm(w)))
+def check_spk_well_defined(n: int) -> tuple[str, ...]:
+    return _part("fl", n, "spk")
 
 
 @check(
@@ -588,9 +736,9 @@ def check_report_emp_npk(n: int) -> Iterator[str]:
     """Report-only: where does emp(tree image) equal n+1-2*npk per object?"""
     agree = total = 0
     for family in ("cud-b", "cud-d"):
-        for cf, code in bij.images(family, n):
-            total += 1
-            agree += tr.count_empty(code) == n + 1 - 2 * stat_npk(cf)
+        family_agree, family_total = _part(family, n, "report")
+        agree += family_agree
+        total += family_total
     yield f"n={n}: per-object identity holds for {agree}/{total} members"
 
 
@@ -635,16 +783,23 @@ def verify_all(max_n: int | None = None, golden_dir: str | None = None) -> list[
     """Run every registered check, in registry order, at its default
     ceiling capped by max_n.  A check that raises anything but
     SizeCapExceededError is reported with status "error" and the
-    exception in its details, and the remaining checks still run."""
-    results = []
-    for spec in CHECKS:
-        n_max = spec.default_max_n if max_n is None else min(spec.default_max_n, max_n)
-        start = time.perf_counter()
-        try:
-            results.append(verify(spec.check_id, n_max, golden_dir))
-        except SizeCapExceededError:
-            raise
-        except Exception as exc:
-            elapsed = time.perf_counter() - start
-            results.append(CheckResult(spec.check_id, (1, n_max), "error", (repr(exc),), elapsed))
-    return results
+    exception in its details, and the remaining checks still run.  The
+    checks of one run share each member pass and triangle row (`_per_run`),
+    which the first check to read it computes."""
+    global _shared
+    _shared = {}
+    try:
+        results = []
+        for spec in CHECKS:
+            n_max = spec.default_max_n if max_n is None else min(spec.default_max_n, max_n)
+            start = time.perf_counter()
+            try:
+                results.append(verify(spec.check_id, n_max, golden_dir))
+            except SizeCapExceededError:
+                raise
+            except Exception as exc:
+                elapsed = time.perf_counter() - start
+                results.append(CheckResult(spec.check_id, (1, n_max), "error", (repr(exc),), elapsed))
+        return results
+    finally:
+        _shared = None

@@ -633,8 +633,7 @@ def test_shifted_class_spk_is_reported(monkeypatch):
 # per-member sweeps must still see them, whatever flip_classes reads.
 # (-2, 1, 3) and (3, 1, -2) make up one class at n=3.
 
-@pytest.mark.parametrize("name", ("smax", "spk"))
-def test_class_statistic_wrong_on_one_other_member_is_reported(monkeypatch, name):
+def _statistic_off_on_one_member(monkeypatch, name):
     import arnold.harness as harness
 
     real = getattr(harness, f"stat_{name}")
@@ -644,13 +643,9 @@ def test_class_statistic_wrong_on_one_other_member_is_reported(monkeypatch, name
         return real(w) + (window == (3, 1, -2))
 
     monkeypatch.setattr(harness, f"stat_{name}", off_by_one)
-    want = {"smax": "{3, 4}", "spk": "{1, 2}"}[name]
-    assert verify(f"{name}-well-defined", 3).details == (
-        f"n=3: class (-2, 1, 3) has {name} values {want}",
-    )
 
 
-def test_member_oriented_with_one_wrong_sign_is_reported(monkeypatch):
+def _one_member_oriented_with_a_wrong_sign(monkeypatch):
     import arnold.bijections as bijections
 
     real = bijections.orient_flip_code
@@ -659,6 +654,19 @@ def test_member_oriented_with_one_wrong_sign_is_reported(monkeypatch):
         return real(split, (3, 1, 2) if tuple(w) == (3, 1, -2) else w)
 
     monkeypatch.setattr(bijections, "orient_flip_code", one_wrong_sign)
+
+
+@pytest.mark.parametrize("name", ("smax", "spk"))
+def test_class_statistic_wrong_on_one_other_member_is_reported(monkeypatch, name):
+    _statistic_off_on_one_member(monkeypatch, name)
+    want = {"smax": "{3, 4}", "spk": "{1, 2}"}[name]
+    assert verify(f"{name}-well-defined", 3).details == (
+        f"n=3: class (-2, 1, 3) has {name} values {want}",
+    )
+
+
+def test_member_oriented_with_one_wrong_sign_is_reported(monkeypatch):
+    _one_member_oriented_with_a_wrong_sign(monkeypatch)
     assert verify("bij-fl", 3).details == (
         "fl n=3: members of (-2, 1, 3) map to different trees",
         "fl n=3: 15 classes vs 16 trees",
@@ -714,3 +722,138 @@ def test_wrong_path_labels_are_reported(monkeypatch):
         "vs-b n=2: [2,1] path labels [1, 2]",
         "vs-d n=2: [-2,1] path labels [1, 2]",
     )
+
+
+# The member checks of one verify_all run share one pass per (family, n),
+# and the refined-family theorems one triangle row per size.  What a run
+# shares must change no row, keep each crash to the checks that read the
+# crashing part, and end with the run.
+
+def _summary(r):
+    return (r.check_id, r.n_range, r.status, r.details)
+
+
+@pytest.mark.parametrize(
+    "fault, failing",
+    [
+        (lambda mp: None, set()),
+        (_one_member_oriented_with_a_wrong_sign, {"bij-fl"}),
+        (lambda mp: _statistic_off_on_one_member(mp, "smax"), {"smax-well-defined"}),
+        (lambda mp: _statistic_off_on_one_member(mp, "spk"), {"spk-well-defined"}),
+    ],
+    ids=["clean", "orient", "smax", "spk"],
+)
+def test_shared_and_solo_runs_agree(monkeypatch, fault, failing):
+    fault(monkeypatch)
+    shared = verify_all(4)
+    assert {r.check_id for r in shared if r.status == "fail"} == failing
+    for r in shared:
+        assert _summary(r) == _summary(verify(r.check_id, 4))
+
+
+def _always(*args):
+    return True
+
+
+@pytest.mark.parametrize(
+    "owner, name, crashes_on, readers",
+    [
+        ("harness", "stat_npk", _always, {"report-emp-npk-perobject"}),
+        ("trees", "rightmost_path", _always, {"cor-rightmost-cycle-min", "cor-rightmost-ltr-min"}),
+        ("harness", "stat_smax", _always, {"smax-well-defined"}),
+        ("harness", "stat_spk", _always, {"spk-well-defined"}),
+        ("bijections", "orient_flip_code", _always, {"bij-fl", "lemma-emp-spk"}),
+        # not the canonical member of its class, whose code alone the lemma reads
+        ("bijections", "orient_flip_code", lambda split, w: w == (3, 1, -2), {"bij-fl"}),
+    ],
+    ids=["npk", "path", "smax", "spk", "orient", "orient-one-member"],
+)
+def test_a_crashing_part_errors_only_the_checks_that_read_it(
+    monkeypatch, owner, name, crashes_on, readers
+):
+    import importlib
+
+    clean = [_summary(r) for r in verify_all(3)]
+    module = importlib.import_module(f"arnold.{owner}")
+    real = getattr(module, name)
+
+    def crash(*args):
+        if crashes_on(*args):
+            raise RuntimeError(f"{name} crashed")
+        return real(*args)
+
+    monkeypatch.setattr(module, name, crash)
+    results = verify_all(3)
+    assert [r.check_id for r in results] == list(EXPECTED_IDS)
+    for r, want in zip(results, clean):
+        if r.check_id in readers:
+            with pytest.raises(RuntimeError) as info:
+                verify(r.check_id, 3)
+            assert (r.status, r.details) == ("error", (repr(info.value),))
+        else:
+            assert _summary(r) == want
+
+
+def _recorded(monkeypatch, module, name):
+    """Replace module.name by a recorder; returns the log of its first arguments."""
+    real, log = getattr(module, name), []
+
+    def recorder(*args):
+        log.append(args[0] if len(args) == 1 else args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, recorder)
+    return log
+
+
+MEMBER_FAMILIES = ("cud-b", "cud-d", "vs-b", "vs-d")
+
+
+def test_one_run_walks_each_member_family_once_per_size(monkeypatch):
+    import arnold.bijections as bijections
+    import arnold.harness as harness
+
+    log = _recorded(monkeypatch, bijections, "images")
+    verify_all(3)
+    assert sorted(log) == sorted((family, n) for family in MEMBER_FAMILIES for n in (1, 2, 3))
+    assert harness._shared is None
+    log.clear()
+    assert verify("cor-rightmost-cycle-min", 3).status == "pass"
+    assert log == [(family, n) for n in (1, 2, 3) for family in ("cud-b", "cud-d")]
+
+
+def test_one_run_orients_and_reads_each_flip_member_once(monkeypatch):
+    import arnold.bijections as bijections
+    import arnold.families as families
+    import arnold.harness as harness
+
+    members = [w for n in (1, 2, 3) for cls in families.flip_classes(n) for w in cls.members]
+    oriented = _recorded(monkeypatch, bijections, "orient_flip_code")
+    smax = _recorded(monkeypatch, harness, "stat_smax")
+    spk = _recorded(monkeypatch, harness, "stat_spk")
+    verify_all(3)
+    assert [w for _, w in oriented] == smax == [p.window for p in spk] == members
+
+
+def test_one_run_builds_each_refined_triangle_row_once(monkeypatch):
+    import arnold.harness as harness
+
+    log = _recorded(monkeypatch, harness, "arnold_hoffman")
+    verify_all(3)
+    assert [log.count(n) for n in (1, 2)] == [1, 1]
+    log.clear()
+    assert verify("thm-trees", 2).status == "pass"
+    assert log == [1, 2]
+
+
+def test_what_a_run_shares_ends_with_a_run_that_raises(monkeypatch):
+    import arnold.bijections as bijections
+    import arnold.harness as harness
+
+    _crash(monkeypatch, "recstep-cud", SizeCapExceededError("cap"))
+    with pytest.raises(SizeCapExceededError):
+        verify_all(3)
+    assert harness._shared is None
+    log = _recorded(monkeypatch, bijections, "images")
+    assert verify("bij-cud-b", 3).status == "pass"
+    assert log == [("cud-b", n) for n in (1, 2, 3)]
