@@ -492,9 +492,10 @@ def check_bij_vs_d(n: int) -> tuple[str, ...]:
 
 
 def _flip_members(n: int) -> Iterator[tuple]:
-    """(class, members, codes) for each flip class of size n: the code of
-    each member window, or the exception that orienting it raised, which
-    then fails only the parts that read that code."""
+    """(class, members, codes, error) for each flip class of size n: the
+    code of each member window, and error None.  Where orienting a member
+    raised, error is the first exception and each code that raised is its
+    exception, which then fails only the parts that read that code."""
     classes = fam.flip_classes(n)
     split = {u: tr.split_code(u) for u in permutations(range(1, n + 1))}  # for every signing
 
@@ -506,7 +507,11 @@ def _flip_members(n: int) -> Iterator[tuple]:
 
     for cls in classes:
         members = cls.members
-        yield cls, members, [oriented(w) for w in members]
+        try:
+            codes, error = [bij.orient_flip_code(split[tuple(map(abs, w))], w) for w in members], None
+        except Exception as exc:
+            codes, error = [oriented(w) for w in members], exc
+        yield cls, members, codes, error
 
 
 def _flip_bijection_part(n: int) -> Generator:
@@ -514,10 +519,9 @@ def _flip_bijection_part(n: int) -> Generator:
     bijectively, smax to rightmost label, onto the trees."""
     details, images = [], []
     while (item := (yield)) is not None:
-        cls, _, codes = item
-        errors = [code for code in codes if isinstance(code, Exception)]
-        if errors:
-            raise errors[0]
+        cls, _, codes, error = item
+        if error is not None:
+            raise error
         member_codes = set(codes)
         if len(member_codes) != 1:
             details.append(f"fl n={n}: members of {cls.canon} map to different trees")
@@ -549,7 +553,7 @@ def _constant_part(n: int, name: str, stat: Callable) -> Generator:
     are constant on every member."""
     details = []
     while (item := (yield)) is not None:
-        cls, members, _ = item
+        cls, members, _, _ = item
         values = {stat(w) for w in members}
         if values != {getattr(cls, name)}:
             details.append(f"n={n}: class {cls.canon} has {name} values {values}")
@@ -561,7 +565,7 @@ def _emp_spk_part(n: int) -> Generator:
     has n - 2*spk + 1 empty leaves."""
     details = []
     while (item := (yield)) is not None:
-        cls, members, codes = item
+        cls, members, codes, _ = item
         code = codes[members.index(cls.canon)]
         if isinstance(code, Exception):
             raise code

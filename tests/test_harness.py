@@ -795,7 +795,8 @@ def test_a_crashing_part_errors_only_the_checks_that_read_it(
 
 
 def _recorded(monkeypatch, module, name):
-    """Replace module.name by a recorder; returns the log of its first arguments."""
+    """Replace module.name by a recorder; returns the log of its calls,
+    each logged as its one argument or the tuple of several."""
     real, log = getattr(module, name), []
 
     def recorder(*args):
@@ -806,16 +807,14 @@ def _recorded(monkeypatch, module, name):
     return log
 
 
-MEMBER_FAMILIES = ("cud-b", "cud-d", "vs-b", "vs-d")
-
-
 def test_one_run_walks_each_member_family_once_per_size(monkeypatch):
     import arnold.bijections as bijections
     import arnold.harness as harness
 
     log = _recorded(monkeypatch, bijections, "images")
     verify_all(3)
-    assert sorted(log) == sorted((family, n) for family in MEMBER_FAMILIES for n in (1, 2, 3))
+    families = ("cud-b", "cud-d", "vs-b", "vs-d")
+    assert sorted(log) == sorted((family, n) for family in families for n in (1, 2, 3))
     assert harness._shared is None
     log.clear()
     assert verify("cor-rightmost-cycle-min", 3).status == "pass"
