@@ -507,7 +507,7 @@ def _flip_members(n: int) -> Iterator[tuple]:
 
     for cls in classes:
         members = cls.members
-        try:
+        try:  # one comprehension; only a raise re-walks the class member by member
             codes, error = [bij.orient_flip_code(split[tuple(map(abs, w))], w) for w in members], None
         except Exception as exc:
             codes, error = [oriented(w) for w in members], exc
