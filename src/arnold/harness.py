@@ -30,13 +30,13 @@ hold equal to the literal filters.
 Within one `verify_all` run the eleven member checks share their walks:
 one pass per (family, n), a walk of `bijections.images` for each of
 `cud-b`, `cud-d`, `vs-b` and `vs-d` and a walk of the flip classes of size
-n and their members, yields the details of every check that reads those
-members (`_fuse`).  The refined-family theorems likewise share one triangle
-row per size.  The first check to read a pass pays for it, and each part
-of a pass keeps its own exception, so that a crash fails only the checks
-that read that part.  What a run shares lives in `_shared` until
-`verify_all` returns or raises, so `verify` on its own (`verify --check`)
-computes it fresh.
+n and their members, computes the results of every check that reads those
+members (`_member_pass`, `_flip_pass`).  The refined-family theorems
+likewise share one triangle row per size.  The first check to read a pass
+pays for it, and each result keeps its own exception, so that a crash
+fails only the checks that read what crashed.  What a run shares lives in
+`_shared` until `verify_all` returns or raises; `verify` on its own
+(`verify --check`) computes fresh only the result its check reads.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ from importlib import resources
 from itertools import permutations
 from math import comb
 from pathlib import Path
-from typing import Callable, Generator, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import bijections as bij
 from . import families as fam
@@ -179,41 +179,34 @@ def _per_run(key, compute: Callable):
     return _shared[key]
 
 
-def _fuse(items: Iterable, parts: dict[str, Generator]) -> dict[str, object]:
-    """Run the parts of one pass in step over one walk of items.  A part is
-    a generator that takes each item from `(yield)`, yielding None, until
-    it is sent None, and then yields its result.  A part that raises has
-    the exception as its result and is sent nothing more, so that it hides
-    none of the others; an exception from the walk itself is the result of
-    every part still running."""
-    results: dict[str, object] = {}
-
-    def send(value) -> None:
-        for name, part in parts.items():
-            if name not in results:
-                try:
-                    reply = part.send(value)
-                except Exception as exc:
-                    reply = exc
-                if reply is not None:
-                    results[name] = reply
-
-    send(None)  # start each part
+def _attempt(f: Callable, *args):
+    """f(*args), or the exception that it raised."""
     try:
-        for item in items:
-            send(item)
+        return f(*args)
     except Exception as exc:
-        for name in parts:
-            results.setdefault(name, exc)
-    send(None)  # each part still running yields its result
-    return results
+        return exc
 
 
-def _part(family: str, n: int, name: str):
-    """The result of one part of the pass of (family, n), where family is a
-    cycle or valley family or "fl" for the flip classes; raises the
-    exception that the part raised."""
-    results = _per_run((family, n), lambda: _flip_pass(n) if family == "fl" else _member_pass(family, n))
+# the results of the pass over each cycle and valley family and over the
+# flip classes ("fl"), each read by its own check
+_PASS_RESULTS = {
+    "cud-b": ("bij", "path", "report"),
+    "cud-d": ("bij", "path", "report"),
+    "vs-b": ("bij", "path"),
+    "vs-d": ("bij", "path"),
+    "fl": ("bij", "smax", "spk", "emp"),
+}
+
+
+def _pass_result(family: str, n: int, name: str):
+    """Result `name` of the pass over (family, n); raises the exception
+    that computing it raised.  Within a `verify_all` run the pass computes
+    all its results for their readers at once; outside one, only this one."""
+    names = (name,) if _shared is None else _PASS_RESULTS[family]
+    if family == "fl":
+        results = _per_run((family, n), lambda: _flip_pass(n, names))
+    else:
+        results = _per_run((family, n), lambda: _member_pass(family, n, names))
     result = results[name]
     if isinstance(result, Exception):
         raise result
@@ -407,15 +400,14 @@ def check_thm_trees(n: int) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 # bijection checks
 
-def _bijection_part(family: str, n: int) -> Generator:
-    """Part: that the family maps bijectively, index to rightmost label,
-    onto the trees of its side."""
+def _bijection_details(family: str, n: int, items: list) -> tuple[str, ...]:
+    """That the family maps bijectively, index to rightmost label, onto the
+    trees of its side."""
     side = family[-1]
     kind = "o" if side == "b" else "*"
     details, codes = [], []
     by_index: Counter = Counter()
-    while (item := (yield)) is not None:
-        m, code = item
+    for m, code in items:
         index = fam.family_index(family, m)
         by_index[index] += 1
         if not tr.is_complete_increasing(code, n):
@@ -435,98 +427,75 @@ def _bijection_part(family: str, n: int) -> Generator:
         n_trees = sum(cnt for (s, idx, _), cnt in trees.items() if (s, idx) == (side, k))
         if by_index.get(k, 0) != n_trees:
             details.append(f"{family} n={n} k={k}: {by_index.get(k, 0)} members vs {n_trees} trees")
-    yield tuple(details)
+    return tuple(details)
 
 
-def _path_part(family: str, n: int, want: Callable) -> Generator:
-    """Part: that the labels on each image's rightmost path are want(member)."""
+def _path_details(family: str, n: int, items: list) -> tuple[str, ...]:
+    """That the labels on each image's rightmost path are the cycle minima
+    of a cycle member, the left-to-right minima of a valley member."""
+    if family.startswith("cud"):
+        want = lambda cf: frozenset(c.leader for c in cf.cycles)  # noqa: E731
+    else:
+        want = lambda p: left_to_right_minima(p.abs_window())  # noqa: E731
     details = []
-    while (item := (yield)) is not None:
-        m, code = item
+    for m, code in items:
         got = tr.rightmost_path(code)
         if got != want(m):
             details.append(f"{family} n={n}: {m} path labels {sorted(got)}")
-    yield tuple(details)
+    return tuple(details)
 
 
-def _emp_npk_part(n: int) -> Generator:
-    """Part: for how many members emp(image) = n + 1 - 2*npk, and of how many."""
-    agree = total = 0
-    while (item := (yield)) is not None:
-        cf, code = item
-        total += 1
-        agree += tr.count_empty(code) == n + 1 - 2 * stat_npk(cf)
-    yield agree, total
+def _emp_npk_counts(family: str, n: int, items: list) -> tuple[int, int]:
+    """For how many members emp(image) = n + 1 - 2*npk, and of how many."""
+    agree = sum(tr.count_empty(code) == n + 1 - 2 * stat_npk(cf) for cf, code in items)
+    return agree, len(items)
 
 
-def _member_pass(family: str, n: int) -> dict:
-    """The parts of one walk of `bijections.images(family, n)`: "bij" and
-    "path" for every cycle and valley family, and "report" for a cycle one."""
-    parts = {"bij": _bijection_part(family, n)}
-    if family.startswith("cud"):
-        parts["path"] = _path_part(family, n, lambda cf: frozenset(c.leader for c in cf.cycles))
-        parts["report"] = _emp_npk_part(n)
-    else:
-        parts["path"] = _path_part(family, n, lambda p: left_to_right_minima(p.abs_window()))
-    return _fuse(bij.images(family, n), parts)
+def _member_pass(family: str, n: int, names: Iterable[str]) -> dict:
+    """Results `names` of one walk of `bijections.images(family, n)`:
+    "bij" (the details of `bij-<family>`), "path" (its share of the
+    `cor-rightmost-*` details) and, for a cycle family, "report" (its share
+    of the report's counts).  An exception from the walk is the result of
+    every one."""
+    try:
+        items = list(bij.images(family, n))
+    except Exception as exc:
+        return dict.fromkeys(names, exc)
+    parts = {"bij": _bijection_details, "path": _path_details, "report": _emp_npk_counts}
+    return {name: _attempt(parts[name], family, n, items) for name in names}
 
 
 @check("bij-cud-b", "type-B cycle map is an index-preserving bijection to empty-ended trees", 6)
 def check_bij_cud_b(n: int) -> tuple[str, ...]:
-    return _part("cud-b", n, "bij")
+    return _pass_result("cud-b", n, "bij")
 
 
 @check("bij-cud-d", "type-D cycle map is an index-preserving bijection to labelled-ended trees", 6)
 def check_bij_cud_d(n: int) -> tuple[str, ...]:
-    return _part("cud-d", n, "bij")
+    return _pass_result("cud-d", n, "bij")
 
 
 @check("bij-vs-b", "type-B valley map is an index-preserving bijection", 6)
 def check_bij_vs_b(n: int) -> tuple[str, ...]:
-    return _part("vs-b", n, "bij")
+    return _pass_result("vs-b", n, "bij")
 
 
 @check("bij-vs-d", "type-D valley map is an index-preserving bijection", 6)
 def check_bij_vs_d(n: int) -> tuple[str, ...]:
-    return _part("vs-d", n, "bij")
+    return _pass_result("vs-d", n, "bij")
 
 
-def _flip_members(n: int) -> Iterator[tuple]:
-    """(class, members, codes, error) for each flip class of size n: the
-    code of each member window, and error None.  Where orienting a member
-    raised, error is the first exception and each code that raised is its
-    exception, which then fails only the parts that read that code."""
-    classes = fam.flip_classes(n)
-    split = {u: tr.split_code(u) for u in permutations(range(1, n + 1))}  # for every signing
-
-    def oriented(w: tuple[int, ...]):
-        try:
-            return bij.orient_flip_code(split[tuple(map(abs, w))], w)
-        except Exception as exc:
-            return exc
-
-    for cls in classes:
-        members = cls.members
-        try:  # one comprehension; only a raise re-walks the class member by member
-            codes, error = [bij.orient_flip_code(split[tuple(map(abs, w))], w) for w in members], None
-        except Exception as exc:
-            codes, error = [oriented(w) for w in members], exc
-        yield cls, members, codes, error
-
-
-def _flip_bijection_part(n: int) -> Generator:
-    """Part: that every member of a class maps to one tree, and the classes
+def _flip_bijection_details(n: int, rows: list) -> tuple[str, ...]:
+    """That every member of a class maps to one tree, and the classes
     bijectively, smax to rightmost label, onto the trees."""
     details, images = [], []
-    while (item := (yield)) is not None:
-        cls, _, codes, error = item
-        if error is not None:
-            raise error
-        member_codes = set(codes)
-        if len(member_codes) != 1:
+    for cls, trees in rows:
+        if isinstance(trees, Exception):
+            raise trees
+        if len(trees) != 1:
             details.append(f"fl n={n}: members of {cls.canon} map to different trees")
             continue
-        code = member_codes.pop()
+        (code,) = trees
         if not tr.is_complete_increasing(code, n):
             details.append(f"fl n={n}: invalid image tree for class {cls.canon}")
             continue
@@ -543,67 +512,106 @@ def _flip_bijection_part(n: int) -> Generator:
     total_trees = sum(_tree_distribution(n).values())
     if len(images) != total_trees:
         details.append(f"fl n={n}: {len(images)} classes vs {total_trees} trees")
-    yield tuple(details)
+    return tuple(details)
 
 
-def _constant_part(n: int, name: str, stat: Callable) -> Generator:
-    """Part: that stat, applied to each member window, gives the value the
-    flip class records under `name`.  `flip_classes` reads the statistics
-    off the class's non-plane tree only, so this is the one test that they
-    are constant on every member."""
+def _constant_details(name: str, n: int, rows: list) -> tuple[str, ...]:
+    """That the statistic `name`, applied to each member window, gives the
+    value the flip class records.  `flip_classes` reads the statistics off
+    the class's non-plane tree only, so this is the one test that they are
+    constant on every member."""
     details = []
-    while (item := (yield)) is not None:
-        cls, members, _, _ = item
-        values = {stat(w) for w in members}
+    for cls, values in rows:
+        if isinstance(values, Exception):
+            raise values
         if values != {getattr(cls, name)}:
             details.append(f"n={n}: class {cls.canon} has {name} values {values}")
-    yield tuple(details)
+    return tuple(details)
 
 
-def _emp_spk_part(n: int) -> Generator:
-    """Part: that the tree of each class, the code of its canonical member,
-    has n - 2*spk + 1 empty leaves."""
+def _emp_spk_details(n: int, rows: list) -> tuple[str, ...]:
+    """That the tree of each class, that of its canonical member, has
+    n - 2*spk + 1 empty leaves."""
     details = []
-    while (item := (yield)) is not None:
-        cls, members, codes, _ = item
-        code = codes[members.index(cls.canon)]
+    for cls, code in rows:
         if isinstance(code, Exception):
             raise code
         emp = tr.count_empty(code)
         if emp != n - 2 * cls.spk + 1:
             details.append(f"n={n}: class {cls.canon} has emp {emp}, spk {cls.spk}")
-    yield tuple(details)
+    return tuple(details)
 
 
-def _flip_pass(n: int) -> dict:
-    """The parts of one walk of the flip classes of size n and their members."""
+def _values(stat: Callable, members: Iterable) -> set:
+    """The set of stat(w) over the member windows w."""
+    return {stat(w) for w in members}
+
+
+def _flip_pass(n: int, names: Iterable[str]) -> dict:
+    """Results `names` of one walk of the flip classes of size n, which
+    reads each class's members once: "bij", "smax", "spk" and "emp" (the
+    details of `bij-fl`, `smax-well-defined`, `spk-well-defined` and
+    `lemma-emp-spk`).  For each class the walk keeps what each result
+    reads: the set of its members' trees, its canonical member's tree and
+    the sets of its members' smax and spk.  Each of these is the exception
+    that computing it raised, if one did, and each member's tree is kept
+    apart, so that a crash fails only the checks that read what crashed;
+    an exception from the walk itself is the result of every one."""
+    rows: dict[str, list] = {name: [] for name in names}
+    oriented = "bij" in rows or "emp" in rows
+    every = rows.keys() != {"emp"}  # "emp" alone reads the canonical member only
+    stats = {"smax": stat_smax, "spk": lambda w: stat_spk(SignedPerm(w))}
+    split_code, orient, split = tr.split_code, bij.orient_flip_code, {}
+    try:
+        for cls in fam.flip_classes(n):
+            members = cls.members if every else (cls.canon,)
+            codes, error = [], None
+            for w in members if oriented else ():
+                try:
+                    u = tuple(map(abs, w))
+                    s = split.get(u)  # one split code serves every signing of u
+                    if s is None:
+                        s = split[u] = split_code(u)
+                    code = orient(s, w)
+                except Exception as exc:
+                    code, error = exc, error or exc
+                codes.append(code)
+            if "bij" in rows:
+                rows["bij"].append((cls, error or set(codes)))
+            if "emp" in rows:
+                rows["emp"].append((cls, codes[members.index(cls.canon)]))
+            for name, stat in stats.items():
+                if name in rows:
+                    rows[name].append((cls, _attempt(_values, stat, members)))
+    except Exception as exc:
+        return dict.fromkeys(names, exc)
     parts = {
-        "bij": _flip_bijection_part(n),
-        "smax": _constant_part(n, "smax", stat_smax),
-        "spk": _constant_part(n, "spk", lambda w: stat_spk(SignedPerm(w))),
-        "emp": _emp_spk_part(n),
+        "bij": _flip_bijection_details,
+        "smax": lambda n, rows: _constant_details("smax", n, rows),
+        "spk": lambda n, rows: _constant_details("spk", n, rows),
+        "emp": _emp_spk_details,
     }
-    return _fuse(_flip_members(n), parts)
+    return {name: _attempt(parts[name], n, rows[name]) for name in names}
 
 
 @check("bij-fl", "flip-class map is well defined and bijective", 6)
 def check_bij_fl(n: int) -> tuple[str, ...]:
-    return _part("fl", n, "bij")
+    return _pass_result("fl", n, "bij")
 
 
 @check("cor-rightmost-cycle-min", "rightmost-path labels are the cycle minima", 6)
 def check_cor_rightmost_cycle_min(n: int) -> tuple[str, ...]:
-    return _part("cud-b", n, "path") + _part("cud-d", n, "path")
+    return _pass_result("cud-b", n, "path") + _pass_result("cud-d", n, "path")
 
 
 @check("cor-rightmost-ltr-min", "rightmost-path labels are the left-to-right minima", 6)
 def check_cor_rightmost_ltr_min(n: int) -> tuple[str, ...]:
-    return _part("vs-b", n, "path") + _part("vs-d", n, "path")
+    return _pass_result("vs-b", n, "path") + _pass_result("vs-d", n, "path")
 
 
 @check("lemma-emp-spk", "emp equals n - 2*spk + 1 on every flip class", 6)
 def check_lemma_emp_spk(n: int) -> tuple[str, ...]:
-    return _part("fl", n, "emp")
+    return _pass_result("fl", n, "emp")
 
 
 @check("lemma-peak-leaf", "double-empty nodes of the min-split tree are the peaks", 8)
@@ -722,12 +730,12 @@ def check_recstep_vs(n: int) -> Iterator[str]:
 
 @check("smax-well-defined", "smax is constant on every flip class", 6)
 def check_smax_well_defined(n: int) -> tuple[str, ...]:
-    return _part("fl", n, "smax")
+    return _pass_result("fl", n, "smax")
 
 
 @check("spk-well-defined", "spk is constant on every flip class", 6)
 def check_spk_well_defined(n: int) -> tuple[str, ...]:
-    return _part("fl", n, "spk")
+    return _pass_result("fl", n, "spk")
 
 
 @check(
@@ -740,7 +748,7 @@ def check_report_emp_npk(n: int) -> Iterator[str]:
     """Report-only: where does emp(tree image) equal n+1-2*npk per object?"""
     agree = total = 0
     for family in ("cud-b", "cud-d"):
-        family_agree, family_total = _part(family, n, "report")
+        family_agree, family_total = _pass_result(family, n, "report")
         agree += family_agree
         total += family_total
     yield f"n={n}: per-object identity holds for {agree}/{total} members"

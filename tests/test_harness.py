@@ -765,8 +765,10 @@ def _always(*args):
         ("bijections", "orient_flip_code", _always, {"bij-fl", "lemma-emp-spk"}),
         # not the canonical member of its class, whose code alone the lemma reads
         ("bijections", "orient_flip_code", lambda split, w: w == (3, 1, -2), {"bij-fl"}),
+        # the flip trees are built from split codes; the statistics never read them
+        ("trees", "split_code", _always, {"bij-fl", "lemma-emp-spk", "knuth-flip-euler"}),
     ],
-    ids=["npk", "path", "smax", "spk", "orient", "orient-one-member"],
+    ids=["npk", "path", "smax", "spk", "orient", "orient-one-member", "split"],
 )
 def test_a_crashing_part_errors_only_the_checks_that_read_it(
     monkeypatch, owner, name, crashes_on, readers
@@ -832,6 +834,34 @@ def test_one_run_orients_and_reads_each_flip_member_once(monkeypatch):
     spk = _recorded(monkeypatch, harness, "stat_spk")
     verify_all(3)
     assert [w for _, w in oriented] == smax == [p.window for p in spk] == members
+
+
+@pytest.mark.parametrize(
+    "check_id, reads",
+    [
+        ("bij-fl", {"orient_flip_code", "classify"}),
+        ("lemma-emp-spk", {"orient_flip_code"}),
+        ("smax-well-defined", {"stat_smax"}),
+        ("spk-well-defined", {"stat_spk"}),
+        ("cor-rightmost-cycle-min", {"rightmost_path"}),
+        ("report-emp-npk-perobject", {"stat_npk"}),
+    ],
+)
+def test_a_check_run_alone_computes_only_what_it_reads(monkeypatch, check_id, reads):
+    import arnold.bijections as bijections
+    import arnold.harness as harness
+    import arnold.trees as trees
+
+    logs = {
+        "orient_flip_code": _recorded(monkeypatch, bijections, "orient_flip_code"),
+        "stat_smax": _recorded(monkeypatch, harness, "stat_smax"),
+        "stat_spk": _recorded(monkeypatch, harness, "stat_spk"),
+        "rightmost_path": _recorded(monkeypatch, trees, "rightmost_path"),
+        "stat_npk": _recorded(monkeypatch, harness, "stat_npk"),
+        "classify": _recorded(monkeypatch, trees, "classify"),
+    }
+    verify(check_id, 3)
+    assert {name for name, log in logs.items() if log} == reads
 
 
 def test_one_run_builds_each_refined_triangle_row_once(monkeypatch):
