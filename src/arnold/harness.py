@@ -187,22 +187,11 @@ def _attempt(f: Callable, *args):
         return exc
 
 
-# the results of the pass over each cycle and valley family and over the
-# flip classes ("fl"), each read by its own check
-_PASS_RESULTS = {
-    "cud-b": ("bij", "path", "report"),
-    "cud-d": ("bij", "path", "report"),
-    "vs-b": ("bij", "path"),
-    "vs-d": ("bij", "path"),
-    "fl": ("bij", "smax", "spk", "emp"),
-}
-
-
 def _pass_result(family: str, n: int, name: str):
     """Result `name` of the pass over (family, n); raises the exception
     that computing it raised.  Within a `verify_all` run the pass computes
     all its results for their readers at once; outside one, only this one."""
-    names = (name,) if _shared is None else _PASS_RESULTS[family]
+    names = (name,) if _shared is None else None
     if family == "fl":
         results = _per_run((family, n), lambda: _flip_pass(n, names))
     else:
@@ -451,17 +440,20 @@ def _emp_npk_counts(family: str, n: int, items: list) -> tuple[int, int]:
     return agree, len(items)
 
 
-def _member_pass(family: str, n: int, names: Iterable[str]) -> dict:
-    """Results `names` of one walk of `bijections.images(family, n)`:
-    "bij" (the details of `bij-<family>`), "path" (its share of the
-    `cor-rightmost-*` details) and, for a cycle family, "report" (its share
-    of the report's counts).  An exception from the walk is the result of
-    every one."""
+def _member_pass(family: str, n: int, names: Iterable[str] | None) -> dict:
+    """Results `names` (all if None) of one walk of
+    `bijections.images(family, n)`: "bij" (the details of `bij-<family>`),
+    "path" (its share of the `cor-rightmost-*` details) and, for a cycle
+    family, "report" (its share of the report's counts).  An exception from
+    the walk is the result of every one."""
+    parts = {"bij": _bijection_details, "path": _path_details}
+    if family.startswith("cud"):
+        parts["report"] = _emp_npk_counts
+    names = names or parts
     try:
         items = list(bij.images(family, n))
     except Exception as exc:
         return dict.fromkeys(names, exc)
-    parts = {"bij": _bijection_details, "path": _path_details, "report": _emp_npk_counts}
     return {name: _attempt(parts[name], family, n, items) for name in names}
 
 
@@ -547,17 +539,22 @@ def _values(stat: Callable, members: Iterable) -> set:
     return {stat(w) for w in members}
 
 
-def _flip_pass(n: int, names: Iterable[str]) -> dict:
-    """Results `names` of one walk of the flip classes of size n, which
-    reads each class's members once: "bij", "smax", "spk" and "emp" (the
-    details of `bij-fl`, `smax-well-defined`, `spk-well-defined` and
-    `lemma-emp-spk`).  For each class the walk keeps what each result
-    reads: the set of its members' trees, its canonical member's tree and
-    the sets of its members' smax and spk.  Each of these is the exception
-    that computing it raised, if one did, and each member's tree is kept
-    apart, so that a crash fails only the checks that read what crashed;
-    an exception from the walk itself is the result of every one."""
-    rows: dict[str, list] = {name: [] for name in names}
+def _flip_pass(n: int, names: Iterable[str] | None) -> dict:
+    """Results `names` (all if None) of one walk of the flip classes of
+    size n, which reads each class's members once: "bij", "smax", "spk"
+    and "emp", the details of `bij-fl`, `smax-well-defined`,
+    `spk-well-defined` and `lemma-emp-spk`.  For each class the walk keeps
+    the set of its members' trees, its canonical member's tree and the
+    sets of its members' smax and spk, each replaced by the exception that
+    computing it raised, if one did; an exception from the walk itself is
+    the result of every one."""
+    parts = {
+        "bij": _flip_bijection_details,
+        "smax": lambda n, rows: _constant_details("smax", n, rows),
+        "spk": lambda n, rows: _constant_details("spk", n, rows),
+        "emp": _emp_spk_details,
+    }
+    rows: dict[str, list] = {name: [] for name in names or parts}
     oriented = "bij" in rows or "emp" in rows
     every = rows.keys() != {"emp"}  # "emp" alone reads the canonical member only
     stats = {"smax": stat_smax, "spk": lambda w: stat_spk(SignedPerm(w))}
@@ -584,14 +581,8 @@ def _flip_pass(n: int, names: Iterable[str]) -> dict:
                 if name in rows:
                     rows[name].append((cls, _attempt(_values, stat, members)))
     except Exception as exc:
-        return dict.fromkeys(names, exc)
-    parts = {
-        "bij": _flip_bijection_details,
-        "smax": lambda n, rows: _constant_details("smax", n, rows),
-        "spk": lambda n, rows: _constant_details("spk", n, rows),
-        "emp": _emp_spk_details,
-    }
-    return {name: _attempt(parts[name], n, rows[name]) for name in names}
+        return dict.fromkeys(rows, exc)
+    return {name: _attempt(parts[name], n, found) for name, found in rows.items()}
 
 
 @check("bij-fl", "flip-class map is well defined and bijective", 6)
