@@ -31,12 +31,13 @@ Within one `verify_all` run the eleven member checks share their walks:
 one pass per (family, n), a walk of `bijections.images` for each of
 `cud-b`, `cud-d`, `vs-b` and `vs-d` and a walk of the flip classes of size
 n and their members, computes the results of every check that reads those
-members (`_member_pass`, `_flip_pass`).  The refined-family theorems
-likewise share one triangle row per size.  The first check to read a pass
+members (`_member_pass`, `_flip_pass`).  The first check to read a pass
 pays for it, and each result keeps its own exception, so that a crash
 fails only the checks that read what crashed.  What a run shares lives in
 `_shared` until `verify_all` returns or raises; `verify` on its own
-(`verify --check`) computes fresh only the result its check reads.
+(`verify --check`) computes fresh only the result its check reads.  The
+triangle rows need no sharing here: `triangles` builds each row once per
+process.
 """
 from __future__ import annotations
 
@@ -311,7 +312,7 @@ def _compare_family_polys(n: int, dist: Counter, b_label: str, d_label: str) -> 
     for (side, idx, s), c in dist.items():
         grouped.setdefault((side, idx), {}).setdefault(s, 0)
         grouped[(side, idx)][s] += c
-    row = _per_run(("row", n), lambda: arnold_hoffman(n)[n - 1])
+    row = arnold_hoffman(n)[n - 1]
     for k in range(1, n + 1):
         got_b = _poly_of_counts(grouped.get(("b", n - k + 1), {}), n)
         if got_b != row.value(k):
@@ -787,8 +788,8 @@ def verify_all(max_n: int | None = None, golden_dir: str | None = None) -> list[
     ceiling capped by max_n.  A check that raises anything but
     SizeCapExceededError is reported with status "error" and the
     exception in its details, and the remaining checks still run.  The
-    checks of one run share each member pass and triangle row (`_per_run`),
-    which the first check to read it computes."""
+    checks of one run share each member pass (`_per_run`), which the first
+    check to read it computes."""
     global _shared
     _shared = {}
     try:

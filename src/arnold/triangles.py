@@ -7,6 +7,16 @@ Each triangle row is the running sum of the previous row read backwards
 and the operation that computes an entry or a coefficient range-checks it:
 a row beyond the first overflow raises OverflowError rather than wrapping.
 
+Every row is built once per process.  Each triangle keeps one grow-only
+store of its first rows: the Entringer rows, the numeric Arnold rows, the
+packed polynomial rows with their row sums, the `LaurentPoly` rows and the
+(P_n, Q_n) pairs.  Every reader goes through `_first_rows`, which grows
+the rows a call asks for beyond the stored ones, each one step from the
+row below, and returns a fresh list of the first n_max.  A row that
+overflows raises before it is stored, so asking for it again raises the
+same message; the 64-bit range thus bounds the stores, at 24 Entringer
+rows, 19 numeric rows, 20 polynomial rows and 19 (P_n, Q_n) pairs.
+
 The polynomial triangle runs on packed integers (Kronecker substitution):
 an entry V_{n,k}(t) is one int holding the coefficient of t^e in the 64-bit
 slot e + 1, slot 0 holding t^-1.  Multiplying by t^-1 or t is a shift by
@@ -19,8 +29,8 @@ range, the one that adding the unpacked entries, whose exponents run from
 the highest down, would name first: the first overflowing row is 21, and
 its message names 11633834560661913600.  `arnold_hoffman` unpacks each
 finished entry into a LaurentPoly once; `check_hoffman_identities` builds
-none for a row, and compares packed row sums with the packed sides of the
-identities.
+none for a row, and compares packed row sums, stored as the rows are, with
+the packed sides of the identities.
 
 The derivative polynomials P_n, Q_n are defined by
     d^n/dx^n tan(x) = P_n(tan x)      and      d^n/dx^n sec(x) = Q_n(tan x) sec(x).
@@ -32,7 +42,8 @@ seeded by P_1 = 1 + t^2 and Q_1 = t.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, TypeVar
+import threading
+from typing import Callable, NamedTuple, TypeVar
 
 from .laurent import INT64_MAX, INT64_MIN, LaurentPoly
 
@@ -80,23 +91,53 @@ def _running_sums(start, terms, add):
     return tuple(out)
 
 
+_grow_lock = threading.RLock()
+
+
+def _first_rows(rows: list, n_max: int, grow: Callable[[list], object]) -> list:
+    """A fresh list of the first n_max rows of the store `rows`, row n at
+    index n - 1.  The rows it lacks are appended in order, each as
+    grow(rows) from the rows below it; a row whose growth raises is not
+    stored.  The lock keeps two threads from appending the same row; it is
+    reentrant, because growing an unpacked row grows the packed rows."""
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    if len(rows) < n_max:
+        with _grow_lock:
+            while len(rows) < n_max:
+                rows.append(grow(rows))
+    return rows[:n_max]
+
+
+def _next_entringer(rows: list) -> tuple[int, ...]:
+    return _running_sums(0, reversed(rows[-1]), _checked_add)
+
+
+_entringer_rows: list[tuple[int, ...]] = [(1,)]
+
+
 def entringer(n_max: int) -> list[tuple[int, ...]]:
     """Rows (E_{n,1},...,E_{n,n}) for n = 1..n_max.
 
     E_{1,1} = 1, E_{n,1} = 0 for n >= 2, and
     E_{n,k} = E_{n,k-1} + E_{n-1,n-k+1}.  Row sums are the Euler numbers.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    rows: list[tuple[int, ...]] = [(1,)]
-    for _ in range(n_max - 1):
-        rows.append(_running_sums(0, reversed(rows[-1]), _checked_add))
-    return rows
+    return _first_rows(_entringer_rows, n_max, _next_entringer)
 
 
 def euler_numbers(n_max: int) -> list[int]:
     """E_n = row sums of the Entringer triangle: 1, 1, 2, 5, 16, 61, ..."""
     return [_running_sums(0, row, _checked_add)[-1] for row in entringer(n_max)]
+
+
+def _next_arnold(rows: list) -> ArnoldRow[int]:
+    prev = rows[-1]
+    neg = _running_sums(0, reversed(prev.pos), _checked_add)
+    pos = _running_sums(neg[-1], reversed(prev.neg), _checked_add)
+    return ArnoldRow(prev.n + 1, neg, pos)
+
+
+_arnold_rows: list[ArnoldRow[int]] = [ArnoldRow(1, (1,), (1,))]
 
 
 def arnold_numbers(n_max: int) -> list[ArnoldRow[int]]:
@@ -106,15 +147,7 @@ def arnold_numbers(n_max: int) -> list[ArnoldRow[int]]:
     via v_{n,-k} = v_{n,-k-1} + v_{n-1,k}, the bridge v_{n,1} = v_{n,-1},
     then the positive side via v_{n,k} = v_{n,k-1} + v_{n-1,-k+1}.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    rows: list[ArnoldRow[int]] = [ArnoldRow(1, (1,), (1,))]
-    for n in range(2, n_max + 1):
-        prev = rows[-1]
-        neg = _running_sums(0, reversed(prev.pos), _checked_add)
-        pos = _running_sums(neg[-1], reversed(prev.neg), _checked_add)
-        rows.append(ArnoldRow(n, neg, pos))
-    return rows
+    return _first_rows(_arnold_rows, n_max, _next_arnold)
 
 
 # ---------------------------------------------------------------------------
@@ -165,21 +198,33 @@ def _packed_adder(slots: int):
     return add
 
 
-def _packed_hoffman(n_max: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Rows (neg, pos) of `arnold_hoffman`, packed.  t^-1 and t are shifts
+def _next_packed(rows: list) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Row n = len(rows) + 1 of `_packed_hoffman`.  t^-1 and t are shifts
     by one slot; a positive-side entry is a sum of left shifts, so its slot
     0 is empty and the right shift drops nothing.  Row n has exponents
     0..n+1, so it fits in n + 3 slots, which the range check covers."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    rows = [((1 << _SLOT,), (1 << 3 * _SLOT,))]
-    for n in range(2, n_max + 1):
-        prev_neg, prev_pos = rows[-1]
-        add = _packed_adder(n + 3)
-        neg = _running_sums(0, (v >> _SLOT for v in reversed(prev_pos)), add)
-        pos = _running_sums(neg[-1] << 2 * _SLOT, (v << _SLOT for v in reversed(prev_neg)), add)
-        rows.append((neg, pos))
-    return rows
+    n, (prev_neg, prev_pos) = len(rows) + 1, rows[-1]
+    add = _packed_adder(n + 3)
+    neg = _running_sums(0, (v >> _SLOT for v in reversed(prev_pos)), add)
+    pos = _running_sums(neg[-1] << 2 * _SLOT, (v << _SLOT for v in reversed(prev_neg)), add)
+    return neg, pos
+
+
+_packed_rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((1 << _SLOT,), (1 << 3 * _SLOT,))]
+
+
+def _packed_hoffman(n_max: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Rows (neg, pos) of `arnold_hoffman`, packed."""
+    return _first_rows(_packed_rows, n_max, _next_packed)
+
+
+def _next_hoffman(rows: list) -> ArnoldRow[LaurentPoly]:
+    n = len(rows) + 1
+    neg, pos = _packed_hoffman(n)[n - 1]
+    return ArnoldRow(n, tuple(map(_unpack, neg)), tuple(map(_unpack, pos)))
+
+
+_hoffman_rows: list[ArnoldRow[LaurentPoly]] = []
 
 
 def arnold_hoffman(n_max: int) -> list[ArnoldRow[LaurentPoly]]:
@@ -190,27 +235,24 @@ def arnold_hoffman(n_max: int) -> list[ArnoldRow[LaurentPoly]]:
         V_{n,1}  = t^2 V_{n,-1}
         V_{n,k}  = V_{n,k-1} + t V_{n-1,-k+1}.
     Every finished entry has nonnegative exponents of parity n+1, and lists
-    them from the highest down.  The rows come from `_packed_hoffman`.
+    them from the highest down.  Each row is unpacked from `_packed_hoffman`
+    once.
     """
-    return [
-        ArnoldRow(n, tuple(map(_unpack, neg)), tuple(map(_unpack, pos)))
-        for n, (neg, pos) in enumerate(_packed_hoffman(n_max), start=1)
-    ]
+    return _first_rows(_hoffman_rows, n_max, _next_hoffman)
+
+
+def _next_pq(rows: list) -> tuple[LaurentPoly, LaurentPoly]:
+    p, q = rows[-1]
+    dp, dq = p.derivative(), q.derivative()  # (1 + t^2) * f' as f' plus its shift by t^2
+    return dp + dp.shifted(2), dq + dq.shifted(2) + q.shifted(1)
+
+
+_pq_rows: list[tuple[LaurentPoly, LaurentPoly]] = [(LaurentPoly({0: 1, 2: 1}), LaurentPoly.t_power(1))]
 
 
 def hoffman_pq(n_max: int) -> list[tuple[LaurentPoly, LaurentPoly]]:
     """Pairs (P_n, Q_n) for n = 1..n_max (see module docstring)."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    p = LaurentPoly({0: 1, 2: 1})
-    q = LaurentPoly.t_power(1)
-    out = [(p, q)]
-    for _ in range(n_max - 1):  # (1 + t^2) * f' as f' plus its shift by t^2
-        dp, dq = p.derivative(), q.derivative()
-        p = dp + dp.shifted(2)
-        q = dq + dq.shifted(2) + q.shifted(1)
-        out.append((p, q))
-    return out
+    return _first_rows(_pq_rows, n_max, _next_pq)
 
 
 class IdentityReport(NamedTuple):
@@ -223,17 +265,31 @@ class IdentityReport(NamedTuple):
         return self.q_side_ok and self.p_side_ok
 
 
+def _next_row_sums(sums: list) -> tuple[int, int]:
+    """The packed positive and negative row sums of row len(sums) + 1 of
+    `_packed_hoffman`, range-checked as its entries are: the positive sum
+    of row 20 is the first out of range."""
+    n = len(sums) + 1
+    neg, pos = _packed_hoffman(n)[n - 1]
+    add = _packed_adder(n + 3)
+    return _running_sums(0, pos, add)[-1], _running_sums(0, neg, add)[-1]
+
+
+_row_sums: list[tuple[int, int]] = []
+
+
 def check_hoffman_identities(n_max: int) -> list[IdentityReport]:
     """Check t*Q_n = sum_{k>0} V_{n,k} and P_n - t*Q_n = sum_{k>0} V_{n,-k}
     on packed rows: both sides of each identity are packed, which is exact
     because P_n - t*Q_n is range-checked and packing is one-to-one on
-    coefficients in [-2^63, 2^63)."""
-    rows = _packed_hoffman(n_max)
+    coefficients in [-2^63, 2^63).  P and Q are read through `hoffman_pq`
+    on every call; the row sums depend on the row alone, so they are stored
+    as the rows are."""
+    _packed_hoffman(n_max)  # a row past the first overflow raises before P and Q
+    pairs = hoffman_pq(n_max)
+    sums = _first_rows(_row_sums, n_max, _next_row_sums)
     reports = []
-    for n, ((neg, pos), (p, q)) in enumerate(zip(rows, hoffman_pq(n_max)), start=1):
-        add = _packed_adder(n + 3)
-        pos_sum = _running_sums(0, pos, add)[-1]
-        neg_sum = _running_sums(0, neg, add)[-1]
+    for n, ((p, q), (pos_sum, neg_sum)) in enumerate(zip(pairs, sums), start=1):
         tq = q.shifted(1)
         reports.append(IdentityReport(n, _pack(tq) == pos_sum, _pack(p - tq) == neg_sum))
     return reports

@@ -864,15 +864,30 @@ def test_a_check_run_alone_computes_only_what_it_reads(monkeypatch, check_id, re
     assert {name for name, log in logs.items() if log} == reads
 
 
-def test_one_run_builds_each_refined_triangle_row_once(monkeypatch):
-    import arnold.harness as harness
+def test_each_refined_triangle_row_is_grown_once_per_process(monkeypatch):
+    # the row stores of `triangles` start from row 1, and every row a later
+    # check or run reads is the stored one
+    import arnold.triangles as triangles
 
-    log = _recorded(monkeypatch, harness, "arnold_hoffman")
+    monkeypatch.setattr(triangles, "_packed_rows", triangles._packed_rows[:1])
+    monkeypatch.setattr(triangles, "_hoffman_rows", [])
+    grown = {"_next_packed": [], "_next_hoffman": []}
+
+    def count_rows(name):
+        real, log = getattr(triangles, name), grown[name]
+
+        def grow(rows):
+            log.append(len(rows) + 1)
+            return real(rows)
+
+        monkeypatch.setattr(triangles, name, grow)
+
+    count_rows("_next_packed")
+    count_rows("_next_hoffman")
     verify_all(3)
-    assert [log.count(n) for n in (1, 2)] == [1, 1]
-    log.clear()
     assert verify("thm-trees", 2).status == "pass"
-    assert log == [1, 2]
+    assert verify("thm-cud", 3).status == "pass"
+    assert grown == {"_next_packed": [2, 3], "_next_hoffman": [1, 2, 3]}
 
 
 def test_what_a_run_shares_ends_with_a_run_that_raises(monkeypatch):

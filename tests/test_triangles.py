@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -368,19 +369,108 @@ def test_overflow_refuses_large_rows():
         arnold_numbers(30)
 
 
-@pytest.mark.parametrize(
-    "fn, first_bad, message",
-    [
-        (entringer, 25, "triangle entry 9567364332938481664 exceeds 64-bit range"),
-        (euler_numbers, 24, "triangle entry 9520846272267777721 exceeds 64-bit range"),
-        (arnold_numbers, 20, "triangle entry 9389266118137054976 exceeds 64-bit range"),
-        (arnold_hoffman, 21, "coefficient 11633834560661913600 exceeds 64-bit range"),
-        (hoffman_pq, 20, "coefficient 26444634532872192000 exceeds 64-bit range"),
-        (check_hoffman_identities, 20, "coefficient 26444634532872192000 exceeds 64-bit range"),
-    ],
-)
+FIRST_OVERFLOWS = [
+    (entringer, 25, "triangle entry 9567364332938481664 exceeds 64-bit range"),
+    (euler_numbers, 24, "triangle entry 9520846272267777721 exceeds 64-bit range"),
+    (arnold_numbers, 20, "triangle entry 9389266118137054976 exceeds 64-bit range"),
+    (arnold_hoffman, 21, "coefficient 11633834560661913600 exceeds 64-bit range"),
+    (hoffman_pq, 20, "coefficient 26444634532872192000 exceeds 64-bit range"),
+    (check_hoffman_identities, 20, "coefficient 26444634532872192000 exceeds 64-bit range"),
+]
+
+
+@pytest.mark.parametrize("fn, first_bad, message", FIRST_OVERFLOWS)
 def test_first_overflowing_row_and_its_message(fn, first_bad, message):
     fn(first_bad - 1)
     with pytest.raises(OverflowError) as exc:
         fn(first_bad)
     assert str(exc.value) == message
+
+
+# Row stores.  Each test below starts from stores cut back to row 1, so
+# that the rows earlier tests stored cannot matter.
+
+# store -> the rows the 64-bit range lets it hold
+STORE_BOUNDS = {
+    "_entringer_rows": 24,
+    "_arnold_rows": 19,
+    "_packed_rows": 20,
+    "_hoffman_rows": 20,
+    "_pq_rows": 19,
+    "_row_sums": 19,
+}
+PUBLIC = [entringer, euler_numbers, arnold_numbers, arnold_hoffman, hoffman_pq, check_hoffman_identities]
+
+
+@pytest.fixture
+def fresh_stores(monkeypatch):
+    for name in STORE_BOUNDS:
+        monkeypatch.setattr(triangles, name, getattr(triangles, name)[:1])
+
+
+def _assert_reference_rows():
+    rows = arnold_hoffman(20)
+    for row, want in zip(rows, _arnold_hoffman_reference(20), strict=True):
+        assert [k for k, _ in row.entries()] == sorted(want)
+        for k, poly in row.entries():
+            _assert_same_poly(poly, want[k])
+    for (p, q), (want_p, want_q) in zip(hoffman_pq(19), _hoffman_pq_reference(19), strict=True):
+        _assert_same_poly(p, want_p)
+        _assert_same_poly(q, want_q)
+
+
+@pytest.mark.parametrize("fn, first_bad, message", FIRST_OVERFLOWS)
+def test_an_overflowing_row_is_not_stored(fresh_stores, fn, first_bad, message):
+    for _ in range(2):
+        with pytest.raises(OverflowError) as exc:
+            fn(first_bad)
+        assert str(exc.value) == message
+    for name, bound in STORE_BOUNDS.items():
+        assert len(getattr(triangles, name)) <= bound, name
+    _assert_reference_rows()
+
+
+def test_an_overflowing_row_sum_is_not_stored(fresh_stores, monkeypatch):
+    monkeypatch.setattr(triangles, "hoffman_pq", lambda n: [(LaurentPoly(), LaurentPoly())] * n)
+    for _ in range(2):
+        with pytest.raises(OverflowError) as exc:
+            check_hoffman_identities(20)
+        assert str(exc.value) == "coefficient 12419336669515776000 exceeds 64-bit range"
+    assert len(triangles._row_sums) == 19
+    assert len(triangles._packed_rows) == 20
+
+
+@pytest.mark.parametrize("fn", PUBLIC)
+def test_a_returned_list_is_the_callers_own(fresh_stores, fn):
+    want = list(fn(5))
+    got = fn(5)
+    got[3] = None
+    got.append(None)
+    del got[0]
+    assert fn(5) == want
+    assert fn(6)[:5] == want
+
+
+def test_rows_asked_for_in_any_order_equal_the_reference(fresh_stores):
+    sizes = list(range(1, 21))
+    random.Random(23).shuffle(sizes)
+    reference = _arnold_hoffman_reference(20)
+    pq_reference = _hoffman_pq_reference(19)
+    reports = _reference_reports(19, pq_reference)
+    for n in sizes:
+        for row, want in zip(arnold_hoffman(n), reference[:n], strict=True):
+            assert dict(row.entries()) == want
+        if n < 20:
+            assert [list(row.entries()) for row in arnold_numbers(n)] == [
+                [(k, want[k](1)) for k in sorted(want)] for want in reference[:n]
+            ]
+            assert hoffman_pq(n) == pq_reference[:n]
+            assert check_hoffman_identities(n) == reports[:n]
+    _assert_reference_rows()
+
+
+@pytest.mark.parametrize("fn", PUBLIC + [triangles._packed_hoffman])
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_n_max_below_one_is_refused(fresh_stores, fn, n_max):
+    with pytest.raises(ValueError, match="^n_max must be at least 1$"):
+        fn(n_max)
