@@ -1,6 +1,9 @@
 """Command line front door: triangles, family enumeration, tree maps, and
-the verification suite.  The first three print each row as it is built.
-`map` prints each member and code of `bijections.images` with the code's
+the verification suite.  `triangle` builds every row up to --n before
+printing any, so a size past the first overflow prints nothing and exits
+2.  `enumerate` prints a non-tree family from its cached tuple of members,
+and a tree family as each tree is generated.  `map` prints each member
+and code of `bijections.images` as it is mapped, with the code's
 rightmost label as the index, which for a flip class is |smax|.
 
 Exit codes: 0 success; 1 a failing or crashed check under `verify`, or a

@@ -28,9 +28,10 @@ of those bits tests.  An overflow names the highest coefficient out of
 range, the one that adding the unpacked entries, whose exponents run from
 the highest down, would name first: the first overflowing row is 21, and
 its message names 11633834560661913600.  `arnold_hoffman` unpacks each
-finished entry into a LaurentPoly once; `check_hoffman_identities` builds
-none for a row, and compares packed row sums, stored as the rows are, with
-the packed sides of the identities.
+finished entry into a LaurentPoly once.  With each row's packed row sums,
+`check_hoffman_identities` stores the pair (P_n, Q_n) that satisfies both
+identities on them: a pair equal to it is answered without packing, and
+any other pair is compared on the packed sides of the identities.
 
 The derivative polynomials P_n, Q_n are defined by
     d^n/dx^n tan(x) = P_n(tan x)      and      d^n/dx^n sec(x) = Q_n(tan x) sec(x).
@@ -265,31 +266,41 @@ class IdentityReport(NamedTuple):
         return self.q_side_ok and self.p_side_ok
 
 
-def _next_row_sums(sums: list) -> tuple[int, int]:
-    """The packed positive and negative row sums of row len(sums) + 1 of
-    `_packed_hoffman`, range-checked as its entries are: the positive sum
-    of row 20 is the first out of range."""
+def _next_row_sums(sums: list) -> tuple[int, int, LaurentPoly, LaurentPoly, IdentityReport]:
+    """The packed positive and negative row sums of row n = len(sums) + 1
+    of `_packed_hoffman`, range-checked as its entries are (the positive
+    sum of row 20 is the first out of range); then the pair that satisfies
+    both identities on them, Q_n = pos_sum * t^-1 and P_n = pos_sum +
+    neg_sum, and the report of that pair."""
     n = len(sums) + 1
     neg, pos = _packed_hoffman(n)[n - 1]
     add = _packed_adder(n + 3)
-    return _running_sums(0, pos, add)[-1], _running_sums(0, neg, add)[-1]
+    pos_sum, neg_sum = _running_sums(0, pos, add)[-1], _running_sums(0, neg, add)[-1]
+    tq = _unpack(pos_sum)
+    return pos_sum, neg_sum, tq.shifted(-1), tq + _unpack(neg_sum), IdentityReport(n, True, True)
 
 
-_row_sums: list[tuple[int, int]] = []
+_row_sums: list[tuple[int, int, LaurentPoly, LaurentPoly, IdentityReport]] = []
 
 
 def check_hoffman_identities(n_max: int) -> list[IdentityReport]:
-    """Check t*Q_n = sum_{k>0} V_{n,k} and P_n - t*Q_n = sum_{k>0} V_{n,-k}
-    on packed rows: both sides of each identity are packed, which is exact
-    because P_n - t*Q_n is range-checked and packing is one-to-one on
-    coefficients in [-2^63, 2^63).  P and Q are read through `hoffman_pq`
-    on every call; the row sums depend on the row alone, so they are stored
-    as the rows are."""
+    """Check t*Q_n = sum_{k>0} V_{n,k} and P_n - t*Q_n = sum_{k>0} V_{n,-k}.
+
+    P and Q are read through `hoffman_pq` on every call.  A pair equal to
+    the one stored with the row sums, which satisfies both identities, is
+    answered with the stored report, packing nothing.  Any other pair is
+    compared on packed sides: both sides of each identity are packed, which
+    is exact because P_n - t*Q_n is range-checked and packing is one-to-one
+    on coefficients in [-2^63, 2^63).  The row sums and the stored pair
+    depend on the row alone, so they are stored as the rows are."""
     _packed_hoffman(n_max)  # a row past the first overflow raises before P and Q
     pairs = hoffman_pq(n_max)
     sums = _first_rows(_row_sums, n_max, _next_row_sums)
     reports = []
-    for n, ((p, q), (pos_sum, neg_sum)) in enumerate(zip(pairs, sums), start=1):
-        tq = q.shifted(1)
-        reports.append(IdentityReport(n, _pack(tq) == pos_sum, _pack(p - tq) == neg_sum))
+    for n, ((p, q), (pos_sum, neg_sum, q_want, p_want, report)) in enumerate(zip(pairs, sums), start=1):
+        if q == q_want and p == p_want:
+            reports.append(report)
+        else:
+            tq = q.shifted(1)
+            reports.append(IdentityReport(n, _pack(tq) == pos_sum, _pack(p - tq) == neg_sum))
     return reports

@@ -256,6 +256,9 @@ class TestPerturbedIdentities:
             ("p", {4: -1}, (True, False)),  # P_4 - t*Q_4 gets a negative digit
             ("q", {1: 1}, (False, False)),  # t*Q_4 gains t^2: a negative digit
             ("q", {4: -1}, (False, False)),
+            # (P_4 bump, Q_4 bump): t*Q_4 and P_4 both gain 2t^3, so P_4 - t*Q_4 is unchanged
+            ("both", ({3: 2}, {2: 2}), (False, True)),
+            ("both", ({0: 1}, {0: 1}), (False, False)),  # P_4 - t*Q_4 gains 1 - t
         ],
     )
     def test_a_perturbed_side_is_reported(self, monkeypatch, side, bump, want):
@@ -264,8 +267,8 @@ class TestPerturbedIdentities:
         def perturbed(n_max):
             pairs = true_pq(n_max)
             p, q = pairs[3]
-            delta = LaurentPoly(bump)
-            pairs[3] = (p + delta, q) if side == "p" else (p, q + delta)
+            p_bump, q_bump = {"p": (bump, {}), "q": ({}, bump), "both": bump}[side]
+            pairs[3] = (p + LaurentPoly(p_bump), q + LaurentPoly(q_bump))
             return pairs
 
         monkeypatch.setattr(triangles, "hoffman_pq", perturbed)
@@ -273,6 +276,22 @@ class TestPerturbedIdentities:
         assert (reports[3].q_side_ok, reports[3].p_side_ok) == want
         assert all(r.ok for i, r in enumerate(reports) if i != 3)
         assert reports == _reference_reports(6, perturbed(6))
+
+    def test_value_equal_copies_are_answered_without_packing(self, monkeypatch):
+        # distinct objects, their exponents listed lowest first
+        copies = [
+            (LaurentPoly.from_json_map(p.to_json_map()), LaurentPoly.from_json_map(q.to_json_map()))
+            for p, q in hoffman_pq(19)
+        ]
+
+        def no_pack(poly):
+            raise AssertionError("a true pair was packed")
+
+        monkeypatch.setattr(triangles, "hoffman_pq", lambda n: copies[:n])
+        monkeypatch.setattr(triangles, "_pack", no_pack)
+        want = _reference_reports(19, _hoffman_pq_reference(19))
+        for n in range(1, 20):
+            assert check_hoffman_identities(n) == want[:n]
 
     def test_row_sums_are_range_checked(self, monkeypatch):
         # with P_20 and Q_20 out of the way, the positive row sum of row 20
