@@ -244,8 +244,9 @@ def _reference_reports(n_max, pairs):
 
 
 class TestPerturbedIdentities:
-    """The packed comparison must see a change of one coefficient of P_n
-    or Q_n, whichever way it moves a digit of P_n - t*Q_n."""
+    """A pair that differs from the true one must reach the packed
+    comparison, which must see a change of a coefficient of P_n, of Q_n or
+    of both, whichever way it moves a digit of P_n - t*Q_n."""
 
     @pytest.mark.parametrize(
         "side, bump, want",
