@@ -19,8 +19,7 @@ family's membership test (for a cycle form, also `is_canonical`) and then
 its kernel `psi_*_kernel`; `_recurrence_step`, whose members come from
 `enumerate_indexed`, returns the kernels' `StepRecord`s as a plain tuple.
 `FlipClass` and `StepRecord` are NamedTuples, like the `signed_perm` types;
-a FlipClass keeps its members in `stored` (`_members` before: a NamedTuple
-field may not start with an underscore).
+a FlipClass keeps its members in `stored`.
 """
 from __future__ import annotations
 

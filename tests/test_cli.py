@@ -149,7 +149,8 @@ class TestEnumerate:
         proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         assert json.loads(proc.stdout.readline())["tree"]["label"] == 1
         proc.stdout.close()
-        err = proc.stderr.read()
+        with proc.stderr:
+            err = proc.stderr.read()
         assert proc.wait(timeout=60) == 1
         assert err == b""
 

@@ -869,9 +869,8 @@ def test_each_refined_triangle_row_is_grown_once_per_process(monkeypatch):
     # check or run reads is the stored one
     import arnold.triangles as triangles
 
-    monkeypatch.setattr(triangles, "_packed_rows", triangles._packed_rows[:1])
-    monkeypatch.setattr(triangles, "_hoffman_rows", [])
-    grown = {"_next_packed": [], "_next_hoffman": []}
+    monkeypatch.setattr(triangles, "_hoffman_rows", triangles._hoffman_rows[:1])
+    grown = {"_next_hoffman": []}
 
     def count_rows(name):
         real, log = getattr(triangles, name), grown[name]
@@ -882,12 +881,11 @@ def test_each_refined_triangle_row_is_grown_once_per_process(monkeypatch):
 
         monkeypatch.setattr(triangles, name, grow)
 
-    count_rows("_next_packed")
     count_rows("_next_hoffman")
     verify_all(3)
     assert verify("thm-trees", 2).status == "pass"
     assert verify("thm-cud", 3).status == "pass"
-    assert grown == {"_next_packed": [2, 3], "_next_hoffman": [1, 2, 3]}
+    assert grown == {"_next_hoffman": [2, 3]}
 
 
 def test_what_a_run_shares_ends_with_a_run_that_raises(monkeypatch):

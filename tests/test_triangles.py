@@ -2,18 +2,11 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from arnold import triangles
-from arnold.laurent import INT64_MAX, INT64_MIN, LaurentPoly
+from arnold.laurent import LaurentPoly
 from arnold.triangles import (
-    _DIGIT,
     IdentityReport,
-    _pack,
-    _packed_adder,
-    _running_sums,
-    _unpack,
     arnold_hoffman,
     arnold_numbers,
     check_hoffman_identities,
@@ -244,9 +237,9 @@ def _reference_reports(n_max, pairs):
 
 
 class TestPerturbedIdentities:
-    """A pair that differs from the true one must reach the packed
-    comparison, which must see a change of a coefficient of P_n, of Q_n or
-    of both, whichever way it moves a digit of P_n - t*Q_n."""
+    """A pair that differs from the true one must be compared with the row
+    sums, which must see a change of a coefficient of P_n, of Q_n or of
+    both, whichever way it moves a coefficient of P_n - t*Q_n."""
 
     @pytest.mark.parametrize(
         "side, bump, want",
@@ -254,12 +247,15 @@ class TestPerturbedIdentities:
             # P_4 = 16t + 40t^3 + 24t^5 and Q_4 = 5 + 28t^2 + 24t^4
             ("p", {1: 1}, (True, False)),
             ("p", {0: 1}, (True, False)),  # an exponent P_4 lacks
-            ("p", {4: -1}, (True, False)),  # P_4 - t*Q_4 gets a negative digit
-            ("q", {1: 1}, (False, False)),  # t*Q_4 gains t^2: a negative digit
+            ("p", {4: -1}, (True, False)),  # P_4 - t*Q_4 gets a negative coefficient
+            ("q", {1: 1}, (False, False)),  # t*Q_4 gains t^2: a negative coefficient
             ("q", {4: -1}, (False, False)),
             # (P_4 bump, Q_4 bump): t*Q_4 and P_4 both gain 2t^3, so P_4 - t*Q_4 is unchanged
             ("both", ({3: 2}, {2: 2}), (False, True)),
             ("both", ({0: 1}, {0: 1}), (False, False)),  # P_4 - t*Q_4 gains 1 - t
+            # exponents below the rows': t*Q_4 gains t^-2, P_4 - t*Q_4 gains t^-2
+            ("q", {-3: 1}, (False, False)),
+            ("p", {-2: 1}, (True, False)),
         ],
     )
     def test_a_perturbed_side_is_reported(self, monkeypatch, side, bump, want):
@@ -278,21 +274,18 @@ class TestPerturbedIdentities:
         assert all(r.ok for i, r in enumerate(reports) if i != 3)
         assert reports == _reference_reports(6, perturbed(6))
 
-    def test_value_equal_copies_are_answered_without_packing(self, monkeypatch):
+    def test_value_equal_copies_are_answered_with_the_stored_report(self, monkeypatch):
         # distinct objects, their exponents listed lowest first
         copies = [
             (LaurentPoly.from_json_map(p.to_json_map()), LaurentPoly.from_json_map(q.to_json_map()))
             for p, q in hoffman_pq(19)
         ]
-
-        def no_pack(poly):
-            raise AssertionError("a true pair was packed")
-
         monkeypatch.setattr(triangles, "hoffman_pq", lambda n: copies[:n])
-        monkeypatch.setattr(triangles, "_pack", no_pack)
         want = _reference_reports(19, _hoffman_pq_reference(19))
         for n in range(1, 20):
-            assert check_hoffman_identities(n) == want[:n]
+            reports = check_hoffman_identities(n)
+            assert reports == want[:n]
+            assert all(r is entry[-1] for r, entry in zip(reports, triangles._row_sums[:n], strict=True))
 
     def test_row_sums_are_range_checked(self, monkeypatch):
         # with P_20 and Q_20 out of the way, the positive row sum of row 20
@@ -301,85 +294,6 @@ class TestPerturbedIdentities:
         with pytest.raises(OverflowError) as exc:
             check_hoffman_identities(20)
         assert str(exc.value) == "coefficient 12419336669515776000 exceeds 64-bit range"
-
-
-# Packed polynomials.  Entries of the triangle have nonnegative
-# coefficients; P_n - t*Q_n may have digits of either sign.
-
-_EXPONENTS = st.integers(-1, 24)
-_NONNEG = st.sampled_from([0, 1, INT64_MAX]) | st.integers(0, INT64_MAX)
-_NONNEG_POLYS = st.dictionaries(_EXPONENTS, _NONNEG, max_size=8).map(LaurentPoly)
-
-
-class TestPacked:
-    @given(_NONNEG_POLYS)
-    def test_unpack_inverts_pack(self, poly):
-        got = _unpack(_pack(poly))
-        _assert_same_poly(got, poly)
-        assert list(got._coeffs) == sorted(poly.exponents(), reverse=True)
-
-    @pytest.mark.parametrize(
-        "coeffs",
-        [{}, {-1: 1}, {-1: INT64_MAX}, {-1: INT64_MAX, 0: INT64_MAX, 24: INT64_MAX}, {0: 1, 2: 0}],
-    )
-    def test_edge_coefficients_round_trip(self, coeffs):
-        poly = LaurentPoly(coeffs)
-        _assert_same_poly(_unpack(_pack(poly)), poly)
-
-    def test_row_n_fills_slots_one_to_n_plus_two(self):
-        # the range check of row n covers slots 0..n+2
-        for n, (neg, pos) in enumerate(triangles._packed_hoffman(20), start=1):
-            assert max(v.bit_length() for v in neg + pos) > 64 * (n + 2)
-            assert all(v.bit_length() <= 64 * (n + 3) and v & _DIGIT == 0 for v in neg + pos)
-
-    def test_the_t_minus_one_slot_is_the_lowest(self):
-        assert _pack(LaurentPoly({-1: 5, 0: 7})) == 5 + (7 << 64)
-        assert _pack(LaurentPoly({0: 1})) >> 64 == _pack(LaurentPoly({-1: 1}))
-
-    def test_adder_names_the_highest_overflowing_coefficient(self):
-        add = _packed_adder(4)
-        assert add(_pack(LaurentPoly({2: INT64_MAX})), _pack(LaurentPoly({-1: 1}))) == _pack(
-            LaurentPoly({-1: 1, 2: INT64_MAX})
-        )
-        a = _pack(LaurentPoly({0: INT64_MAX, 1: 5, 2: INT64_MAX}))
-        b = _pack(LaurentPoly({0: 2, 1: 5, 2: 1}))
-        with pytest.raises(OverflowError) as exc:
-            add(a, b)
-        assert str(exc.value) == f"coefficient {INT64_MAX + 1} exceeds 64-bit range"
-        with pytest.raises(OverflowError) as exc:
-            add(_pack(LaurentPoly({-1: INT64_MAX})), _pack(LaurentPoly({-1: INT64_MAX})))
-        assert str(exc.value) == f"coefficient {2 * INT64_MAX} exceeds 64-bit range"
-
-    @given(
-        st.lists(_NONNEG_POLYS, min_size=1, max_size=4),
-        _NONNEG_POLYS,
-        _NONNEG_POLYS,
-        st.sampled_from([None, 1, -1]),
-        _EXPONENTS,
-        st.booleans(),
-    )
-    def test_packed_p_minus_tq_comparison_is_laurent_equality(
-        self, entries, tq, other, sign, e, related
-    ):
-        """P - t*Q packed, against the packed running sum of nonnegative
-        entries, as `check_hoffman_identities` compares them.  P is t*Q plus
-        the sum, one digit up or down, or unrelated, so that P - t*Q has
-        digits of both signs."""
-        entries = [_divided(v, 8) for v in entries]
-        tq = _divided(tq, 2)
-        total = sum(entries, LaurentPoly.zero())
-        p = total + tq if related else _divided(other, 2)
-        if sign is not None:
-            p = p + LaurentPoly({e: sign})
-        diff = p - tq
-        packed_sum = _running_sums(0, map(_pack, entries), _packed_adder(26))[-1]
-        assert (_pack(diff) == packed_sum) is (diff == total)
-        if related and sign is None:
-            assert diff == total
-
-
-def _divided(poly, d):
-    return LaurentPoly({e: c // d for e, c in poly.items()})
 
 
 def test_overflow_refuses_large_rows():
@@ -414,7 +328,6 @@ def test_first_overflowing_row_and_its_message(fn, first_bad, message):
 STORE_BOUNDS = {
     "_entringer_rows": 24,
     "_arnold_rows": 19,
-    "_packed_rows": 20,
     "_hoffman_rows": 20,
     "_pq_rows": 19,
     "_row_sums": 19,
@@ -457,7 +370,7 @@ def test_an_overflowing_row_sum_is_not_stored(fresh_stores, monkeypatch):
             check_hoffman_identities(20)
         assert str(exc.value) == "coefficient 12419336669515776000 exceeds 64-bit range"
     assert len(triangles._row_sums) == 19
-    assert len(triangles._packed_rows) == 20
+    assert len(triangles._hoffman_rows) == 20
 
 
 @pytest.mark.parametrize("fn", PUBLIC)
@@ -489,7 +402,7 @@ def test_rows_asked_for_in_any_order_equal_the_reference(fresh_stores):
     _assert_reference_rows()
 
 
-@pytest.mark.parametrize("fn", PUBLIC + [triangles._packed_hoffman])
+@pytest.mark.parametrize("fn", PUBLIC)
 @pytest.mark.parametrize("n_max", [0, -1])
 def test_n_max_below_one_is_refused(fresh_stores, fn, n_max):
     with pytest.raises(ValueError, match="^n_max must be at least 1$"):
