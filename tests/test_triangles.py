@@ -1,11 +1,16 @@
 import random
+import threading
+import time
 from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from arnold import triangles
-from arnold.laurent import LaurentPoly
+from arnold.laurent import INT64_MAX, LaurentPoly
 from arnold.triangles import (
+    ArnoldRow,
     IdentityReport,
     arnold_hoffman,
     arnold_numbers,
@@ -104,6 +109,29 @@ class TestArnoldHoffman:
                 for e in poly.exponents():
                     assert e >= 0
                     assert e % 2 == (row.n + 1) % 2
+
+    def test_every_positive_entry_reaches_t_to_the_n_plus_one(self):
+        for row in arnold_hoffman(20):
+            assert all(max(v.exponents()) == row.n + 1 for v in row.pos)
+            assert all(max(v.exponents(), default=0) <= row.n + 1 for v in row.neg)
+
+    @pytest.mark.parametrize("side", ["neg", "pos"])
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_a_grown_coefficient_may_reach_int64_max_and_no_further(self, monkeypatch, side, over):
+        # a made-up row 2 whose step sums INT64_MAX - 1 and 1 + over into
+        # one coefficient of row 3, on the negative or the positive side
+        below, top, zero = LaurentPoly({1: INT64_MAX - 1}), LaurentPoly({1: 1 + over}), LaurentPoly()
+        row2 = ArnoldRow(2, (zero, zero), (below, top)) if side == "neg" else ArnoldRow(2, (top, below), (zero, zero))
+        monkeypatch.setattr(triangles, "_hoffman_rows", [triangles._hoffman_rows[0], row2])
+        if over:
+            for _ in range(2):
+                with pytest.raises(OverflowError) as exc:
+                    arnold_hoffman(3)
+                assert str(exc.value) == f"coefficient {INT64_MAX + 1} exceeds 64-bit range"
+            assert len(triangles._hoffman_rows) == 2
+        else:
+            row3 = arnold_hoffman(3)[2]
+            assert getattr(row3, side)[-1] == LaurentPoly({0 if side == "neg" else 2: INT64_MAX})
 
     def test_last_two_positive_entries_agree(self):
         # forced by the zero top entry of the previous row, so from n = 3 on
@@ -274,6 +302,20 @@ class TestPerturbedIdentities:
         assert all(r.ok for i, r in enumerate(reports) if i != 3)
         assert reports == _reference_reports(6, perturbed(6))
 
+    @given(
+        st.integers(0, 7),
+        st.dictionaries(st.integers(-4, 10), st.integers(-3, 3), max_size=3),
+        st.dictionaries(st.integers(-4, 10), st.integers(-3, 3), max_size=3),
+    )
+    def test_any_perturbed_pair_gets_the_reference_report(self, i, p_bump, q_bump):
+        # exponents reach below the rows' and bumps may cancel each other
+        pairs = hoffman_pq(8)
+        p, q = pairs[i]
+        pairs[i] = (p + LaurentPoly(p_bump), q + LaurentPoly(q_bump))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(triangles, "hoffman_pq", lambda n: pairs[:n])
+            assert check_hoffman_identities(8) == _reference_reports(8, pairs)
+
     def test_value_equal_copies_are_answered_with_the_stored_report(self, monkeypatch):
         # distinct objects, their exponents listed lowest first
         copies = [
@@ -399,6 +441,40 @@ def test_rows_asked_for_in_any_order_equal_the_reference(fresh_stores):
             ]
             assert hoffman_pq(n) == pq_reference[:n]
             assert check_hoffman_identities(n) == reports[:n]
+    _assert_reference_rows()
+
+
+GROWERS = ["_next_entringer", "_next_arnold", "_next_hoffman", "_next_pq", "_next_row_sums"]
+
+
+@pytest.mark.parametrize("fn", PUBLIC)
+def test_rows_asked_for_from_several_threads_are_grown_once(fresh_stores, monkeypatch, fn):
+    grown = {name: [] for name in GROWERS}
+    for name, log in grown.items():
+
+        def grow(rows, real=getattr(triangles, name), log=log):
+            log.append(len(rows) + 1)
+            time.sleep(0.001)  # widens the window in which another thread could grow the same row
+            return real(rows)
+
+        monkeypatch.setattr(triangles, name, grow)
+    sizes = [16, 19, 17, 18]
+    barrier, results = threading.Barrier(len(sizes), timeout=60), {}
+
+    def ask(n):
+        barrier.wait()
+        results[n] = fn(n)
+
+    threads = [threading.Thread(target=ask, args=(n,)) for n in sizes]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert sorted(results) == sorted(sizes)
+    for name, log in grown.items():
+        assert log == sorted(set(log)), name
+    for n, got in results.items():
+        assert got == fn(n)
     _assert_reference_rows()
 
 
