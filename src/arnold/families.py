@@ -33,7 +33,9 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .signed_perm import (
     Cycle,
     CycleForm,
+    MalformedCudCycleFormError,
     SignedPerm,
+    _check_cud_shape,
     cycle_form,
     from_window,
     leaf_values,
@@ -138,11 +140,11 @@ def unrank(r: int, n: int) -> SignedPerm:
 # ---------------------------------------------------------------------------
 # membership predicates
 
-def _down_up(seq: Sequence[int]) -> bool:
-    # s1 > s2 < s3 > ...
+def is_alternating(w: Sequence[int]) -> bool:
+    # w1 > w2 < w3 > ...
     return all(
-        (seq[i] > seq[i + 1]) if i % 2 == 0 else (seq[i] < seq[i + 1])
-        for i in range(len(seq) - 1)
+        (w[i] > w[i + 1]) if i % 2 == 0 else (w[i] < w[i + 1])
+        for i in range(len(w) - 1)
     )
 
 
@@ -154,15 +156,11 @@ def _up_down(seq: Sequence[int]) -> bool:
     )
 
 
-def is_alternating(w: Sequence[int]) -> bool:
-    return _down_up(w)
-
-
 # The snake, cycle and valley predicates refuse empty input: no family
 # has a member of size 0.
 
 def is_snake_b(w: Sequence[int]) -> bool:
-    return bool(w) and w[0] > 0 and _down_up(w)
+    return bool(w) and w[0] > 0 and is_alternating(w)
 
 
 def is_snake_d(w: Sequence[int]) -> bool:
@@ -191,14 +189,10 @@ def is_cud_b(cf: CycleForm) -> bool:
 
 
 def is_cud_d(cf: CycleForm) -> bool:
-    if not cf.cycles:
+    try:
+        return _check_cud_shape(cf) and _cycles_up_down(cf)
+    except MalformedCudCycleFormError:
         return False
-    last = cf.cycles[-1]
-    if not last.bracket or len(last.entries) != 2:
-        return False
-    if any(c.bracket for c in cf.cycles[:-1]):
-        return False
-    return _cycles_up_down(cf)
 
 
 def is_vs_b(w: Sequence[int]) -> bool:

@@ -44,7 +44,7 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from itertools import permutations
 from math import comb
@@ -119,12 +119,6 @@ def check(
     return register
 
 
-def _load_golden(name: str, golden_dir: str | None):
-    if golden_dir is not None:
-        return json.loads((Path(golden_dir) / name).read_text())
-    return json.loads(resources.files("arnold.golden").joinpath(name).read_text())
-
-
 # the per-n lists of each stored table
 _TABLE_LISTS = {"table1.json": ("rows", "springer_b", "springer_d"), "table2.json": ("rows",)}
 
@@ -134,7 +128,10 @@ def _load_table(name: str, n_max: int, golden_dir: str | None) -> dict:
     those rows holding a `neg` and a `pos` list; a table with a list
     missing or shorter is refused, so that a check never crashes on it or
     reports a range it did not compare."""
-    golden = _load_golden(name, golden_dir)
+    if golden_dir is not None:
+        golden = json.loads((Path(golden_dir) / name).read_text())
+    else:
+        golden = json.loads(resources.files("arnold.golden").joinpath(name).read_text())
     for key in _TABLE_LISTS[name]:
         stored = golden.get(key) if isinstance(golden, dict) else None
         if not isinstance(stored, list):
@@ -154,30 +151,11 @@ def _clip(details: list[str]) -> tuple[str, ...]:
     return tuple(details)
 
 
-def _poly_of_counts(stat_counts: dict[int, int], n: int) -> LaurentPoly:
-    """Generating polynomial sum of t^(n+1-2*s) over a statistic multiset."""
-    coeffs: dict[int, int] = {}
-    for s, c in stat_counts.items():
-        e = n + 1 - 2 * s
-        coeffs[e] = coeffs.get(e, 0) + c
-    return LaurentPoly(coeffs)
-
-
 # ---------------------------------------------------------------------------
 # results shared by the checks of one verify_all run
 
 # What the running `verify_all` has computed, by key; None outside one.
 _shared: dict | None = None
-
-
-def _per_run(key, compute: Callable):
-    """compute(), kept under key until the running `verify_all` returns,
-    so that the checks of one run share it; outside a run, computed fresh."""
-    if _shared is None:
-        return compute()
-    if key not in _shared:
-        _shared[key] = compute()
-    return _shared[key]
 
 
 def _attempt(f: Callable, *args):
@@ -192,11 +170,13 @@ def _pass_result(family: str, n: int, name: str):
     """Result `name` of the pass over (family, n); raises the exception
     that computing it raised.  Within a `verify_all` run the pass computes
     all its results for their readers at once; outside one, only this one."""
-    names = (name,) if _shared is None else None
-    if family == "fl":
-        results = _per_run((family, n), lambda: _flip_pass(n, names))
+    walk = _flip_pass if family == "fl" else partial(_member_pass, family)
+    if _shared is None:
+        results = walk(n, (name,))
+    elif (family, n) in _shared:
+        results = _shared[(family, n)]
     else:
-        results = _per_run((family, n), lambda: _member_pass(family, n, names))
+        results = _shared[(family, n)] = walk(n, None)
     result = results[name]
     if isinstance(result, Exception):
         raise result
@@ -308,16 +288,15 @@ def _compare_family_polys(n: int, dist: Counter, b_label: str, d_label: str) -> 
     """Compare a Counter over (side, index, statistic s) of the size-n
     members with row n of the refined triangle, each member contributing
     t^(n+1-2s) to its cell."""
-    grouped: dict[tuple[str, int], dict[int, int]] = {}
+    cells: dict[tuple[str, int], dict[int, int]] = {}
     for (side, idx, s), c in dist.items():
-        grouped.setdefault((side, idx), {}).setdefault(s, 0)
-        grouped[(side, idx)][s] += c
+        cells.setdefault((side, idx), {})[n + 1 - 2 * s] = c
     row = arnold_hoffman(n)[n - 1]
     for k in range(1, n + 1):
-        got_b = _poly_of_counts(grouped.get(("b", n - k + 1), {}), n)
+        got_b = LaurentPoly(cells.get(("b", n - k + 1)))
         if got_b != row.value(k):
             yield f"{b_label} n={n} k={k}: {got_b} != {row.value(k)}"
-        got_d = _poly_of_counts(grouped.get(("d", n - k + 1), {}), n)
+        got_d = LaurentPoly(cells.get(("d", n - k + 1)))
         if got_d != row.value(-k):
             yield f"{d_label} n={n} k={k}: {got_d} != {row.value(-k)}"
 
@@ -788,8 +767,8 @@ def verify_all(max_n: int | None = None, golden_dir: str | None = None) -> list[
     ceiling capped by max_n.  A check that raises anything but
     SizeCapExceededError is reported with status "error" and the
     exception in its details, and the remaining checks still run.  The
-    checks of one run share each member pass (`_per_run`), which the first
-    check to read it computes."""
+    checks of one run share each member pass (`_pass_result`), which the
+    first check to read it computes."""
     global _shared
     _shared = {}
     try:

@@ -2,10 +2,11 @@
 triangle, its polynomial refinement, and the tangent/secant derivative
 polynomials tied to it.
 
-Each triangle row is the running sum of the previous row read backwards
-(`_running_sums`), once per side for an Arnold row.  Arithmetic is exact,
-and the operation that computes an entry or a coefficient range-checks it:
-a row beyond the first overflow raises OverflowError rather than wrapping.
+Each triangle row is the running sum (`itertools.accumulate`) of the
+previous row read backwards, once per side for an Arnold row.  Arithmetic
+is exact, and the operation that computes an entry or a coefficient
+range-checks it: a row beyond the first overflow raises OverflowError
+rather than wrapping.
 
 Every row is built once per process.  Each triangle keeps one grow-only
 store of its first rows: the Entringer rows, the numeric Arnold rows, the
@@ -36,6 +37,8 @@ seeded by P_1 = 1 + t^2 and Q_1 = t.
 from __future__ import annotations
 
 import threading
+from functools import reduce
+from itertools import accumulate
 from operator import add
 from typing import Callable, NamedTuple, TypeVar
 
@@ -73,18 +76,6 @@ class ArnoldRow(NamedTuple):
         yield from zip(range(1, self.n + 1), self.pos)
 
 
-def _running_sums(start, terms, add):
-    """(start, start+t1, start+t1+t2, ...) for terms t1, t2, ...
-
-    >>> _running_sums(0, (1, 2, 3), lambda a, b: a + b)
-    (0, 1, 3, 6)
-    """
-    out = [start]
-    for t in terms:
-        out.append(add(out[-1], t))
-    return tuple(out)
-
-
 _grow_lock = threading.RLock()
 
 
@@ -104,7 +95,7 @@ def _first_rows(rows: list, n_max: int, grow: Callable[[list], object]) -> list:
 
 
 def _next_entringer(rows: list) -> tuple[int, ...]:
-    return _running_sums(0, reversed(rows[-1]), _checked_add)
+    return tuple(accumulate(reversed(rows[-1]), _checked_add, initial=0))
 
 
 _entringer_rows: list[tuple[int, ...]] = [(1,)]
@@ -121,13 +112,13 @@ def entringer(n_max: int) -> list[tuple[int, ...]]:
 
 def euler_numbers(n_max: int) -> list[int]:
     """E_n = row sums of the Entringer triangle: 1, 1, 2, 5, 16, 61, ..."""
-    return [_running_sums(0, row, _checked_add)[-1] for row in entringer(n_max)]
+    return [reduce(_checked_add, row, 0) for row in entringer(n_max)]
 
 
 def _next_arnold(rows: list) -> ArnoldRow[int]:
     prev = rows[-1]
-    neg = _running_sums(0, reversed(prev.pos), _checked_add)
-    pos = _running_sums(neg[-1], reversed(prev.neg), _checked_add)
+    neg = tuple(accumulate(reversed(prev.pos), _checked_add, initial=0))
+    pos = tuple(accumulate(reversed(prev.neg), _checked_add, initial=neg[-1]))
     return ArnoldRow(prev.n + 1, neg, pos)
 
 
@@ -146,8 +137,8 @@ def arnold_numbers(n_max: int) -> list[ArnoldRow[int]]:
 
 def _next_hoffman(rows: list) -> ArnoldRow[LaurentPoly]:
     prev = rows[-1]
-    neg = _running_sums(LaurentPoly.zero(), (v.shifted(-1) for v in reversed(prev.pos)), add)
-    pos = _running_sums(neg[-1].shifted(2), (v.shifted(1) for v in reversed(prev.neg)), add)
+    neg = tuple(accumulate((v.shifted(-1) for v in reversed(prev.pos)), add, initial=LaurentPoly.zero()))
+    pos = tuple(accumulate((v.shifted(1) for v in reversed(prev.neg)), add, initial=neg[-1].shifted(2)))
     return ArnoldRow(prev.n + 1, neg, pos)
 
 

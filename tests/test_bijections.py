@@ -159,6 +159,8 @@ class TestCycleMaps:
             phi_cud_b(CycleForm((Cycle((1, 2, 3)),)))  # not up-down
         with pytest.raises(NotInFamilyError):
             phi_cud_d(CycleForm((Cycle((1,)),)))
+        with pytest.raises(NotInFamilyError):
+            phi_cud_d(CycleForm((Cycle((1,)), Cycle((2, 3), bracket=True))))  # bracket not (k,-k)
 
     def test_small_bijectivity(self):
         for n in range(1, 5):

@@ -34,7 +34,7 @@ from arnold.families import (
     vs_distribution,
     windows,
 )
-from arnold.signed_perm import CycleForm, SignedPerm, cycle_form, from_window, stat_smax, stat_spk
+from arnold.signed_perm import Cycle, CycleForm, SignedPerm, cycle_form, from_window, stat_smax, stat_spk
 from arnold.triangles import arnold_numbers, entringer
 
 GOLDEN = json.loads(
@@ -463,3 +463,10 @@ def test_alternating_is_unsigned():
 def test_literal_predicates_refuse_empty_input(predicate, empty):
     # no family has a member of size 0
     assert predicate(empty) is False
+
+
+def test_is_cud_d_needs_a_final_bracket_of_the_form_k_minus_k():
+    # the bracket rule that stat_npk reads: one bracket cycle, last, (k,-k)
+    assert is_cud_d(CycleForm((Cycle((1,)), Cycle((2, -2), bracket=True)))) is True
+    assert is_cud_d(CycleForm((Cycle((1,)), Cycle((2, 3), bracket=True)))) is False
+    assert is_cud_d(CycleForm((Cycle((2, -2), bracket=True), Cycle((1,))))) is False
