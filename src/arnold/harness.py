@@ -31,9 +31,13 @@ Within one `verify_all` run the eleven member checks share their walks:
 one pass per (family, n), a walk of `bijections.images` for each of
 `cud-b`, `cud-d`, `vs-b` and `vs-d` and a walk of the flip classes of size
 n and their members, computes the results of every check that reads those
-members (`_member_pass`, `_flip_pass`).  The first check to read a pass
-pays for it, and each result keeps its own exception, so that a crash
-fails only the checks that read what crashed.  What a run shares lives in
+members (`_member_pass`, `_flip_pass`).  The flip walk reads each
+member's smax and spk with the word-level kernels of `stat_smax` and
+`stat_spk` (`_smax_walk`, and `_negatives_at` the `_abs_peaks` of |w|),
+whose sort order and peak positions it sets up once per unsigned
+permutation |w|.  The first check to read a pass pays for it, and each
+result keeps its own exception, so that a crash fails only the checks
+that read what crashed.  What a run shares lives in
 `_shared` until `verify_all` returns or raises; `verify` on its own
 (`verify --check`) computes fresh only the result its check reads.  The
 triangle rows need no sharing here: `triangles` builds each row once per
@@ -57,12 +61,14 @@ from . import trees as tr
 from .trees import SizeCapExceededError
 from .laurent import LaurentPoly
 from .signed_perm import (
-    SignedPerm,
+    _abs_peaks,
+    _negatives_at,
+    _smax_walk,
     left_to_right_minima,
     peak_values,
     stat_npk,
-    stat_smax,
-    stat_spk,
+    stat_smax,  # not called here: perfbench/layers.py times it as harness.stat_smax
+    stat_spk,  # likewise, as harness.stat_spk
 )
 from .triangles import arnold_hoffman, arnold_numbers, check_hoffman_identities, euler_numbers
 
@@ -514,20 +520,41 @@ def _emp_spk_details(n: int, rows: list) -> tuple[str, ...]:
     return tuple(details)
 
 
-def _values(stat: Callable, members: Iterable) -> set:
-    """The set of stat(w) over the member windows w."""
-    return {stat(w) for w in members}
+class _ByPermutation(dict):
+    """make(u) by unsigned permutation u, each made the first time it is read."""
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, u: tuple[int, ...]):
+        made = self[u] = self.make(u)
+        return made
+
+
+def _values(read: Callable, setups: _ByPermutation, pairs: list) -> set:
+    """The set of read(w, setups[u]) over the (member w, u = |w|) pairs."""
+    return {read(w, setups[u]) for w, u in pairs}
 
 
 def _flip_pass(n: int, names: Iterable[str] | None) -> dict:
     """Results `names` (all if None) of one walk of the flip classes of
-    size n, which reads each class's members once: "bij", "smax", "spk"
-    and "emp", the details of `bij-fl`, `smax-well-defined`,
+    size n, in canon order, which reads each class's members once: "bij",
+    "smax", "spk" and "emp", the details of `bij-fl`, `smax-well-defined`,
     `spk-well-defined` and `lemma-emp-spk`.  For each class the walk keeps
     the set of its members' trees, its canonical member's tree and the
     sets of its members' smax and spk, each replaced by the exception that
     computing it raised, if one did; an exception from the walk itself is
-    the result of every one."""
+    the result of every one.
+
+    What a member's tree and statistics need of it beyond its signs depends
+    only on u = |w|, so the walk makes it once per u, and only for the
+    results asked for: u's split code for the trees, its positions in
+    increasing value for smax, its peak positions (`_abs_peaks`) for spk.
+    smax is then `_smax_walk` over the member's own word and spk
+    `_negatives_at` those peaks, the kernels of `stat_smax` and `stat_spk`.
+    smax is never read off the split code: `flip_classes` reads it off the
+    tree, so that would test nothing."""
     parts = {
         "bij": _flip_bijection_details,
         "smax": lambda n, rows: _constant_details("smax", n, rows),
@@ -537,19 +564,23 @@ def _flip_pass(n: int, names: Iterable[str] | None) -> dict:
     rows: dict[str, list] = {name: [] for name in names or parts}
     oriented = "bij" in rows or "emp" in rows
     every = rows.keys() != {"emp"}  # "emp" alone reads the canonical member only
-    stats = {"smax": stat_smax, "spk": lambda w: stat_spk(SignedPerm(w))}
-    split_code, orient, split = tr.split_code, bij.orient_flip_code, {}
+    stats = [
+        (name, read, _ByPermutation(make))
+        for name, read, make in (
+            ("smax", _smax_walk, lambda u: sorted(range(n), key=u.__getitem__)),
+            ("spk", _negatives_at, _abs_peaks),
+        )
+        if name in rows
+    ]
+    orient, split = bij.orient_flip_code, _ByPermutation(tr.split_code)
     try:
         for cls in fam.flip_classes(n):
             members = cls.members if every else (cls.canon,)
+            pairs = [(w, tuple(map(abs, w))) for w in members]
             codes, error = [], None
-            for w in members if oriented else ():
+            for w, u in pairs if oriented else ():
                 try:
-                    u = tuple(map(abs, w))
-                    s = split.get(u)  # one split code serves every signing of u
-                    if s is None:
-                        s = split[u] = split_code(u)
-                    code = orient(s, w)
+                    code = orient(split[u], w)  # one split code serves every signing of u
                 except Exception as exc:
                     code, error = exc, error or exc
                 codes.append(code)
@@ -557,9 +588,8 @@ def _flip_pass(n: int, names: Iterable[str] | None) -> dict:
                 rows["bij"].append((cls, error or set(codes)))
             if "emp" in rows:
                 rows["emp"].append((cls, codes[members.index(cls.canon)]))
-            for name, stat in stats.items():
-                if name in rows:
-                    rows[name].append((cls, _attempt(_values, stat, members)))
+            for name, read, setups in stats:
+                rows[name].append((cls, _attempt(_values, read, setups, pairs)))
     except Exception as exc:
         return dict.fromkeys(rows, exc)
     return {name: _attempt(parts[name], n, found) for name, found in rows.items()}

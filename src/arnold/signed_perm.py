@@ -52,7 +52,7 @@ class SignedPerm(NamedTuple):
         return -self.window[-i - 1]
 
     def abs_window(self) -> tuple[int, ...]:
-        return tuple(abs(v) for v in self.window)
+        return tuple(map(abs, self.window))
 
     def to_json(self) -> list[int]:
         return list(self.window)
@@ -299,20 +299,35 @@ def stat_npk(cf: CycleForm) -> int:
     return total
 
 
-def stat_spk(p: SignedPerm) -> int:
-    """Signed peaks: negative entries that are absolute-value peaks, with
-    zero padding at both ends of the window."""
-    w = p.window
-    n = len(w)
+def _abs_peaks(aw: Sequence[int]) -> list[int]:
+    """0-based positions whose entry exceeds both neighbours, with zero
+    padding at both ends.
+
+    >>> _abs_peaks((2, 1, 3, 4))
+    [0, 3]
+    """
+    padded = (0, *aw, 0)
+    positions = []
+    for i in range(len(aw)):
+        if padded[i] < padded[i + 1] > padded[i + 2]:
+            positions.append(i)
+    return positions
+
+
+def _negatives_at(w: Sequence[int], positions: Iterable[int]) -> int:
+    """How many entries of w at the given positions are negative."""
     count = 0
-    for i in range(n):
-        if w[i] >= 0:
-            continue
-        prev = abs(w[i - 1]) if i > 0 else 0
-        nxt = abs(w[i + 1]) if i < n - 1 else 0
-        if prev < abs(w[i]) > nxt:
+    for i in positions:
+        if w[i] < 0:
             count += 1
     return count
+
+
+def stat_spk(p: SignedPerm) -> int:
+    """Signed peaks: negative entries that are absolute-value peaks, with
+    zero padding at both ends of the window; the count of the window's
+    negatives (`_negatives_at`) at the peaks of |window| (`_abs_peaks`)."""
+    return _negatives_at(p.window, _abs_peaks(p.abs_window()))
 
 
 def stat_smax(word: Sequence[int]) -> int:
@@ -326,6 +341,9 @@ def stat_smax(word: Sequence[int]) -> int:
     - both nonempty, m < 0: recurse into the side with the smaller minimum
       absolute value
 
+    The word is validated here, then walked by `_smax_walk` in the order
+    of its absolute values.
+
     >>> stat_smax([2, 7, -8, 1, 6, -9, -3, -4, 5])
     5
     >>> stat_smax([2, -1, 3, -4])
@@ -337,12 +355,22 @@ def stat_smax(word: Sequence[int]) -> int:
     a = [abs(v) for v in w]
     if len(set(a)) != len(a):
         raise ValueError("absolute values must be distinct")
+    return _smax_walk(w, sorted(range(len(w)), key=a.__getitem__))
+
+
+def _smax_walk(w: Sequence[int], order: Iterable[int]) -> int:
+    """smax of a nonempty word w with distinct absolute values, given its
+    positions `order` in increasing |entry|; the order depends on |w| only.
+
+    >>> _smax_walk((2, -1, 3, -4), (1, 0, 2, 3))
+    2
+    """
     # Meet the positions in increasing |entry|.  The first one met inside the
     # block w[lo:hi] is its minimum m = w[i]; the next one met there is the
     # lesser of the two sides' minima, so m > 0 moves to the other side (and
     # stops if that side is empty) and m < 0 moves to this side.
     lo, hi, i, m = 0, len(w), -1, None
-    for j in sorted(range(len(w)), key=a.__getitem__):
+    for j in order:
         if not lo <= j < hi:
             continue
         if m is not None:

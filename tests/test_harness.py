@@ -457,9 +457,9 @@ def test_split_that_ignores_the_sign_of_k_plus_1_is_reported(monkeypatch):
 def test_class_statistic_mismatch_is_reported(monkeypatch):
     import arnold.harness as harness
 
-    real_smax = harness.stat_smax
-    monkeypatch.setattr(harness, "stat_smax", lambda w: abs(real_smax(w)))
-    monkeypatch.setattr(harness, "stat_spk", lambda p: 0)
+    real_smax = harness._smax_walk
+    monkeypatch.setattr(harness, "_smax_walk", lambda w, order: abs(real_smax(w, order)))
+    monkeypatch.setattr(harness, "_negatives_at", lambda w, peaks: 0)
     assert verify("smax-well-defined", 1).details == ("n=1: class (-1,) has smax values {1}",)
     assert verify("spk-well-defined", 1).details == ("n=1: class (-1,) has spk values {0}",)
 
@@ -574,8 +574,8 @@ def test_cli_refuses_tree_enumeration_above_cap_with_exit_2(family, capsys, swee
 def test_non_constant_class_statistic_names_it(monkeypatch):
     import arnold.harness as harness
 
-    real = harness.stat_spk
-    monkeypatch.setattr(harness, "stat_spk", lambda p: real(p) + (p.window[0] == 2))
+    real = harness._negatives_at
+    monkeypatch.setattr(harness, "_negatives_at", lambda w, peaks: real(w, peaks) + (w[0] == 2))
     assert verify("spk-well-defined", 2).details == (
         "n=2: class (-1, 2) has spk values {0, 1}",
         "n=2: class (1, 2) has spk values {0, 1}",
@@ -636,13 +636,13 @@ def test_shifted_class_spk_is_reported(monkeypatch):
 def _statistic_off_on_one_member(monkeypatch, name):
     import arnold.harness as harness
 
-    real = getattr(harness, f"stat_{name}")
+    kernel = {"smax": "_smax_walk", "spk": "_negatives_at"}[name]
+    real = getattr(harness, kernel)
 
-    def off_by_one(w):
-        window = w.window if name == "spk" else tuple(w)
-        return real(w) + (window == (3, 1, -2))
+    def off_by_one(w, setup):
+        return real(w, setup) + (w == (3, 1, -2))
 
-    monkeypatch.setattr(harness, f"stat_{name}", off_by_one)
+    monkeypatch.setattr(harness, kernel, off_by_one)
 
 
 def _one_member_oriented_with_a_wrong_sign(monkeypatch):
@@ -663,6 +663,44 @@ def test_class_statistic_wrong_on_one_other_member_is_reported(monkeypatch, name
     assert verify(f"{name}-well-defined", 3).details == (
         f"n=3: class (-2, 1, 3) has {name} values {want}",
     )
+
+
+def _spk_reference(w):
+    """Signed peaks read literally: negative entries whose absolute value
+    exceeds both neighbours', with zero padding at both ends."""
+    a = (0, *map(abs, w), 0)
+    return sum(w[i] < 0 and a[i] < a[i + 1] > a[i + 2] for i in range(len(w)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_flip_pass_reads_every_window_with_the_kernels(monkeypatch, n):
+    # The pass reads smax by walking each member's own word, never off the
+    # split code of |w| as `flip_classes` does, and spk at the peaks of |w|;
+    # each reading must equal the literal statistic of that window.
+    import arnold.harness as harness
+    from arnold.families import windows
+    from arnold.signed_perm import SignedPerm, stat_smax, stat_spk
+
+    walked, counted = [], []
+
+    def record(log, real):
+        def read(w, setup):
+            value = real(w, setup)
+            log.append((w, setup, value))
+            return value
+
+        return read
+
+    monkeypatch.setattr(harness, "_smax_walk", record(walked, harness._smax_walk))
+    monkeypatch.setattr(harness, "_negatives_at", record(counted, harness._negatives_at))
+    assert harness._flip_pass(n, ("smax", "spk")) == {"smax": (), "spk": ()}
+    every = sorted(windows(n))
+    assert sorted(w for w, _, _ in walked) == sorted(w for w, _, _ in counted) == every
+    for w, order, smax in walked:
+        assert list(order) == sorted(range(n), key=lambda i: abs(w[i]))
+        assert smax == stat_smax(w), w
+    for w, _, spk in counted:
+        assert spk == stat_spk(SignedPerm(w)) == _spk_reference(w), w
 
 
 def test_member_oriented_with_one_wrong_sign_is_reported(monkeypatch):
@@ -760,8 +798,8 @@ def _always(*args):
     [
         ("harness", "stat_npk", _always, {"report-emp-npk-perobject"}),
         ("trees", "rightmost_path", _always, {"cor-rightmost-cycle-min", "cor-rightmost-ltr-min"}),
-        ("harness", "stat_smax", _always, {"smax-well-defined"}),
-        ("harness", "stat_spk", _always, {"spk-well-defined"}),
+        ("harness", "_smax_walk", _always, {"smax-well-defined"}),
+        ("harness", "_abs_peaks", _always, {"spk-well-defined"}),
         ("bijections", "orient_flip_code", _always, {"bij-fl", "lemma-emp-spk"}),
         # not the canonical member of its class, whose code alone the lemma reads
         ("bijections", "orient_flip_code", lambda split, w: w == (3, 1, -2), {"bij-fl"}),
@@ -830,10 +868,10 @@ def test_one_run_orients_and_reads_each_flip_member_once(monkeypatch):
 
     members = [w for n in (1, 2, 3) for cls in families.flip_classes(n) for w in cls.members]
     oriented = _recorded(monkeypatch, bijections, "orient_flip_code")
-    smax = _recorded(monkeypatch, harness, "stat_smax")
-    spk = _recorded(monkeypatch, harness, "stat_spk")
+    smax = _recorded(monkeypatch, harness, "_smax_walk")
+    spk = _recorded(monkeypatch, harness, "_negatives_at")
     verify_all(3)
-    assert [w for _, w in oriented] == smax == [p.window for p in spk] == members
+    assert [w for _, w in oriented] == [w for w, _ in smax] == [w for w, _ in spk] == members
 
 
 @pytest.mark.parametrize(
@@ -841,8 +879,8 @@ def test_one_run_orients_and_reads_each_flip_member_once(monkeypatch):
     [
         ("bij-fl", {"orient_flip_code", "classify"}),
         ("lemma-emp-spk", {"orient_flip_code"}),
-        ("smax-well-defined", {"stat_smax"}),
-        ("spk-well-defined", {"stat_spk"}),
+        ("smax-well-defined", {"_smax_walk"}),
+        ("spk-well-defined", {"_abs_peaks", "_negatives_at"}),
         ("cor-rightmost-cycle-min", {"rightmost_path"}),
         ("report-emp-npk-perobject", {"stat_npk"}),
     ],
@@ -854,8 +892,9 @@ def test_a_check_run_alone_computes_only_what_it_reads(monkeypatch, check_id, re
 
     logs = {
         "orient_flip_code": _recorded(monkeypatch, bijections, "orient_flip_code"),
-        "stat_smax": _recorded(monkeypatch, harness, "stat_smax"),
-        "stat_spk": _recorded(monkeypatch, harness, "stat_spk"),
+        "_smax_walk": _recorded(monkeypatch, harness, "_smax_walk"),
+        "_abs_peaks": _recorded(monkeypatch, harness, "_abs_peaks"),
+        "_negatives_at": _recorded(monkeypatch, harness, "_negatives_at"),
         "rightmost_path": _recorded(monkeypatch, trees, "rightmost_path"),
         "stat_npk": _recorded(monkeypatch, harness, "stat_npk"),
         "classify": _recorded(monkeypatch, trees, "classify"),
