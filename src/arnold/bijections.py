@@ -8,7 +8,8 @@ children, and the per-cycle trees are chained along empty right children.
 
 The window route: the classical min-split tree of the absolute window
 (left factor mapped to the *right* subtree), with empty children removed
-at the peak paired with each negated valley successor.
+at the peak paired with each negated valley successor.  One builder makes
+both valley codes; type D also makes the node |w1| a labelled leaf.
 
 The flip route: a min-split on absolute values whose child orientation is
 decided by the pivot sign together with which side holds the smaller
@@ -156,10 +157,11 @@ def _make_leaf(code: list[int], label: int) -> None:
     code[i] = code[i + 1] = -1
 
 
-def _paired_peaks(w: tuple[int, ...], start: int) -> list[int]:
-    """For each valley position v >= start with a negated successor, the
-    value of the unique peak before the next valley.  Valleys and peaks are
-    read in one pass over |w| with +infinity before it and 0 after it."""
+def _paired_peaks(w: tuple[int, ...]) -> list[int]:
+    """For each valley with a negated successor, the value of the unique
+    peak before the next valley.  Valleys and peaks are read in one pass
+    over |w| with +infinity before it and 0 after it, so position 1 is a
+    valley only when |w1| < |w2|, which no type-D member has."""
     aw = [abs(v) for v in w]
     out = []
     valley = 0  # the last valley position, until its peak is found
@@ -170,7 +172,7 @@ def _paired_peaks(w: tuple[int, ...], start: int) -> list[int]:
                 raise MissingPeakError(f"no unique peak after valley position {valley} in {w}")
             valley = i
         elif prev < cur > nxt and valley:
-            if valley + 1 > start and w[valley] < 0:  # w[valley] is the successor entry
+            if w[valley] < 0:  # w[valley] is the successor entry
                 out.append(cur)
             valley = 0
         prev, cur = cur, nxt
@@ -179,21 +181,24 @@ def _paired_peaks(w: tuple[int, ...], start: int) -> list[int]:
     return out
 
 
+def _valley_code(p: SignedPerm, head: list[int]) -> tuple[int, ...]:
+    """The min-split code of |w| with labelled leaves made at the labels of
+    `head` and then at each paired peak."""
+    code = algo3(p.abs_window())
+    for label in head + _paired_peaks(p.window):
+        _make_leaf(code, label)
+    return tuple(code)
+
+
 def phi_vs_b_kernel(p: SignedPerm) -> tuple[int, ...]:
     """Flat code of `phi_vs_b` for a type-B valley member, untested."""
-    code = algo3(p.abs_window())
-    for peak_value in _paired_peaks(p.window, start=1):
-        _make_leaf(code, peak_value)
-    return tuple(code)
+    return _valley_code(p, [])
 
 
 def phi_vs_d_kernel(p: SignedPerm) -> tuple[int, ...]:
-    """Flat code of `phi_vs_d` for a type-D valley member, untested."""
-    code = algo3(p.abs_window())
-    _make_leaf(code, abs(p.window[0]))
-    for peak_value in _paired_peaks(p.window, start=2):
-        _make_leaf(code, peak_value)
-    return tuple(code)
+    """Flat code of `phi_vs_d` for a type-D valley member, untested: the
+    code of `phi_vs_b_kernel` with the node |w1| made a labelled leaf too."""
+    return _valley_code(p, [abs(p.window[0])])
 
 
 def phi_vs_b(p: SignedPerm) -> tuple[int, ...]:

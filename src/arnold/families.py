@@ -6,7 +6,9 @@ The enumerators are generators: each family is built member by member from
 unsigned permutations (with the sign patterns its rules allow) or, for
 snakes, from prefixes that still obey the snake rules, and comes out in
 window order.  `windows()` and the `is_*` membership predicates are the
-literal definitions and serve as the test oracle.  Flip classes of
+literal definitions and serve as the test oracle; each type-D predicate is
+its type-B rule with one more rule on the head (a snake negated, w2 > |w1|;
+a valley head -k made k, with 0 < w2 < k; a final bracket).  Flip classes of
 permutations are grown by flood fill; a signed flip class is one of them
 with a set of values negated, its statistics read off that class's tree.
 The statistic distributions of the harness are counted per unsigned
@@ -164,11 +166,8 @@ def is_snake_b(w: Sequence[int]) -> bool:
 
 
 def is_snake_d(w: Sequence[int]) -> bool:
-    if not w or w[0] >= 0:
-        return False
-    if len(w) >= 2 and not w[0] > -w[1]:
-        return False
-    return _up_down(w)
+    # the negation of a type-B snake, with w2 > |w1|
+    return is_snake_b(tuple(-v for v in w)) and (len(w) < 2 or w[1] > -w[0])
 
 
 def _cycles_up_down(cf: CycleForm) -> bool:
@@ -206,15 +205,10 @@ def is_vs_b(w: Sequence[int]) -> bool:
 
 
 def is_vs_d(w: Sequence[int]) -> bool:
-    if not w or w[0] >= 0:
+    # w1 < 0 and 0 < w2 < |w1|; the rest is the type-B rule with w1 made positive
+    if not w or w[0] >= 0 or (len(w) >= 2 and not 0 < w[1] < -w[0]):
         return False
-    if len(w) >= 2 and not (w[1] > 0 and -w[0] > w[1]):
-        return False
-    vv = valley_values([abs(v) for v in w])
-    for i in range(2, len(w)):
-        if w[i] < 0 and abs(w[i - 1]) not in vv:
-            return False
-    return True
+    return is_vs_b((-w[0], *w[1:]))
 
 
 # ---------------------------------------------------------------------------

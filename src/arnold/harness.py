@@ -133,7 +133,8 @@ def _load_table(name: str, n_max: int, golden_dir: str | None) -> dict:
     """A stored table whose every per-n list covers n = 1..n_max, each of
     those rows holding a `neg` and a `pos` list; a table with a list
     missing or shorter is refused, so that a check never crashes on it or
-    reports a range it did not compare."""
+    reports a range it did not compare.  So is a table1 number in that
+    range that is not an int: 1.0 and True compare equal to 1."""
     if golden_dir is not None:
         golden = json.loads((Path(golden_dir) / name).read_text())
     else:
@@ -147,6 +148,12 @@ def _load_table(name: str, n_max: int, golden_dir: str | None) -> dict:
     for n, row in enumerate(golden["rows"][:n_max], start=1):
         if not (isinstance(row, dict) and all(isinstance(row.get(k), list) for k in ("neg", "pos"))):
             raise ValueError(f"{name} row {n} has no list 'neg' or no list 'pos'")
+        if name == "table1.json":
+            for key in ("neg", "pos", "springer_b", "springer_d"):
+                numbers = row[key] if key in ("neg", "pos") else golden[key][n - 1 : n]
+                for value in numbers:
+                    if type(value) is not int:
+                        raise ValueError(f"{name} row {n}: {key} holds {value!r}, not an int")
     return golden
 
 

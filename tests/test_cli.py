@@ -362,6 +362,25 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == "error: table2.json row 2: term 3: 1.5 needs an int exponent and an int coefficient\n"
 
+    @pytest.mark.parametrize("check_id", ["table-arnold", "row-sums-springer"])
+    @pytest.mark.parametrize(
+        "key, n, value",
+        [("neg", 1, True), ("pos", 2, 1.0), ("springer_b", 1, 1.0), ("springer_d", 2, True)],
+    )
+    def test_non_integer_stored_number_is_refused(self, capsys, tmp_path, check_id, key, n, value):
+        data = json.loads((GOLDEN_SRC / "table1.json").read_text())
+        stored = data["rows"][n - 1][key] if key in ("neg", "pos") else data[key][n - 1 : n]
+        assert stored[0] == value  # equal to what it replaces, so the comparisons alone pass
+        if key in ("neg", "pos"):
+            data["rows"][n - 1][key] = [value] + stored[1:]
+        else:
+            data[key][n - 1] = value
+        (tmp_path / "table1.json").write_text(json.dumps(data))
+        assert main(["verify", "--check", check_id, "--golden-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: table1.json row {n}: {key} holds {value!r}, not an int\n"
+
     @pytest.mark.parametrize(
         "row, entry, message",
         [

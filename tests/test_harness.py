@@ -167,6 +167,22 @@ def test_verify_all_reports_short_golden_table_as_error(tmp_path):
     assert results["table-arnold"].status == "pass"
 
 
+def test_verify_all_reports_non_integer_table1_numbers_as_errors(tmp_path):
+    def edit(data):  # each equal to the int it replaces
+        data["rows"][0]["neg"] = [True]
+        data["rows"][1]["pos"] = [1.0, 2.0]
+        data["springer_b"][0] = 1.0
+
+    golden = _golden_copy(tmp_path, "table1.json", edit)
+    clean = {r.check_id: _summary(r) for r in verify_all(4)}
+    tampered = {r.check_id: _summary(r) for r in verify_all(4, golden_dir=golden)}
+    message = "ValueError('table1.json row 1: neg holds True, not an int')"
+    for check_id in ("table-arnold", "row-sums-springer"):
+        assert tampered.pop(check_id) == (check_id, (1, 4), "error", (message,))
+        del clean[check_id]
+    assert tampered == clean
+
+
 def test_verify_all_keeps_registry_order():
     results = verify_all(2)
     assert [r.check_id for r in results] == list(EXPECTED_IDS)
@@ -462,6 +478,206 @@ def test_class_statistic_mismatch_is_reported(monkeypatch):
     monkeypatch.setattr(harness, "_negatives_at", lambda w, peaks: 0)
     assert verify("smax-well-defined", 1).details == ("n=1: class (-1,) has smax values {1}",)
     assert verify("spk-well-defined", 1).details == ("n=1: class (-1,) has spk values {0}",)
+
+
+def _golden_copy(tmp_path, name, edit):
+    """A golden directory holding the shipped tables, with `edit` applied
+    to the parsed `name`."""
+    for table in ("table1.json", "table2.json", "small_families.json"):
+        shutil.copy(GOLDEN_SRC / table, tmp_path / table)
+    data = json.loads((tmp_path / name).read_text())
+    edit(data)
+    (tmp_path / name).write_text(json.dumps(data))
+    return str(tmp_path)
+
+
+def test_wrong_springer_numbers_are_reported(tmp_path):
+    def edit(data):
+        data["springer_b"][2] += 1
+        data["springer_d"][3] += 1
+
+    golden = _golden_copy(tmp_path, "table1.json", edit)
+    assert verify("table-arnold", 5, golden_dir=golden).details == (
+        "row 3: positive sum 11",
+        "row 4: negative sum 23",
+    )
+    assert verify("row-sums-springer", 5, golden_dir=golden).details == (
+        "n=3: positive row sum 11",
+        "n=4: negative row sum 23",
+    )
+
+
+def test_wrong_stored_polynomial_is_reported(tmp_path):
+    def edit(data):
+        data["rows"][1]["pos"][0] = {"3": 2}
+
+    golden = _golden_copy(tmp_path, "table2.json", edit)
+    assert verify("table-polys", 5, golden_dir=golden).details == (
+        "row 2 differs from the stored polynomials",
+    )
+
+
+def test_numeric_entry_off_from_its_polynomial_is_reported(monkeypatch):
+    import arnold.harness as harness
+
+    real = harness.arnold_numbers
+
+    def bumped(n_max):
+        return [r._replace(pos=(r.pos[0] + 1, *r.pos[1:])) if r.n == 3 else r for r in real(n_max)]
+
+    monkeypatch.setattr(harness, "arnold_numbers", bumped)
+    assert verify("poly-at-1", 4).details == ("V(3,1)(1) = 3 != 4",)
+
+
+def _drop_members(monkeypatch, drop):
+    """Make `families.enumerate_family` return drop(family, n, members)."""
+    import arnold.families as families
+
+    real = families.enumerate_family
+    monkeypatch.setattr(families, "enumerate_family", lambda family, n: drop(family, n, real(family, n)))
+
+
+def test_missing_alternating_permutation_is_reported(monkeypatch):
+    _drop_members(monkeypatch, lambda f, n, ms: ms[:-1] if (f, n) == ("alternating", 3) else ms)
+    assert verify("entringer-alternating", 3).details == ("n=3 k=3: 0 alternating vs entry 1",)
+
+
+def test_missing_snakes_are_reported_on_both_sides(monkeypatch):
+    _drop_members(monkeypatch, lambda f, n, ms: ms[1:] if f.startswith("snakes") else ms)
+    assert verify("snakes-arnold", 2).details == (
+        "n=1: 0 type-B snakes start 1, triangle 1",
+        "n=1: 0 type-D snakes start -1, triangle 1",
+        "n=2: 0 type-B snakes start 1, triangle 1",
+        "n=2: 0 type-D snakes start -1, triangle 1",
+    )
+
+
+def _invalid_code(member):
+    return (-2, -2)
+
+
+def _bracket_as_fixed_point(cf):
+    import arnold.bijections as bijections
+
+    *body, bracket = (c.entries for c in cf.cycles)
+    return bijections._chain_code([*body, (bracket[0],)])
+
+
+def _without_the_head_leaf(p):
+    import arnold.bijections as bijections
+
+    return bijections.phi_vs_b_kernel(p)
+
+
+@pytest.mark.parametrize(
+    "family, kernel, fault, details",
+    [
+        (
+            "cud-b",
+            "phi_cud_b_kernel",
+            _invalid_code,
+            (
+                "cud-b n=1: invalid image tree for (1)",
+                "cud-b n=2: invalid image tree for (1,-2)",
+                "cud-b n=2: invalid image tree for (1)(2)",
+                "cud-b n=2: invalid image tree for (1,2)",
+            ),
+        ),
+        (
+            "vs-b",
+            "phi_vs_b_kernel",
+            _invalid_code,
+            (
+                "vs-b n=1: invalid image tree for [1]",
+                "vs-b n=2: invalid image tree for [1,-2]",
+                "vs-b n=2: invalid image tree for [1,2]",
+                "vs-b n=2: invalid image tree for [2,1]",
+            ),
+        ),
+        (
+            "cud-d",
+            "phi_cud_d_kernel",
+            _bracket_as_fixed_point,
+            (
+                "cud-d n=1: [1,-1] lands at (o,1), expected (*,1)",
+                "cud-d n=2: (1)[2,-2] lands at (o,2), expected (*,2)",
+            ),
+        ),
+        (
+            "vs-d",
+            "phi_vs_d_kernel",
+            _without_the_head_leaf,
+            (
+                "vs-d n=1: [-1] lands at (o,1), expected (*,1)",
+                "vs-d n=2: [-2,1] lands at (o,2), expected (*,2)",
+            ),
+        ),
+    ],
+    ids=["cud-b-invalid", "vs-b-invalid", "cud-d-lands", "vs-d-lands"],
+)
+def test_wrong_member_image_is_reported(monkeypatch, family, kernel, fault, details):
+    import arnold.bijections as bijections
+
+    monkeypatch.setattr(bijections, kernel, fault)
+    assert verify(f"bij-{family}", 2).details == details
+
+
+def test_colliding_flip_class_images_are_reported(monkeypatch):
+    _patched_classes(monkeypatch, lambda cs: cs + cs[:1])
+    assert verify("bij-fl", 2).details == (
+        "fl n=1: class images collide",
+        "fl n=1: 3 classes vs 2 trees",
+        "fl n=2: class images collide",
+        "fl n=2: 5 classes vs 4 trees",
+    )
+
+
+def test_peaks_missing_from_the_double_empty_labels_are_reported_and_clipped(monkeypatch):
+    import arnold.harness as harness
+
+    monkeypatch.setattr(harness, "peak_values", lambda p: ())
+    assert verify("lemma-peak-leaf", 4).details == (
+        "n=2 perm (1, 2): double-empty labels [2]",
+        "n=3 perm (1, 2, 3): double-empty labels [3]",
+        "n=3 perm (1, 3, 2): double-empty labels [3]",
+        "n=3 perm (2, 1, 3): double-empty labels [2, 3]",
+        "n=3 perm (2, 3, 1): double-empty labels [3]",
+        "n=3 perm (3, 1, 2): double-empty labels [2, 3]",
+        "n=4 perm (1, 2, 3, 4): double-empty labels [4]",
+        "n=4 perm (1, 2, 4, 3): double-empty labels [4]",
+        "n=4 perm (1, 3, 2, 4): double-empty labels [3, 4]",
+        "n=4 perm (1, 3, 4, 2): double-empty labels [4]",
+        "n=4 perm (1, 4, 2, 3): double-empty labels [3, 4]",
+        "n=4 perm (1, 4, 3, 2): double-empty labels [4]",
+        "... and 17 more",
+    )
+
+
+def test_shifted_step_statistic_is_reported(monkeypatch):
+    import arnold.families as families
+
+    real = families.psi_vs_b_kernel
+
+    def shifted(p):
+        rec = real(p)
+        return rec._replace(stat_after=rec.stat_after + 1) if p.window == (1, -2, 3) else rec
+
+    monkeypatch.setattr(families, "psi_vs_b_kernel", shifted)
+    assert verify("recstep-vs", 3).details == (
+        "vs-b n=3 k=1: [1,-2,3] shifts stat by 1, expected 0",
+    )
+
+
+@pytest.mark.parametrize("kind, bridge", [("cud", "psi_cud_bridge"), ("vs", "psi_vs_bridge")])
+def test_bridge_that_returns_its_source_is_reported(monkeypatch, kind, bridge):
+    import arnold.families as families
+
+    real = getattr(families, bridge)
+    monkeypatch.setattr(families, bridge, lambda m: real(real(m).image))
+    assert verify(f"recstep-{kind}", 2).details == (
+        f"{kind} bridge n=1: images differ from the type-D family",
+        f"{kind} bridge n=2: images differ from the type-D family",
+    )
 
 
 # Every check that sweeps families or permutations; thm-trees sweeps
@@ -805,8 +1021,16 @@ def _always(*args):
         ("bijections", "orient_flip_code", lambda split, w: w == (3, 1, -2), {"bij-fl"}),
         # the flip trees are built from split codes; the statistics never read them
         ("trees", "split_code", _always, {"bij-fl", "lemma-emp-spk", "knuth-flip-euler"}),
+        # the walks themselves: every reader of the pass errs
+        ("bijections", "images", _always, {
+            "bij-cud-b", "bij-cud-d", "bij-vs-b", "bij-vs-d", "cor-rightmost-cycle-min",
+            "cor-rightmost-ltr-min", "report-emp-npk-perobject",
+        }),
+        ("families", "flip_classes", _always, {
+            "thm-fl", "bij-fl", "lemma-emp-spk", "smax-well-defined", "spk-well-defined",
+        }),
     ],
-    ids=["npk", "path", "smax", "spk", "orient", "orient-one-member", "split"],
+    ids=["npk", "path", "smax", "spk", "orient", "orient-one-member", "split", "images", "flip-classes"],
 )
 def test_a_crashing_part_errors_only_the_checks_that_read_it(
     monkeypatch, owner, name, crashes_on, readers

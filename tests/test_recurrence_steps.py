@@ -135,6 +135,20 @@ class TestSmallCases:
         assert rec.image.window == (-3, 1, 2)
         assert rec.stat_after - rec.stat_before == 1
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_valley_bridge_maps_type_d_back_onto_type_b(self, n):
+        # the harness bridges type-B members only, so this is the one run
+        # of the branch from a window that starts with -n
+        type_b, type_d = enumerate_indexed("vs-b", n, n), enumerate_indexed("vs-d", n, n)
+        records = [psi_vs_bridge(p) for p in type_d]
+        assert {(r.case, r.target_family, r.target_n, r.target_index) for r in records} == {
+            ("bridge", "vs-b", n, n)
+        }
+        assert sorted(r.image for r in records) == sorted(type_b)
+        assert all(r.stat_after - r.stat_before == -1 for r in records)
+        for members in (type_b, type_d):
+            assert [psi_vs_bridge(psi_vs_bridge(p).image).image for p in members] == list(members)
+
 
 class TestPreconditions:
     def test_step_index_ranges(self):
