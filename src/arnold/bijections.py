@@ -244,8 +244,14 @@ def orient_flip_code(split: Sequence[int], window: Sequence[int]) -> tuple[int, 
 def tau_flip(p: SignedPerm) -> tuple[int, ...]:
     """Code of the min-split tree of a signed window, oriented by pivot
     sign and the side minima (see `orient_flip_code`); constant on flip
-    equivalence classes."""
-    return orient_flip_code(split_code(p.abs_window()), p.window)
+    equivalence classes.  MalformedSequenceError on an empty window or
+    one whose absolute values are not distinct and positive."""
+    u = p.abs_window()
+    if not u:
+        raise MalformedSequenceError("empty window")
+    if 0 in u or len(set(u)) != len(u):
+        raise MalformedSequenceError("absolute values must be distinct and positive")
+    return orient_flip_code(split_code(u), p.window)
 
 
 def phi_f(cls: FlipClass) -> tuple[int, ...]:

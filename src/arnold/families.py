@@ -10,7 +10,8 @@ literal definitions and serve as the test oracle; each type-D predicate is
 its type-B rule with one more rule on the head (a snake negated, w2 > |w1|;
 a valley head -k made k, with 0 < w2 < k; a final bracket).  Flip classes of
 permutations are grown by flood fill; a signed flip class is one of them
-with a set of values negated, its statistics read off that class's tree.
+with a set of values negated, and the 2^n over one unsigned class are built
+leaves up from the signings of its tree's subtrees, once per subtree.
 The statistic distributions of the harness are counted per unsigned
 permutation without building the members.  Every enumeration refuses a
 size above the package cap (`trees.check_size`) before it starts.  The
@@ -230,7 +231,7 @@ def flip(obj, k: int):
 class FlipClass(NamedTuple):
     """A signed flip class.  `stored` holds its sorted members as a tuple,
     or as a callable that `members` calls to build them on read; equality
-    compares the members, not what is stored."""
+    and repr show the members, not what is stored."""
 
     canon: tuple[int, ...]
     stored: tuple[tuple[int, ...], ...] | Callable[[], tuple[tuple[int, ...], ...]]
@@ -249,6 +250,10 @@ class FlipClass(NamedTuple):
 
     def __hash__(self) -> int:
         return hash(self.canon)
+
+    def __repr__(self) -> str:
+        return (f"FlipClass(canon={self.canon!r}, members={self.members!r}, "
+                f"smax={self.smax!r}, spk={self.spk!r})")
 
     def to_json(self) -> dict:
         members = [list(m) for m in self.members]
@@ -309,32 +314,56 @@ def _signed_members(getters: tuple[Callable, ...], signs: tuple[int, ...]):
     return tuple(sorted(get(signs) for get in getters))
 
 
+def _subtree_signings(v: int, kids: list[list]) -> list[tuple[tuple[int, ...], int, int, int]]:
+    """(least reading, mask of negated labels, smax, spk) for each signing
+    of the subtree at v, from those of its children's subtrees `kids`, in
+    increasing label order.  Readings over disjoint labels differ at their
+    first entry, so the least reading puts first the side whose first
+    entry is smaller.  smax follows the `stat_smax` walk: a leaf gives ±v;
+    one child gives +v, or under -v the child's smax; two children give the
+    larger child's smax under +v and the smaller's under -v.  spk counts the
+    negated leaves."""
+    bit = 1 << (v - 1)
+    if not kids:
+        return [((v,), 0, v, 0), ((-v,), bit, -v, 1)]
+    out = []
+    if len(kids) == 1:
+        for r, mask, smax, spk in kids[0]:
+            out.append(((v,) + r if v < r[0] else r + (v,), mask, v, spk))
+            out.append(((-v,) + r if -v < r[0] else r + (-v,), mask | bit, smax, spk))
+        return out
+    for x, xmask, xsmax, xspk in kids[0]:
+        for y, ymask, ysmax, yspk in kids[1]:
+            left, right = (x, y) if x[0] < y[0] else (y, x)
+            mask, spk = xmask | ymask, xspk + yspk
+            out.append((left + (v,) + right, mask, ysmax, spk))
+            out.append((left + (-v,) + right, mask | bit, xsmax, spk))
+    return out
+
+
 @lru_cache(maxsize=None)
 def flip_classes(n: int) -> tuple[FlipClass, ...]:
     """All flip equivalence classes of signed windows of size n, ordered by
     canonical (least) member.  Each is an unsigned class U, every reading of
     one non-plane min-split tree T, with one of the 2^n sets of values
-    negated.  canon takes the lesser reading at each node of T, leaves up;
-    smax walks T as `stat_smax` walks a word; spk counts the negated leaves
-    (zero-padded peaks).  The harness checks both on every member."""
+    negated.  The 2^n signed classes over U come from one pass over T,
+    leaves up: each node's signings are built once from its children's
+    (`_subtree_signings`), which gives canon, smax (T walked as `stat_smax`
+    walks a word) and spk (the negated leaves).  A class's signs tuple is
+    looked up by its mask, one per negated set.  The harness checks smax
+    and spk on every member."""
+    signs_of = [tuple(-a if mask >> (a - 1) & 1 else a for a in range(1, n + 1))
+                for mask in range(1 << n)]
     classes = []
     for unsigned in unsigned_flip_classes(n):
         windows_of = _member_windows(unsigned)
         code = split_code(unsigned[0])
-        pairs = [(0, 0), *zip(code[::2], code[1::2])]
-        kids = [sorted(filter(None, pair)) for pair in pairs]
-        leaves = [v for v in range(1, n + 1) if not kids[v]]
-        for signs in product(*((a, -a) for a in range(1, n + 1))):
-            best: list[tuple[int, ...]] = [()] * (n + 1)
-            for v in range(n, 0, -1):
-                x, y, mid = best[pairs[v][0]], best[pairs[v][1]], (signs[v - 1],)
-                best[v] = min(x + mid + y, y + mid + x)
-            node = 1
-            while kids[node] and (signs[node - 1] < 0 or len(kids[node]) == 2):
-                node = kids[node][-1] if signs[node - 1] > 0 else kids[node][0]
-            spk = sum(signs[v - 1] < 0 for v in leaves)
-            members = partial(windows_of, signs)
-            classes.append(FlipClass(best[1], members, signs[node - 1], spk))
+        signings: list[list] = [[]] * (n + 1)
+        for v in range(n, 0, -1):  # labels increase away from the root
+            kids = sorted(filter(None, code[2 * v - 2 : 2 * v]))
+            signings[v] = _subtree_signings(v, [signings[c] for c in kids])
+        for canon, mask, smax, spk in signings[1]:
+            classes.append(FlipClass(canon, partial(windows_of, signs_of[mask]), smax, spk))
     classes.sort(key=lambda c: c.canon)
     return tuple(classes)
 

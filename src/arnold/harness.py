@@ -502,9 +502,9 @@ def _flip_bijection_details(n: int, rows: list) -> tuple[str, ...]:
 
 def _constant_details(name: str, n: int, rows: list) -> tuple[str, ...]:
     """That the statistic `name`, applied to each member window, gives the
-    value the flip class records.  `flip_classes` reads the statistics off
-    the class's non-plane tree only, so this is the one test that they are
-    constant on every member."""
+    value the flip class records.  `flip_classes` builds the statistics
+    from the class's non-plane tree only, so this is the one test that
+    they are constant on every member."""
     details = []
     for cls, values in rows:
         if isinstance(values, Exception):
@@ -560,8 +560,8 @@ def _flip_pass(n: int, names: Iterable[str] | None) -> dict:
     increasing value for smax, its peak positions (`_abs_peaks`) for spk.
     smax is then `_smax_walk` over the member's own word and spk
     `_negatives_at` those peaks, the kernels of `stat_smax` and `stat_spk`.
-    smax is never read off the split code: `flip_classes` reads it off the
-    tree, so that would test nothing."""
+    smax is never read off the split code: `flip_classes` builds it from
+    the signings of the tree's subtrees, so that would test nothing."""
     parts = {
         "bij": _flip_bijection_details,
         "smax": lambda n, rows: _constant_details("smax", n, rows),

@@ -4,6 +4,7 @@ import pytest
 
 from arnold.bijections import (
     MalformedCycleError,
+    MalformedSequenceError,
     MissingPeakError,
     NotInFamilyError,
     _make_leaf,
@@ -273,6 +274,15 @@ class TestFlipMap:
 
     def test_negative_singleton(self):
         assert serialize(tree_of(tau_flip(from_window([-1])))) == "1"
+
+    @pytest.mark.parametrize(
+        "window, message",
+        [((2, 2), "distinct and positive"), ((2, -2), "distinct and positive"),
+         ((0, 1), "distinct and positive"), ((), "empty window")],
+    )
+    def test_malformed_window_is_refused(self, window, message):
+        with pytest.raises(MalformedSequenceError, match=message):
+            tau_flip(SignedPerm(window))
 
     def test_class_map_well_defined_small(self):
         for n in range(1, 5):

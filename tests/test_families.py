@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 from itertools import permutations, product
 from math import factorial
@@ -326,6 +327,32 @@ class TestFlipClasses:
                 assert self._closure(cls.canon) == cls.members, cls.canon
             for members in unsigned_flip_classes(n):
                 assert self._closure(members[0]) == members, members
+
+    def test_sampled_classes_at_seven_are_literal_flip_closures(self):
+        """One size past the flood-fill reference: the class of a sampled
+        window w is its closure under `flip`, with the statistics of w."""
+        by_canon = {cls.canon: cls for cls in flip_classes(7)}
+        ranks = random.Random(30).sample(range(factorial(7) << 7), 40)
+        for w in (unrank(r, 7).window for r in ranks):
+            closure = self._closure(w)
+            cls = by_canon[closure[0]]
+            assert cls.members == closure, w
+            assert (cls.smax, cls.spk) == (stat_smax(w), stat_spk(SignedPerm(w))), w
+
+    def test_equal_classes_from_separate_fills_have_equal_reprs(self):
+        flip_classes.cache_clear()
+        try:
+            first = flip_classes(3)
+            flip_classes.cache_clear()
+            second = flip_classes(3)
+        finally:
+            flip_classes.cache_clear()
+        assert first == second and first[0] is not second[0]
+        assert list(map(repr, first)) == list(map(repr, second))
+        assert repr(first[0]) == (
+            "FlipClass(canon=(-3, -2, -1), members=((-3, -2, -1), (-2, -3, -1), "
+            "(-1, -3, -2), (-1, -2, -3)), smax=-3, spk=1)"
+        )
 
     def test_class_of_smax_example(self):
         classes = flip_classes(4)
