@@ -25,7 +25,8 @@ Every map returns its code.
 Each cycle and valley map is one checked map and one unchecked kernel.
 `phi_*` runs the literal membership test of its family (for a cycle
 form, also that it is canonical), raises NotInFamilyError on a
-non-member, and otherwise returns the code of its kernel `phi_*_kernel`,
+non-member (a valley map first refuses, with `from_window`, a tuple that
+is not a window), and otherwise returns the code of its kernel `phi_*_kernel`,
 which tests nothing.  `images` alone pairs a family with the map that runs
 its generated members unguarded (a kernel, or `phi_f`), for the harness and
 `arnold map`; the tests hold the generators equal to the literal filters.
@@ -39,6 +40,7 @@ from .families import FlipClass, is_canonical, is_cud_b, is_cud_d, is_vs_b, is_v
 from .signed_perm import (
     CycleForm,
     SignedPerm,
+    from_window,
     peaks,  # not called here: perfbench/layers.py times it as bijections.peaks
     valleys,  # likewise, as bijections.valleys
 )
@@ -204,7 +206,9 @@ def phi_vs_d_kernel(p: SignedPerm) -> tuple[int, ...]:
 def phi_vs_b(p: SignedPerm) -> tuple[int, ...]:
     """Tree image of a type-B valley member: min-split tree of the absolute
     window, then empty-leaf removal at the peak paired with each negated
-    valley successor."""
+    valley successor.  InvalidWindowError where `from_window` refuses the
+    window, NotInFamilyError on any other non-member."""
+    from_window(p.window)
     if not is_vs_b(p.window):
         raise NotInFamilyError("not a type-B valley signed permutation")
     return phi_vs_b_kernel(p)
@@ -212,7 +216,9 @@ def phi_vs_b(p: SignedPerm) -> tuple[int, ...]:
 
 def phi_vs_d(p: SignedPerm) -> tuple[int, ...]:
     """Type-D variant: additionally turn the node of |first entry| into a
-    labelled leaf, which makes the rightmost leaf labelled."""
+    labelled leaf, which makes the rightmost leaf labelled.  Refuses a
+    non-window or a non-member as `phi_vs_b` does."""
+    from_window(p.window)
     if not is_vs_d(p.window):
         raise NotInFamilyError("not a type-D valley signed permutation")
     return phi_vs_d_kernel(p)

@@ -82,7 +82,7 @@ def _member_rows(family: str, n: int, index: int | None, with_stats: bool):
             p = window_of(m)
             row = {"window": p.to_json(), "cycles": m.to_json()["cycles"]}
             if with_stats:
-                row["stats"] = stat_report(p)
+                row["stats"] = stat_report(p, m)
         yield row
 
 

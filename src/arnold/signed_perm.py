@@ -8,6 +8,12 @@ bijection of {-n..-1, 1..n} via sigma(-i) = -sigma(i).
 compare, iterate and order like the tuples of their fields: a SignedPerm
 equals the tuple (window,), and `x._replace(...)` gives a changed copy.
 `CycleForm.n` counts the labels on every read; nothing is cached.
+
+`SignedPerm` validates nothing; `from_window` does.  `cycle_form` and
+`stat_spk` refuse a window that `from_window` refuses, with
+InvalidWindowError, instead of looping or miscounting.  `stat_report`
+reads the window once for all its statistics, and takes the cycle form
+from its caller when the caller already holds it.
 """
 from __future__ import annotations
 
@@ -132,23 +138,30 @@ def cycle_form(p: SignedPerm) -> CycleForm:
     '(1,-2,4)(3)(5,-6,7)'
     >>> str(cycle_form(from_window([-2, 4, -5, -1, 9, 6, 3, -8, 7])))
     '(1,-2,-4)[3,-5,-9,-7,-3,5,9,7](6)[8,-8]'
+
+    The orbits are walked on the window itself.  Raises InvalidWindowError
+    exactly where `from_window` would refuse a window of ints: a step
+    whose |x| leaves 1..n, or an orbit past 2n entries (one that never
+    returns to its start), shows that the window is not a signed
+    permutation, and a walk with neither is one.
     """
-    seen: set[int] = set()
+    w = p.window
+    n = len(w)
+    seen = [False] * (n + 1)
     cycles = []
-    for m in range(1, p.n + 1):
-        if m in seen:
+    for m in range(1, n + 1):
+        if seen[m]:
             continue
         orbit = [m]
-        x = p(m)
+        x = w[m - 1]
         while x != m:
+            a = x if x > 0 else -x
+            if not 0 < a <= n or len(orbit) == 2 * n:
+                raise InvalidWindowError(f"{w} is not the window of a signed permutation")
+            seen[a] = True
             orbit.append(x)
-            x = p(x)
-        if -m in orbit:
-            cyc = Cycle(tuple(orbit), bracket=True)
-        else:
-            cyc = Cycle(tuple(orbit), bracket=False)
-        seen.update(abs(e) for e in orbit)
-        cycles.append(cyc)
+            x = w[a - 1] if x > 0 else -w[a - 1]
+        cycles.append(Cycle(tuple(orbit), -m in orbit))
     return CycleForm(tuple(cycles))
 
 
@@ -326,7 +339,9 @@ def _negatives_at(w: Sequence[int], positions: Iterable[int]) -> int:
 def stat_spk(p: SignedPerm) -> int:
     """Signed peaks: negative entries that are absolute-value peaks, with
     zero padding at both ends of the window; the count of the window's
-    negatives (`_negatives_at`) at the peaks of |window| (`_abs_peaks`)."""
+    negatives (`_negatives_at`) at the peaks of |window| (`_abs_peaks`).
+    Raises InvalidWindowError where `from_window` refuses the window."""
+    from_window(p.window)
     return _negatives_at(p.window, _abs_peaks(p.abs_window()))
 
 
@@ -384,21 +399,53 @@ def _smax_walk(w: Sequence[int], order: Iterable[int]) -> int:
     return m
 
 
-def stat_report(p: SignedPerm) -> dict[str, int | None]:
+def stat_report(p: SignedPerm, cf: CycleForm | None = None) -> dict[str, int | None]:
     """All window statistics; npk is None when the cycle form is not of
-    cycle-up-down shape."""
-    cf = cycle_form(p)
+    cycle-up-down shape.  `cf` is `cycle_form(p)`, computed here when not
+    given, which refuses a non-window; the window is then read once.
+
+    Valleys and peaks are the strict minima and maxima of |w| between
+    +infinity and 0 (see `valleys` and `peaks`); spk's peaks pad with 0 on
+    both sides, so they add position 1 when |w| falls from it.
+
+    >>> stat_report(from_window([2, -1, 3, -4]))
+    {'neg': 2, 'npk': None, 'spk': 1, 'smax': 2, 'valleys': 1, 'peaks': 1, 'ltr_min': 2}
+    """
+    if cf is None:
+        cf = cycle_form(p)
     try:
         npk: int | None = stat_npk(cf)
     except MalformedCudCycleFormError:
         npk = None
-    aw = p.abs_window()
+    w = p.window
+    if not w:
+        raise ValueError("smax of empty word")
+    n = len(w)
+    aw = [abs(v) for v in w]
+    neg = spk = n_valleys = n_peaks = ltr_min = 0
+    prev = low = n + 1  # above every |entry|
+    for v, cur, nxt in zip(w, aw, aw[1:] + [0]):
+        if v < 0:
+            neg += 1
+        if cur < low:
+            ltr_min += 1
+            low = cur
+        if cur > nxt:
+            if prev < cur:
+                n_peaks += 1
+                if v < 0:
+                    spk += 1
+        elif prev > cur:
+            n_valleys += 1
+        prev = cur
+    if w[0] < 0 and aw[0] > (aw[1] if n > 1 else 0):
+        spk += 1
     return {
-        "neg": stat_neg(p),
+        "neg": neg,
         "npk": npk,
-        "spk": stat_spk(p),
-        "smax": stat_smax(p.window),
-        "valleys": len(valleys(aw)),
-        "peaks": len(peaks(aw)),
-        "ltr_min": len(left_to_right_minima(aw)),
+        "spk": spk,
+        "smax": _smax_walk(w, sorted(range(n), key=aw.__getitem__)),
+        "valleys": n_valleys,
+        "peaks": n_peaks,
+        "ltr_min": ltr_min,
     }

@@ -26,6 +26,7 @@ from arnold.families import UnknownFamilyError, _up_down, enumerate_family, flip
 from arnold.signed_perm import (
     Cycle,
     CycleForm,
+    InvalidWindowError,
     SignedPerm,
     from_window,
     leaf_values,
@@ -244,6 +245,14 @@ class TestValleyMaps:
             phi_vs_b(from_window([-1, 2]))
         with pytest.raises(NotInFamilyError):
             phi_vs_d(from_window([1, 2]))
+
+    @pytest.mark.parametrize("mapping", [phi_vs_b, phi_vs_d])
+    @pytest.mark.parametrize("window", [(2, 2), (1, 1, 3), (0,)])
+    def test_rejects_non_windows(self, mapping, window):
+        # phi_vs_b returned (0, 0, 2, 0) and (3, 0, 0, 0, 0, 0) for the first
+        # two, and raised IndexError on (0,)
+        with pytest.raises(InvalidWindowError):
+            mapping(SignedPerm(window))
 
     def test_small_bijectivity(self):
         for n in range(1, 5):

@@ -13,7 +13,8 @@ import pytest
 import tree_reference as ref
 from arnold import cli, families
 from arnold.cli import _grammar, _parse_plain, build_parser, main
-from arnold.signed_perm import SignedPerm
+from arnold.signed_perm import SignedPerm, cycle_form, stat_smax, stat_spk, window_of
+from test_signed_perm import stats_one_by_one
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_SRC = ROOT / "src/arnold/golden"
@@ -281,6 +282,38 @@ class TestTreeOutputMatchesReference:
                 for m, t in zip(sources, trees)
             )
             assert run(capsys, "map", "--bijection", bijection, "--n", str(n)) == (0, want)
+
+
+class TestStatsRowsMatchTheStatistics:
+    """`enumerate --with-stats` prints, byte for byte, the rows built from
+    `enumerate_family` and the statistics one function at a time."""
+
+    @staticmethod
+    def rows(family, n):
+        for m in families.enumerate_family(family, n):
+            if isinstance(m, families.FlipClass):
+                stats = {"smax": stat_smax(m.canon), "spk": stat_spk(SignedPerm(m.canon))}
+                yield {"window": list(m.canon), "members": [list(w) for w in m.members], "stats": stats}
+            elif isinstance(m, SignedPerm):
+                yield {"window": list(m.window), "stats": stats_one_by_one(m, cycle_form(m))}
+            else:
+                p = window_of(m)
+                yield {"window": list(p.window), "cycles": m.to_json()["cycles"],
+                       "stats": stats_one_by_one(p, m)}
+
+    @pytest.mark.parametrize("family", [f for f in families.FAMILIES if f not in cli.TREE_FAMILIES])
+    def test_member_families(self, capsys, family):
+        for n in range(1, 6):
+            argv = ["enumerate", "--family", family, "--n", str(n), "--with-stats"]
+            rows = list(self.rows(family, n))
+            assert run(capsys, *argv) == (0, "".join(json.dumps(r) + "\n" for r in rows))
+            table = io.StringIO()
+            writer = csv.writer(table)
+            writer.writerow(rows[0])
+            writer.writerows(
+                [" ".join(map(str, r["window"])), *map(json.dumps, list(r.values())[1:])] for r in rows
+            )
+            assert run(capsys, *argv, "--format", "csv") == (0, table.getvalue())
 
 
 class TestVerify:

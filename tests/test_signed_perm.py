@@ -1,4 +1,8 @@
-from itertools import permutations
+import os
+import subprocess
+import sys
+from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -30,6 +34,8 @@ from arnold.signed_perm import (
     window_of,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def _smax_reference(word):
     """The recursive min-split definition of smax, kept as the reference
@@ -53,6 +59,65 @@ def _smax_reference(word):
     if m > 0:
         return _smax_reference(left) if min_l > min_r else _smax_reference(right)
     return _smax_reference(left) if min_l < min_r else _smax_reference(right)
+
+
+def _cycle_form_reference(p):
+    """The orbit walk that `cycle_form` made through `SignedPerm.__call__`
+    before it read the window directly.  It never returns on some
+    non-windows, such as (2, 2), so it runs on windows only."""
+    seen = set()
+    cycles = []
+    for m in range(1, p.n + 1):
+        if m in seen:
+            continue
+        orbit = [m]
+        x = p(m)
+        while x != m:
+            orbit.append(x)
+            x = p(x)
+        cycles.append(Cycle(tuple(orbit), bracket=-m in orbit))
+        seen.update(abs(e) for e in orbit)
+    return CycleForm(tuple(cycles))
+
+
+def cycle_form_disagreements():
+    """Every int tuple of length 0..4 with entries in -5..5 on which
+    `cycle_form` disagrees with `from_window` followed by the reference
+    walk: one raises InvalidWindowError and the other does not, or both
+    return and the forms differ."""
+    bad = []
+    for n in range(5):
+        for w in product(range(-5, 6), repeat=n):
+            try:
+                want = _cycle_form_reference(from_window(w))
+            except InvalidWindowError:
+                want = InvalidWindowError
+            try:
+                got = cycle_form(SignedPerm(w))
+            except InvalidWindowError:
+                got = InvalidWindowError
+            if got != want:
+                bad.append(w)
+    return bad
+
+
+def stats_one_by_one(p, cf):
+    """The `stat_report` of window p with cycle form cf, built from the
+    statistics one function at a time."""
+    try:
+        npk = stat_npk(cf)
+    except MalformedCudCycleFormError:
+        npk = None
+    aw = p.abs_window()
+    return {
+        "neg": stat_neg(p),
+        "npk": npk,
+        "spk": stat_spk(p),
+        "smax": stat_smax(p.window),
+        "valleys": len(valleys(aw)),
+        "peaks": len(peaks(aw)),
+        "ltr_min": len(left_to_right_minima(aw)),
+    }
 
 
 def signed_perms(max_n=6):
@@ -124,6 +189,25 @@ class TestCycleForm:
             leaders = cf.leaders()
             assert all(l > 0 for l in leaders)
             assert list(leaders) == sorted(leaders)
+
+    def test_refuses_exactly_the_non_windows(self):
+        # The sweep runs in a child under CPU and memory limits, so that a
+        # walk that never returns (the old one did on (2, 2)) fails this
+        # test instead of hanging the suite.
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_CPU, (30, 30))\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from test_signed_perm import cycle_form_disagreements\n"
+            "print(cycle_form_disagreements())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(ROOT / d) for d in ("src", "tests")))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_json_encoding(self):
         cf = cycle_form(from_window([2, 1]))
@@ -288,6 +372,15 @@ class TestStatistics:
         assert stat_spk(from_window([1, -2, 3])) == 0
         assert stat_spk(from_window([-1])) == 1
 
+    @pytest.mark.parametrize("window", [(2, 2), (1, 1, 3), (0,)])
+    def test_spk_refuses_non_windows(self, window):
+        # each of these read 0 spk
+        with pytest.raises(InvalidWindowError):
+            stat_spk(SignedPerm(window))
+
+    def test_spk_of_the_empty_window(self):
+        assert stat_spk(SignedPerm(())) == 0
+
     def test_smax_worked_examples(self):
         assert stat_smax([2, 7, -8, 1, 6, -9, -3, -4, 5]) == 5
         assert stat_smax([2, -1, 3, -4]) == 2
@@ -321,6 +414,20 @@ class TestStatistics:
         assert report["neg"] == 2
         assert report["smax"] == 2
         assert report["npk"] is None  # not of cycle-up-down shape
+
+    def test_stat_report_is_the_statistics_one_by_one(self):
+        for n in range(1, 6):
+            for w in windows(n):
+                p = SignedPerm(w)
+                cf = cycle_form(p)
+                want = list(stats_one_by_one(p, cf).items())
+                assert list(stat_report(p).items()) == want, w
+                assert list(stat_report(p, cf).items()) == want, w
+
+    def test_stat_report_refuses_the_empty_window_as_stat_smax_does(self):
+        for cf in (None, CycleForm(())):
+            with pytest.raises(ValueError, match="^smax of empty word$"):
+                stat_report(SignedPerm(()), cf)
 
     @given(signed_perms())
     def test_spk_at_most_neg(self, p):
