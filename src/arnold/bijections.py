@@ -250,13 +250,16 @@ def orient_flip_code(split: Sequence[int], window: Sequence[int]) -> tuple[int, 
 def tau_flip(p: SignedPerm) -> tuple[int, ...]:
     """Code of the min-split tree of a signed window, oriented by pivot
     sign and the side minima (see `orient_flip_code`); constant on flip
-    equivalence classes.  MalformedSequenceError on an empty window or
-    one whose absolute values are not distinct and positive."""
+    equivalence classes.  MalformedSequenceError on an empty window, one
+    whose absolute values are not distinct and positive, or one with an
+    absolute value above its length n."""
     u = p.abs_window()
     if not u:
         raise MalformedSequenceError("empty window")
     if 0 in u or len(set(u)) != len(u):
         raise MalformedSequenceError("absolute values must be distinct and positive")
+    if max(u) > len(u):
+        raise MalformedSequenceError(f"absolute values must be 1..{len(u)}")
     return orient_flip_code(split_code(u), p.window)
 
 

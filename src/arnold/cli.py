@@ -27,7 +27,12 @@ from . import bijections as bij
 from . import families as fam
 from . import trees as tr
 from .harness import check_ids, verify, verify_all
-from .signed_perm import SignedPerm, stat_report, window_of
+from .signed_perm import (
+    SignedPerm,
+    _window_entries,
+    stat_report,
+    window_of,  # not called here: perfbench/layers.py times it as cli.window_of
+)
 from .triangles import arnold_hoffman, arnold_numbers, entringer
 
 TREE_FAMILIES = ("trees-o", "trees-s")
@@ -78,11 +83,11 @@ def _member_rows(family: str, n: int, index: int | None, with_stats: bool):
             row = {"window": m.to_json()}
             if with_stats:
                 row["stats"] = stat_report(m)
-        else:  # cycle form
-            p = window_of(m)
-            row = {"window": p.to_json(), "cycles": m.to_json()["cycles"]}
+        else:  # a generated cycle form: its window needs no check
+            window = _window_entries(m.cycles, n)
+            row = {"window": window, "cycles": m.to_json()["cycles"]}
             if with_stats:
-                row["stats"] = stat_report(p, m)
+                row["stats"] = stat_report(SignedPerm(tuple(window)), m)
         yield row
 
 
@@ -90,8 +95,9 @@ def _cmd_enumerate(args) -> int:
     rows = _member_rows(args.family, args.n, args.index, args.with_stats)
     header = next(rows)
     if args.format == "jsonl":
+        write = sys.stdout.write
         for row in rows:
-            print(json.dumps(row))
+            write(json.dumps(row) + "\n")
         return 0
     writer = csv.writer(sys.stdout)
     writer.writerow(header)

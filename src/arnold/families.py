@@ -8,7 +8,8 @@ snakes, from prefixes that still obey the snake rules, and comes out in
 window order.  `windows()` and the `is_*` membership predicates are the
 literal definitions and serve as the test oracle; each type-D predicate is
 its type-B rule with one more rule on the head (a snake negated, w2 > |w1|;
-a valley head -k made k, with 0 < w2 < k; a final bracket).  Flip classes of
+a valley head -k made k, with 0 < w2 < k; a final bracket).  The snake and
+valley predicates answer False for a tuple that `from_window` refuses.  Flip classes of
 permutations are grown by flood fill; a signed flip class is one of them
 with a set of values negated, and the 2^n over one unsigned class are built
 leaves up from the signings of its tree's subtrees, once per subtree.
@@ -36,6 +37,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .signed_perm import (
     Cycle,
     CycleForm,
+    InvalidWindowError,
     MalformedCudCycleFormError,
     SignedPerm,
     _check_cud_shape,
@@ -144,7 +146,9 @@ def unrank(r: int, n: int) -> SignedPerm:
 # membership predicates
 
 def is_alternating(w: Sequence[int]) -> bool:
-    # w1 > w2 < w3 > ...
+    """w1 > w2 < w3 > ...; the filter of the alternating generator over
+    permutations, so it reads order only and does not test that w is a
+    window."""
     return all(
         (w[i] > w[i + 1]) if i % 2 == 0 else (w[i] < w[i + 1])
         for i in range(len(w) - 1)
@@ -160,15 +164,28 @@ def _up_down(seq: Sequence[int]) -> bool:
 
 
 # The snake, cycle and valley predicates refuse empty input: no family
-# has a member of size 0.
+# has a member of size 0.  The snake and valley predicates also refuse
+# what `from_window` refuses.
+
+def _is_window(w: Sequence[int]) -> bool:
+    try:
+        from_window(w)
+    except InvalidWindowError:
+        return False
+    return True
+
+
+def _snake_b(w: Sequence[int]) -> bool:
+    return bool(w) and w[0] > 0 and is_alternating(w)
+
 
 def is_snake_b(w: Sequence[int]) -> bool:
-    return bool(w) and w[0] > 0 and is_alternating(w)
+    return _is_window(w) and _snake_b(w)
 
 
 def is_snake_d(w: Sequence[int]) -> bool:
     # the negation of a type-B snake, with w2 > |w1|
-    return is_snake_b(tuple(-v for v in w)) and (len(w) < 2 or w[1] > -w[0])
+    return _is_window(w) and _snake_b(tuple(-v for v in w)) and (len(w) < 2 or w[1] > -w[0])
 
 
 def _cycles_up_down(cf: CycleForm) -> bool:
@@ -196,7 +213,7 @@ def is_cud_d(cf: CycleForm) -> bool:
 
 
 def is_vs_b(w: Sequence[int]) -> bool:
-    if not w:
+    if not w or not _is_window(w):
         return False
     vv = valley_values([abs(v) for v in w])
     for i, v in enumerate(w):
@@ -206,7 +223,8 @@ def is_vs_b(w: Sequence[int]) -> bool:
 
 
 def is_vs_d(w: Sequence[int]) -> bool:
-    # w1 < 0 and 0 < w2 < |w1|; the rest is the type-B rule with w1 made positive
+    # w1 < 0 and 0 < w2 < |w1|; the rest is the type-B rule with w1 made
+    # positive, which refuses w where `from_window` does
     if not w or w[0] >= 0 or (len(w) >= 2 and not 0 < w[1] < -w[0]):
         return False
     return is_vs_b((-w[0], *w[1:]))
@@ -624,15 +642,16 @@ def psi_cud_d_kernel(cf: CycleForm) -> StepRecord:
     k = cf.cycles[-1].leader
     if k < 2:
         raise IndexOutOfRangeError("step needs k >= 2")
+    n = cf.n
     body = cf.cycles[:-1]
     before = stat_npk(cf)
     if any(c.leader == k - 1 for c in body):
         new = tuple(Cycle(tuple(_remove_shift(v, k) for v in c.entries)) for c in body)
         image = CycleForm(new)
-        return StepRecord(cf, "i", "cud-b", cf.n - 1, k - 1, image, before, stat_npk(image))
+        return StepRecord(cf, "i", "cud-b", n - 1, k - 1, image, before, stat_npk(image))
     new = tuple(Cycle(tuple(_swap_abs(v, k - 1, k) for v in c.entries)) for c in body)
     image = CycleForm(new + (Cycle((k - 1, -(k - 1)), bracket=True),))
-    return StepRecord(cf, "ii", "cud-d", cf.n, k - 1, image, before, stat_npk(image))
+    return StepRecord(cf, "ii", "cud-d", n, k - 1, image, before, stat_npk(image))
 
 
 def _split_cycle(entries: tuple[int, ...], k: int) -> tuple[Cycle, Cycle]:
@@ -681,7 +700,8 @@ def psi_cud_b_kernel(cf: CycleForm) -> StepRecord:
     The membership of cf is not tested; `psi_cud_b` tests it.
     """
     k = cf.cycles[-1].leader
-    if k >= cf.n:
+    n = cf.n
+    if k >= n:
         raise IndexOutOfRangeError("step needs k < n")
     last = cf.cycles[-1]
     body = cf.cycles[:-1]
@@ -689,13 +709,13 @@ def psi_cud_b_kernel(cf: CycleForm) -> StepRecord:
     if last.entries == (k, -(k + 1)):
         new = tuple(Cycle(tuple(_remove_shift(v, k + 1) for v in c.entries)) for c in body)
         image = CycleForm(new + (Cycle((k, -k), bracket=True),))
-        return StepRecord(cf, "i", "cud-d", cf.n - 1, k, image, before, stat_npk(image))
+        return StepRecord(cf, "i", "cud-d", n - 1, k, image, before, stat_npk(image))
     if k + 1 in (abs(v) for v in last.entries):
         image = CycleForm(body + _split_cycle(last.entries, k))
-        return StepRecord(cf, "ii", "cud-b", cf.n, k + 1, image, before, stat_npk(image))
+        return StepRecord(cf, "ii", "cud-b", n, k + 1, image, before, stat_npk(image))
     new = tuple(Cycle(tuple(_swap_abs(v, k, k + 1) for v in c.entries)) for c in cf.cycles)
     image = CycleForm(new)
-    return StepRecord(cf, "iii", "cud-b", cf.n, k + 1, image, before, stat_npk(image))
+    return StepRecord(cf, "iii", "cud-b", n, k + 1, image, before, stat_npk(image))
 
 
 def psi_cud_b(cf: CycleForm) -> StepRecord:

@@ -14,10 +14,19 @@ equals the tuple (window,), and `x._replace(...)` gives a changed copy.
 InvalidWindowError, instead of looping or miscounting.  `stat_report`
 reads the window once for all its statistics, and takes the cycle form
 from its caller when the caller already holds it.
+
+Cycles are read as plain (entries, bracket) pairs, which a `Cycle` is
+too: `_orbits` walks a window into them (`cycle_form` wraps them),
+`_cud_shape_error` gives the verdict on the cycle-up-down shape that
+`stat_npk` raises and `stat_report` reports as npk None, `_npk` counts
+negative leaves (building a min-split tree only for a plain cycle with a
+negative entry), and `_window_entries` is the write loop of `window_of`
+without its checks, for cycles known to be a member's.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import starmap
 from operator import neg
 from typing import Iterable, NamedTuple, Sequence
 
@@ -108,7 +117,7 @@ class CycleForm(NamedTuple):
 
     @property
     def n(self) -> int:
-        return sum(len({abs(e) for e in c.entries}) for c in self.cycles)
+        return sum(len(set(map(abs, c.entries))) for c in self.cycles)
 
     def leaders(self) -> tuple[int, ...]:
         return tuple(c.leader for c in self.cycles)
@@ -127,28 +136,12 @@ class CycleForm(NamedTuple):
         return "".join(str(c) for c in self.cycles)
 
 
-def cycle_form(p: SignedPerm) -> CycleForm:
-    """Canonical cycle form of a signed permutation.
-
-    Each paired orbit is listed once, starting at the positive value of its
-    minimal absolute entry.  An orbit that closes through negation (contains
-    both x and -x) is stored in full with bracket=True.
-
-    >>> str(cycle_form(from_window([-2, -4, 3, 1, -6, -7, 5])))
-    '(1,-2,4)(3)(5,-6,7)'
-    >>> str(cycle_form(from_window([-2, 4, -5, -1, 9, 6, 3, -8, 7])))
-    '(1,-2,-4)[3,-5,-9,-7,-3,5,9,7](6)[8,-8]'
-
-    The orbits are walked on the window itself.  Raises InvalidWindowError
-    exactly where `from_window` would refuse a window of ints: a step
-    whose |x| leaves 1..n, or an orbit past 2n entries (one that never
-    returns to its start), shows that the window is not a signed
-    permutation, and a walk with neither is one.
-    """
-    w = p.window
+def _orbits(w: Sequence[int]) -> list[tuple[tuple[int, ...], bool]]:
+    """The (entries, bracket) pair of each paired orbit of the window w, as
+    `cycle_form` lists them.  InvalidWindowError as `cycle_form` gives it."""
     n = len(w)
     seen = [False] * (n + 1)
-    cycles = []
+    orbits = []
     for m in range(1, n + 1):
         if seen[m]:
             continue
@@ -161,8 +154,43 @@ def cycle_form(p: SignedPerm) -> CycleForm:
             seen[a] = True
             orbit.append(x)
             x = w[a - 1] if x > 0 else -w[a - 1]
-        cycles.append(Cycle(tuple(orbit), -m in orbit))
-    return CycleForm(tuple(cycles))
+        orbits.append((tuple(orbit), -m in orbit))
+    return orbits
+
+
+def cycle_form(p: SignedPerm) -> CycleForm:
+    """Canonical cycle form of a signed permutation.
+
+    Each paired orbit is listed once, starting at the positive value of its
+    minimal absolute entry.  An orbit that closes through negation (contains
+    both x and -x) is stored in full with bracket=True.
+
+    >>> str(cycle_form(from_window([-2, -4, 3, 1, -6, -7, 5])))
+    '(1,-2,4)(3)(5,-6,7)'
+    >>> str(cycle_form(from_window([-2, 4, -5, -1, 9, 6, 3, -8, 7])))
+    '(1,-2,-4)[3,-5,-9,-7,-3,5,9,7](6)[8,-8]'
+
+    The orbits are walked on the window itself (`_orbits`).  Raises
+    InvalidWindowError exactly where `from_window` would refuse a window
+    of ints: a step whose |x| leaves 1..n, or an orbit past 2n entries
+    (one that never returns to its start), shows that the window is not a
+    signed permutation, and a walk with neither is one.
+    """
+    return CycleForm(tuple(starmap(Cycle, _orbits(p.window))))
+
+
+def _window_entries(cycles: Iterable[tuple[Sequence[int], bool]], n: int) -> list[int]:
+    """The window of size n that the (entries, bracket) cycles write, each
+    entry x sending x to its successor in the cycle; `window_of` checks
+    the cycles first, and a generated member's cycles need no check."""
+    window = [0] * n
+    for e, _ in cycles:
+        for x, y in zip(e, e[1:] + e[:1]):
+            if x > 0:
+                window[x - 1] = y
+            else:
+                window[-x - 1] = -y
+    return window
 
 
 def window_of(cf: CycleForm) -> SignedPerm:
@@ -171,33 +199,34 @@ def window_of(cf: CycleForm) -> SignedPerm:
     Raises ValueError unless the labels |x| are 1..n, each in one cycle:
     once in a plain cycle, and in a bracket cycle once in each half, the
     second half negating the first.  The halves are compared; the rest is
-    one count and one zero test, as n plain and first-half entries must
-    write all n slots (a label above n fails its write, and a label 0
-    leaves the slot of its predecessor at 0).
+    one count and one zero test after `_window_entries` writes the window,
+    as n plain and first-half entries must write all n slots (a label
+    above n fails its write, and a label 0 leaves the slot of its
+    predecessor at 0).  Of two faulty cycles the first is reported, so a
+    label above n before a faulty bracket is reported as such.
     """
     n = cf.n
-    window = [0] * n
     written = 0
-    try:
-        for c in cf.cycles:
-            e = c.entries
-            if c.bracket:
-                half = len(e) // 2
-                if len(e) % 2 or e[half:] != tuple(map(neg, e[:half])):
-                    raise ValueError(f"bracket cycle {c} is not labels followed by their negatives")
-                written += half
-            else:
-                written += len(e)
-            for x, y in zip(e, e[1:] + e[:1]):
-                if x > 0:
-                    window[x - 1] = y
-                else:
-                    window[-x - 1] = -y
-    except IndexError:
-        written = -1
-    if written != n or 0 in window:
-        raise ValueError(f"labels of {cf} are not 1..{n}, each in one cycle once")
-    return from_window(window)
+    for i, c in enumerate(cf.cycles):
+        e = c.entries
+        if not c.bracket:
+            written += len(e)
+            continue
+        half = len(e) // 2
+        if len(e) % 2 or e[half:] != tuple(map(neg, e[:half])):
+            if max((abs(x) for d in cf.cycles[:i] for x in d.entries), default=0) > n:
+                written = -1  # an earlier label above n fails first
+                break
+            raise ValueError(f"bracket cycle {c} is not labels followed by their negatives")
+        written += half
+    if written == n:
+        try:
+            window = _window_entries(cf.cycles, n)
+        except IndexError:
+            window = [0]
+        if 0 not in window:
+            return from_window(window)
+    raise ValueError(f"labels of {cf} are not 1..{n}, each in one cycle once")
 
 
 def valleys(seq: Sequence[int]) -> frozenset[int]:
@@ -257,21 +286,30 @@ def stat_neg(p: SignedPerm) -> int:
     return sum(1 for v in p.window if v < 0)
 
 
+def _cud_shape_error(cycles: Sequence[tuple[Sequence[int], bool]]) -> str | None:
+    """Why the (entries, bracket) cycles are not special or special plus a
+    final (k,-k) bracket, or None when they are."""
+    brackets = [i for i, c in enumerate(cycles) if c[1]]
+    if not brackets:
+        return None
+    if len(brackets) > 1:
+        return "more than one bracket cycle"
+    i = brackets[0]
+    e = cycles[i][0]
+    if i != len(cycles) - 1:
+        return "bracket cycle is not last"
+    if len(e) != 2 or e[1] != -e[0]:
+        return "bracket cycle is not of the form (k,-k)"
+    return None
+
+
 def _check_cud_shape(cf: CycleForm) -> bool:
     """Validate special-or-special-plus-final-(k,-k) shape; return True when
     the final bracket is present."""
-    brackets = [i for i, c in enumerate(cf.cycles) if c.bracket]
-    if not brackets:
-        return False
-    if len(brackets) > 1:
-        raise MalformedCudCycleFormError("more than one bracket cycle")
-    i = brackets[0]
-    c = cf.cycles[i]
-    if i != len(cf.cycles) - 1:
-        raise MalformedCudCycleFormError("bracket cycle is not last")
-    if len(c.entries) != 2 or c.entries[1] != -c.entries[0]:
-        raise MalformedCudCycleFormError("bracket cycle is not of the form (k,-k)")
-    return True
+    error = _cud_shape_error(cf.cycles)
+    if error:
+        raise MalformedCudCycleFormError(error)
+    return bool(cf.cycles and cf.cycles[-1].bracket)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -302,13 +340,24 @@ def stat_npk(cf: CycleForm) -> int:
     >>> stat_npk(CycleForm((Cycle((1, -4, -2, 3)),)))
     1
     """
-    has_bracket = _check_cud_shape(cf)
-    total = 1 if has_bracket else 0
-    for c in cf.cycles:
-        if c.bracket:
+    _check_cud_shape(cf)
+    return _npk(cf.cycles)
+
+
+def _npk(cycles: Iterable[tuple[Sequence[int], bool]]) -> int:
+    """`stat_npk` of (entries, bracket) cycles of cycle-up-down shape: 1 for
+    the bracket, and for each plain cycle its negative entries whose
+    absolute value `leaf_values` finds, so a cycle with no negative entry
+    builds no tree."""
+    total = 0
+    for e, bracket in cycles:
+        if bracket:
+            total += 1
             continue
-        leaves = leaf_values(tuple(map(abs, c.entries)))
-        total += sum(1 for v in c.entries if v < 0 and -v in leaves)
+        negatives = [-v for v in e if v < 0]
+        if negatives:
+            leaves = leaf_values(tuple(map(abs, e)))
+            total += sum(1 for v in negatives if v in leaves)
     return total
 
 
@@ -401,8 +450,10 @@ def _smax_walk(w: Sequence[int], order: Iterable[int]) -> int:
 
 def stat_report(p: SignedPerm, cf: CycleForm | None = None) -> dict[str, int | None]:
     """All window statistics; npk is None when the cycle form is not of
-    cycle-up-down shape.  `cf` is `cycle_form(p)`, computed here when not
-    given, which refuses a non-window; the window is then read once.
+    cycle-up-down shape (`_cud_shape_error`), where `stat_npk` raises.
+    `cf` is `cycle_form(p)`; when it is not given, the orbits of the
+    window (`_orbits`, which refuses a non-window) are read as they are,
+    with no form built.  The window is then read once.
 
     Valleys and peaks are the strict minima and maxima of |w| between
     +infinity and 0 (see `valleys` and `peaks`); spk's peaks pad with 0 on
@@ -411,13 +462,9 @@ def stat_report(p: SignedPerm, cf: CycleForm | None = None) -> dict[str, int | N
     >>> stat_report(from_window([2, -1, 3, -4]))
     {'neg': 2, 'npk': None, 'spk': 1, 'smax': 2, 'valleys': 1, 'peaks': 1, 'ltr_min': 2}
     """
-    if cf is None:
-        cf = cycle_form(p)
-    try:
-        npk: int | None = stat_npk(cf)
-    except MalformedCudCycleFormError:
-        npk = None
     w = p.window
+    cycles = _orbits(w) if cf is None else cf.cycles
+    npk = None if _cud_shape_error(cycles) else _npk(cycles)
     if not w:
         raise ValueError("smax of empty word")
     n = len(w)

@@ -287,7 +287,8 @@ class TestFlipMap:
     @pytest.mark.parametrize(
         "window, message",
         [((2, 2), "distinct and positive"), ((2, -2), "distinct and positive"),
-         ((0, 1), "distinct and positive"), ((), "empty window")],
+         ((0, 1), "distinct and positive"), ((), "empty window"),
+         ((1, 3), r"must be 1\.\.2")],
     )
     def test_malformed_window_is_refused(self, window, message):
         with pytest.raises(MalformedSequenceError, match=message):

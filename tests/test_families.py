@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cycle_reference as ref
 from arnold.families import (
     FAMILIES,
     FlipClass,
@@ -35,7 +36,16 @@ from arnold.families import (
     vs_distribution,
     windows,
 )
-from arnold.signed_perm import Cycle, CycleForm, SignedPerm, cycle_form, from_window, stat_smax, stat_spk
+from arnold.signed_perm import (
+    Cycle,
+    CycleForm,
+    InvalidWindowError,
+    SignedPerm,
+    cycle_form,
+    from_window,
+    stat_smax,
+    stat_spk,
+)
 from arnold.triangles import arnold_numbers, entringer
 
 GOLDEN = json.loads(
@@ -490,6 +500,34 @@ def test_alternating_is_unsigned():
 def test_literal_predicates_refuse_empty_input(predicate, empty):
     # no family has a member of size 0
     assert predicate(empty) is False
+
+
+@pytest.mark.parametrize(
+    "predicate, old",
+    [(is_snake_b, ref.is_snake_b), (is_snake_d, ref.is_snake_d),
+     (is_vs_b, ref.is_vs_b), (is_vs_d, ref.is_vs_d)],
+)
+def test_literal_predicates_refuse_non_windows(predicate, old):
+    # every int tuple of length 0..4 with entries in -5..5: False wherever
+    # from_window refuses, the old predicate's answer elsewhere
+    for n in range(5):
+        for w in product(range(-5, 6), repeat=n):
+            try:
+                from_window(w)
+            except InvalidWindowError:
+                want = False
+            else:
+                want = old(w)
+            assert predicate(w) is want, w
+
+
+@pytest.mark.parametrize(
+    "predicate, window",
+    [(is_vs_b, (2, 2)), (is_vs_b, (0,)), (is_vs_b, (1, 3)), (is_vs_d, (-2, 1, 1)),
+     (is_snake_b, (3, 1)), (is_snake_d, (-2, 3, True))],
+)
+def test_literal_predicates_refuse_what_they_used_to_accept(predicate, window):
+    assert predicate(window) is False
 
 
 def test_is_cud_d_needs_a_final_bracket_of_the_form_k_minus_k():

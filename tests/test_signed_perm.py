@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cycle_reference as ref
 from arnold.families import enumerate_family, is_canonical, windows
 from arnold.signed_perm import (
     AbsValueOutOfRangeError,
@@ -18,6 +19,8 @@ from arnold.signed_perm import (
     RepeatedAbsValueError,
     SignedPerm,
     ZeroEntryError,
+    _check_cud_shape,
+    _window_entries,
     cycle_form,
     from_window,
     leaf_values,
@@ -274,6 +277,94 @@ class TestWindowOfRefusals:
         assert window_of(_form((2, 1))).window == (2, 1)
         assert window_of(_form([2, -1, -2, 1])).window == (2, -1)
         assert window_of(_form()).window == ()
+
+
+def _outcome(f, *args):
+    """What f(*args) returns, a dict as its item list, or the type and
+    message of what it raises."""
+    try:
+        result = f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return list(result.items()) if isinstance(result, dict) else result
+
+
+# cycle forms that are not of cycle-up-down shape, or only just are
+SHAPES = [
+    _form(()),  # an empty cycle
+    _form([]),
+    _form((1,), ()),
+    _form([1, -1], [2, -2]),  # two brackets
+    _form((1,), [2, -2], [3, -3]),
+    _form([1, -1], (2,)),  # a bracket that is not last
+    _form((1, -3), [2, -2], (4,)),
+    _form((1,), [2, -3, -2, 3]),  # a long bracket
+    _form([1, -2, 3]),
+    _form([2, 2]),
+    _form((1, -3, -2), [4, -4]),  # cycle-up-down shapes
+    _form((1, -3, 2), (4, -5)),
+    _form(),
+]
+
+
+class TestSharedCycleReads:
+    """The shared cycle reads (`_orbits`, `_cud_shape_error`, `_npk`,
+    `_window_entries`) against the definitions they replaced, which
+    `cycle_reference` keeps."""
+
+    def test_npk_and_report_equal_the_old_definitions_on_every_window(self):
+        for n in range(1, 6):
+            for w in windows(n):
+                p = SignedPerm(w)
+                cf = cycle_form(p)
+                assert _outcome(stat_npk, cf) == _outcome(ref.stat_npk, cf), w
+                want = _outcome(ref.stat_report, p)
+                assert _outcome(stat_report, p) == want, w
+                assert _outcome(stat_report, p, cf) == want, w
+
+    @pytest.mark.parametrize("cf", SHAPES, ids=str)
+    def test_malformed_shapes_read_as_the_old_definitions(self, cf):
+        assert cf.n == ref.form_size(cf)
+        assert _outcome(_check_cud_shape, cf) == _outcome(ref.check_cud_shape, cf)
+        assert _outcome(stat_npk, cf) == _outcome(ref.stat_npk, cf)
+        for w in [(), (1,), (2, -1, 3), (-3, 1, -2, 4)]:
+            p = SignedPerm(w)
+            assert _outcome(stat_report, p, cf) == _outcome(ref.stat_report, p, cf)
+
+    def test_the_shapes_reach_every_refusal(self):
+        # so that the comparison above covers each message
+        assert {_outcome(ref.stat_npk, cf) for cf in SHAPES} >= {
+            (MalformedCudCycleFormError, "more than one bracket cycle"),
+            (MalformedCudCycleFormError, "bracket cycle is not last"),
+            (MalformedCudCycleFormError, "bracket cycle is not of the form (k,-k)"),
+        }
+
+    def test_window_of_equals_the_old_definition_on_small_forms(self):
+        # every form of at most two cycles, each of at most two entries in
+        # -3..3, plain or bracket: refusals keep their type and message,
+        # including which of two faulty cycles is reported
+        cycles = [Cycle(e, bracket)
+                  for k in range(3) for e in product(range(-3, 4), repeat=k)
+                  for bracket in (False, True)]
+        forms = [CycleForm(())] + [CycleForm((c,)) for c in cycles]
+        forms += [CycleForm(pair) for pair in product(cycles, repeat=2)]
+        for cf in forms:
+            assert _outcome(window_of, cf) == _outcome(ref.window_of, cf), cf
+
+    def test_window_of_reports_the_first_faulty_cycle(self):
+        late_bracket = _form((1, 5), [2, 3])
+        with pytest.raises(ValueError, match=r"^labels of "):
+            window_of(late_bracket)
+        early_bracket = _form([2, 3], (1, 5))
+        with pytest.raises(ValueError, match=r"^bracket cycle \[2,3\]"):
+            window_of(early_bracket)
+
+    @pytest.mark.parametrize("family", ["cud-a", "cud-b", "cud-d"])
+    def test_write_loop_equals_window_of_on_generated_members(self, family):
+        for n in range(1, 7):
+            for cf in enumerate_family(family, n):
+                window = _window_entries(cf.cycles, n)
+                assert window == list(window_of(cf).window) == list(ref.window_of(cf).window), cf
 
 
 class TestValleysPeaks:
