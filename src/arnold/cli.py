@@ -2,9 +2,11 @@
 the verification suite.  `triangle` builds every row up to --n before
 printing any, so a size past the first overflow prints nothing and exits
 2.  `enumerate` prints a non-tree family from its cached tuple of members,
-and a tree family as each tree is generated.  `map` prints each member
-and code of `bijections.images` as it is mapped, with the code's
-rightmost label as the index, which for a flip class is |smax|.
+and a tree family as each tree is generated; a cycle-form member's window
+comes from `window_of`'s write loop alone, as every generated member
+passes its checks.  `map` prints each member and code of
+`bijections.images` as it is mapped, with the code's rightmost label as
+the index, which for a flip class is |smax|.
 
 Exit codes: 0 success; 1 a failing or crashed check under `verify`, or a
 reader that closed the pipe early; 2 on usage, size or file errors.

@@ -9,10 +9,11 @@ window order.  `windows()` and the `is_*` membership predicates are the
 literal definitions and serve as the test oracle; each type-D predicate is
 its type-B rule with one more rule on the head (a snake negated, w2 > |w1|;
 a valley head -k made k, with 0 < w2 < k; a final bracket).  The snake and
-valley predicates answer False for a tuple that `from_window` refuses.  Flip classes of
-permutations are grown by flood fill; a signed flip class is one of them
-with a set of values negated, and the 2^n over one unsigned class are built
-leaves up from the signings of its tree's subtrees, once per subtree.
+valley predicates answer False for a tuple that `from_window` refuses.
+Flip classes of permutations are grown by flood fill; a signed flip class
+is one of them with a set of values negated, and the 2^n over one unsigned
+class are built leaves up from the signings of its tree's subtrees, once
+per subtree.
 The statistic distributions of the harness are counted per unsigned
 permutation without building the members.  Every enumeration refuses a
 size above the package cap (`trees.check_size`) before it starts.  The
@@ -642,16 +643,15 @@ def psi_cud_d_kernel(cf: CycleForm) -> StepRecord:
     k = cf.cycles[-1].leader
     if k < 2:
         raise IndexOutOfRangeError("step needs k >= 2")
-    n = cf.n
     body = cf.cycles[:-1]
     before = stat_npk(cf)
     if any(c.leader == k - 1 for c in body):
         new = tuple(Cycle(tuple(_remove_shift(v, k) for v in c.entries)) for c in body)
         image = CycleForm(new)
-        return StepRecord(cf, "i", "cud-b", n - 1, k - 1, image, before, stat_npk(image))
+        return StepRecord(cf, "i", "cud-b", cf.n - 1, k - 1, image, before, stat_npk(image))
     new = tuple(Cycle(tuple(_swap_abs(v, k - 1, k) for v in c.entries)) for c in body)
     image = CycleForm(new + (Cycle((k - 1, -(k - 1)), bracket=True),))
-    return StepRecord(cf, "ii", "cud-d", n, k - 1, image, before, stat_npk(image))
+    return StepRecord(cf, "ii", "cud-d", cf.n, k - 1, image, before, stat_npk(image))
 
 
 def _split_cycle(entries: tuple[int, ...], k: int) -> tuple[Cycle, Cycle]:
