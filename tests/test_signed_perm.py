@@ -351,14 +351,6 @@ class TestSharedCycleReads:
         for cf in forms:
             assert _outcome(window_of, cf) == _outcome(ref.window_of, cf), cf
 
-    def test_window_of_reports_the_first_faulty_cycle(self):
-        late_bracket = _form((1, 5), [2, 3])
-        with pytest.raises(ValueError, match=r"^labels of "):
-            window_of(late_bracket)
-        early_bracket = _form([2, 3], (1, 5))
-        with pytest.raises(ValueError, match=r"^bracket cycle \[2,3\]"):
-            window_of(early_bracket)
-
     @pytest.mark.parametrize("family", ["cud-a", "cud-b", "cud-d"])
     def test_write_loop_equals_window_of_on_generated_members(self, family):
         for n in range(1, 7):
