@@ -23,8 +23,8 @@ routes start from `trees.split_code`, the cycle route from
 Every map returns its code.
 
 Each cycle and valley map is one checked map and one unchecked kernel.
-`phi_*` runs the literal membership test of its family (for a cycle
-form, also that it is canonical), raises NotInFamilyError on a
+`phi_*` runs the literal membership test of its family (a cycle test
+includes that the form is canonical), raises NotInFamilyError on a
 non-member (a valley map first refuses, with `from_window`, a tuple that
 is not a window), and otherwise returns the code of its kernel `phi_*_kernel`,
 which tests nothing.  `images` alone pairs a family with the map that runs
@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from . import families as fam
-from .families import FlipClass, is_canonical, is_cud_b, is_cud_d, is_vs_b, is_vs_d
+from .families import FlipClass, is_cud_b, is_cud_d, is_vs_b, is_vs_d
 from .signed_perm import (
     CycleForm,
     SignedPerm,
@@ -127,7 +127,7 @@ def phi_cud_d_kernel(cf: CycleForm) -> tuple[int, ...]:
 def phi_cud_b(cf: CycleForm) -> tuple[int, ...]:
     """Tree image of a type-B cycle-up-down member; the rightmost leaf is
     empty and the rightmost label is the last cycle's leader."""
-    if not (is_cud_b(cf) and is_canonical(cf)):
+    if not is_cud_b(cf):
         raise NotInFamilyError("not a type-B cycle-up-down cycle form")
     return phi_cud_b_kernel(cf)
 
@@ -135,7 +135,7 @@ def phi_cud_b(cf: CycleForm) -> tuple[int, ...]:
 def phi_cud_d(cf: CycleForm) -> tuple[int, ...]:
     """Tree image of a type-D cycle-up-down member; the final (k,-k) cycle
     becomes a labelled leaf, so the rightmost leaf is labelled k."""
-    if not (is_cud_d(cf) and is_canonical(cf)):
+    if not is_cud_d(cf):
         raise NotInFamilyError("not a type-D cycle-up-down cycle form")
     return phi_cud_d_kernel(cf)
 

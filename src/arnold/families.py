@@ -9,7 +9,9 @@ window order.  `windows()` and the `is_*` membership predicates are the
 literal definitions and serve as the test oracle; each type-D predicate is
 its type-B rule with one more rule on the head (a snake negated, w2 > |w1|;
 a valley head -k made k, with 0 < w2 < k; a final bracket).  The snake and
-valley predicates answer False for a tuple that `from_window` refuses.
+valley predicates answer False for a tuple that `from_window` refuses, and
+the cycle predicates end with `is_canonical`.  The cycle-up-down generator
+walks and writes with `signed_perm._orbits` and `_window_entries`.
 Flip classes of permutations are grown by flood fill; a signed flip class
 is one of them with a set of values negated, and the 2^n over one unsigned
 class are built leaves up from the signings of its tree's subtrees, once
@@ -20,11 +22,11 @@ size above the package cap (`trees.check_size`) before it starts.  The
 one-step maps rewrite cycle forms and windows; the cycle split of
 `psi_cud_b` takes one step of the block walk (`trees.split_block`) on
 the cycle's word, so no tree is built here.  Each step `psi_*` is its
-family's membership test (for a cycle form, also `is_canonical`) and then
-its kernel `psi_*_kernel`; `_recurrence_step`, whose members come from
-`enumerate_indexed`, returns the kernels' `StepRecord`s as a plain tuple.
-`FlipClass` and `StepRecord` are NamedTuples, like the `signed_perm` types;
-a FlipClass keeps its members in `stored`.
+family's membership test and then its kernel `psi_*_kernel`;
+`_recurrence_step`, whose members come from `enumerate_indexed`, returns
+the kernels' `StepRecord`s as a plain tuple.  `FlipClass` and `StepRecord`
+are NamedTuples, like the `signed_perm` types; a FlipClass keeps its
+members in `stored`.
 """
 from __future__ import annotations
 
@@ -39,9 +41,10 @@ from .signed_perm import (
     Cycle,
     CycleForm,
     InvalidWindowError,
-    MalformedCudCycleFormError,
     SignedPerm,
-    _check_cud_shape,
+    _cud_shape_error,
+    _orbits,
+    _window_entries,
     cycle_form,
     from_window,
     leaf_values,
@@ -203,14 +206,12 @@ def is_canonical(cf: CycleForm) -> bool:
 
 
 def is_cud_b(cf: CycleForm) -> bool:
-    return bool(cf.cycles) and cf.is_special() and _cycles_up_down(cf)
+    return bool(cf.cycles) and cf.is_special() and _cycles_up_down(cf) and is_canonical(cf)
 
 
 def is_cud_d(cf: CycleForm) -> bool:
-    try:
-        return _check_cud_shape(cf) and _cycles_up_down(cf)
-    except MalformedCudCycleFormError:
-        return False
+    return (bool(cf.cycles) and cf.cycles[-1].bracket and not _cud_shape_error(cf.cycles)
+            and _cycles_up_down(cf) and is_canonical(cf))
 
 
 def is_vs_b(w: Sequence[int]) -> bool:
@@ -390,36 +391,16 @@ def flip_classes(n: int) -> tuple[FlipClass, ...]:
 # ---------------------------------------------------------------------------
 # family generators: each builds only members, in window order
 
-def _perm_cycles(p: tuple[int, ...]) -> list[list[int]]:
-    """Cycles of an unsigned permutation, each read from its least entry,
-    in increasing order of that entry."""
-    n = len(p)
-    seen = [False] * (n + 1)
-    cycles = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        x = p[start - 1]
-        while x != start:
-            cyc.append(x)
-            seen[x] = True
-            x = p[x - 1]
-        cycles.append(cyc)
-    return cycles
-
-
-def _up_down_perms(n: int) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
-    """(p, cycles of p) for each permutation of 1..n, in lexicographic
-    order, whose cycles are all up-down."""
+def _up_down_perms(n: int) -> Iterator[list[tuple[int, ...]]]:
+    """The cycles (`_orbits`, each from its least entry) of each permutation
+    of 1..n whose cycles are all up-down, in lexicographic order."""
     for p in permutations(range(1, n + 1)):
-        cycles = _perm_cycles(p)
-        if all(_up_down(c) for c in cycles):
-            yield p, cycles
+        cycles = [e for e, _ in _orbits(p)]
+        if all(map(_up_down, cycles)):
+            yield cycles
 
 
-def _signings(cycle: list[int]) -> list[tuple[int, ...]]:
+def _signings(cycle: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The 2^(len-1) signings of a cycle that keep it a paired orbit: the
     leader positive, every other entry of either sign."""
     head, *rest = cycle
@@ -433,22 +414,18 @@ def _cud_members(n: int, side: str) -> tuple[CycleForm, ...]:
     the cycle with the largest leader to be a fixed point k, which becomes
     the bracket (k,-k).  Each member's window is its sort key."""
     found = []
-    for p, cycles in _up_down_perms(n):
-        w = list(p)
+    for cycles in _up_down_perms(n):
         bracket: tuple[Cycle, ...] = ()
         if side == "d":
             if len(cycles[-1]) > 1:
                 continue
             k = cycles.pop()[0]
-            w[k - 1] = -k
             bracket = (Cycle((k, -k), bracket=True),)
-        signings = [[tuple(c)] for c in cycles] if side == "a" else map(_signings, cycles)
+        signings = [[c] for c in cycles] if side == "a" else map(_signings, cycles)
         for signed in product(*signings):
-            for c in signed:
-                for x, y in zip(c, c[1:] + c[:1]):
-                    w[abs(x) - 1] = y if x > 0 else -y
-            found.append((tuple(w), CycleForm(tuple(map(Cycle, signed)) + bracket)))
-    found.sort(key=lambda m: m[0])
+            form = tuple(map(Cycle, signed)) + bracket
+            found.append((_window_entries(form, n), CycleForm(form)))
+    found.sort(key=itemgetter(0))
     return tuple(cf for _, cf in found)
 
 
@@ -558,14 +535,14 @@ def _index_slices(family: str, n: int) -> dict[int, tuple]:
 # statistic distributions, counted per unsigned permutation without
 # building the members
 
-def _times_cycle(ways: list[int], cycle: list[int]) -> list[int]:
+def _times_cycle(ways: list[int], cycle: tuple[int, ...]) -> list[int]:
     """Fold one cycle into `ways`, the number of signings of the cycles so
     far with each count of negative leaves.  A cycle of length m whose
     min-split tree has L leaves (L = 0 for a fixed point, whose one entry
     stays positive) has C(L, j) * 2^(m-1-L) paired-orbit signings with j
     negative leaves."""
     m = len(cycle)
-    leaves = len(leaf_values(tuple(cycle))) if m > 1 else 0
+    leaves = len(leaf_values(cycle)) if m > 1 else 0
     out = [0] * (len(ways) + leaves)
     for i, w in enumerate(ways):
         for j in range(leaves + 1):
@@ -580,7 +557,7 @@ def cud_distribution(n: int) -> Counter:
     (k,-k) adds one to npk."""
     check_size(n)
     counts: Counter = Counter()
-    for _p, cycles in _up_down_perms(n):
+    for cycles in _up_down_perms(n):
         *body, last = cycles
         ways = [1]
         for c in body:
@@ -721,7 +698,7 @@ def psi_cud_b_kernel(cf: CycleForm) -> StepRecord:
 def psi_cud_b(cf: CycleForm) -> StepRecord:
     """`psi_cud_b_kernel` of a type-B cycle-up-down member; ValueError on
     any other cycle form."""
-    if not (is_cud_b(cf) and is_canonical(cf)):
+    if not is_cud_b(cf):
         raise ValueError("not a type-B cycle-up-down cycle form")
     return psi_cud_b_kernel(cf)
 
@@ -729,7 +706,7 @@ def psi_cud_b(cf: CycleForm) -> StepRecord:
 def psi_cud_d(cf: CycleForm) -> StepRecord:
     """`psi_cud_d_kernel` of a type-D cycle-up-down member; ValueError on
     any other cycle form."""
-    if not (is_cud_d(cf) and is_canonical(cf)):
+    if not is_cud_d(cf):
         raise ValueError("not a type-D cycle-up-down cycle form")
     return psi_cud_d_kernel(cf)
 

@@ -16,12 +16,13 @@ reads the window once for all its statistics, and takes the cycle form
 from its caller when the caller already holds it.
 
 Cycles are read as plain (entries, bracket) pairs, which a `Cycle` is
-too: `_orbits` walks a window into them (`cycle_form` wraps them),
-`_cud_shape_error` gives the verdict on the cycle-up-down shape that
-`stat_npk` raises and `stat_report` reports as npk None, `_npk` counts
-negative leaves (building a min-split tree only for a plain cycle with a
-negative entry), and `_window_entries` is the write loop of `window_of`
-without its checks, for cycles known to be a member's.
+too.  `_orbits` is the one orbit walk: `cycle_form` wraps its pairs, and
+the cycle-up-down generator reads permutations' cycles with it.
+`_window_entries` is the one write loop, run by `window_of` after its
+checks and unchecked on a generated member's cycles.  `_cud_shape_error`
+gives the verdict on the cycle-up-down shape that `stat_npk` raises and
+`stat_report` reports as npk None, and `_npk` counts negative leaves
+(building a min-split tree only for a plain cycle with a negative entry).
 """
 from __future__ import annotations
 
@@ -198,34 +199,28 @@ def window_of(cf: CycleForm) -> SignedPerm:
 
     Raises ValueError unless the labels |x| are 1..n, each in one cycle:
     once in a plain cycle, and in a bracket cycle once in each half, the
-    second half negating the first.  The halves are compared; the rest is
-    one count and one zero test after `_window_entries` writes the window,
-    as n plain and first-half entries must write all n slots (a label
-    above n fails its write, and a label 0 leaves the slot of its
-    predecessor at 0).  Of two faulty cycles the first is reported, so a
-    label above n before a faulty bracket is reported as such.
+    second half negating the first.  The cycles are read in order, each
+    bracket's halves first and then whether a label exceeds n, so of two
+    faulty cycles the first is reported.  The rest is one count and one
+    zero test after `_window_entries` writes the window, as n plain and
+    first-half entries must write all n slots (a label 0 leaves the slot
+    of its predecessor at 0).
     """
     n = cf.n
     written = 0
-    for i, c in enumerate(cf.cycles):
+    for c in cf.cycles:
         e = c.entries
-        if not c.bracket:
-            written += len(e)
-            continue
-        half = len(e) // 2
-        if len(e) % 2 or e[half:] != tuple(map(neg, e[:half])):
-            if max((abs(x) for d in cf.cycles[:i] for x in d.entries), default=0) > n:
-                written = -1  # an earlier label above n fails first
-                break
+        labels = len(e) // 2 if c.bracket else len(e)
+        if c.bracket and (len(e) % 2 or e[labels:] != tuple(map(neg, e[:labels]))):
             raise ValueError(f"bracket cycle {c} is not labels followed by their negatives")
-        written += half
-    if written == n:
-        try:
+        if max(map(abs, e), default=0) > n:
+            break
+        written += labels
+    else:
+        if written == n:
             window = _window_entries(cf.cycles, n)
-        except IndexError:
-            window = [0]
-        if 0 not in window:
-            return from_window(window)
+            if 0 not in window:
+                return from_window(window)
     raise ValueError(f"labels of {cf} are not 1..{n}, each in one cycle once")
 
 
@@ -303,15 +298,6 @@ def _cud_shape_error(cycles: Sequence[tuple[Sequence[int], bool]]) -> str | None
     return None
 
 
-def _check_cud_shape(cf: CycleForm) -> bool:
-    """Validate special-or-special-plus-final-(k,-k) shape; return True when
-    the final bracket is present."""
-    error = _cud_shape_error(cf.cycles)
-    if error:
-        raise MalformedCudCycleFormError(error)
-    return bool(cf.cycles and cf.cycles[-1].bracket)
-
-
 @lru_cache(maxsize=1 << 16)
 def leaf_values(seq: tuple[int, ...]) -> frozenset[int]:
     """Labels of the leaves of the min-split tree of a tuple of distinct
@@ -340,7 +326,9 @@ def stat_npk(cf: CycleForm) -> int:
     >>> stat_npk(CycleForm((Cycle((1, -4, -2, 3)),)))
     1
     """
-    _check_cud_shape(cf)
+    error = _cud_shape_error(cf.cycles)
+    if error:
+        raise MalformedCudCycleFormError(error)
     return _npk(cf.cycles)
 
 
@@ -363,17 +351,12 @@ def _npk(cycles: Iterable[tuple[Sequence[int], bool]]) -> int:
 
 def _abs_peaks(aw: Sequence[int]) -> list[int]:
     """0-based positions whose entry exceeds both neighbours, with zero
-    padding at both ends.
+    padding at both ends: the `peaks` of (0, *aw), one place to the left.
 
     >>> _abs_peaks((2, 1, 3, 4))
     [0, 3]
     """
-    padded = (0, *aw, 0)
-    positions = []
-    for i in range(len(aw)):
-        if padded[i] < padded[i + 1] > padded[i + 2]:
-            positions.append(i)
-    return positions
+    return sorted(i - 2 for i in peaks((0, *aw)))
 
 
 def _negatives_at(w: Sequence[int], positions: Iterable[int]) -> int:

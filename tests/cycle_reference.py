@@ -2,12 +2,14 @@
 were before their reads were shared, kept as the tests' reference.
 
 `arnold.signed_perm` now reads cycles as plain (entries, bracket) pairs:
-one shape verdict, one npk counter that builds a min-split tree only for
-a plain cycle with a negative entry, and a write loop that `window_of`
-runs after its checks.  The snake and valley predicates of
-`arnold.families` also refuse non-windows now.  The definitions below are
-the ones those replaced; the tests hold the package equal to them, with
-the same exception type and message, wherever the old ones were sound.
+one orbit walk, one shape verdict, one npk counter that builds a min-split
+tree only for a plain cycle with a negative entry, and one write loop,
+shared by the cycle-up-down generator and `window_of`, which reads each
+cycle's bracket halves and label range in order and writes only a form
+that passes.  The snake and valley predicates of `arnold.families` also
+refuse non-windows now.  The definitions below are the ones those
+replaced; the tests hold the package equal to them, with the same
+exception type and message, wherever the old ones were sound.
 """
 from __future__ import annotations
 

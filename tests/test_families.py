@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cycle_reference as ref
+from test_signed_perm import small_forms
 from arnold.families import (
     FAMILIES,
     FlipClass,
@@ -535,3 +536,12 @@ def test_is_cud_d_needs_a_final_bracket_of_the_form_k_minus_k():
     assert is_cud_d(CycleForm((Cycle((1,)), Cycle((2, -2), bracket=True)))) is True
     assert is_cud_d(CycleForm((Cycle((1,)), Cycle((2, 3), bracket=True)))) is False
     assert is_cud_d(CycleForm((Cycle((2, -2), bracket=True), Cycle((1,))))) is False
+
+
+@pytest.mark.parametrize("family, is_member", [("cud-b", is_cud_b), ("cud-d", is_cud_d)])
+def test_cycle_predicates_are_family_membership_on_small_forms(family, is_member):
+    # a form the generator does not make, such as (1,3), (-1), (1,2)(1,2)
+    # or (0), which are not the cycle form of any window, is refused
+    members = {n: set(enumerate_family(family, n)) for n in range(1, 5)}
+    for cf in small_forms():
+        assert is_member(cf) is (cf in members.get(cf.n, ())), cf

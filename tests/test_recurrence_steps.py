@@ -275,6 +275,8 @@ class TestKernels:
             CycleForm((Cycle((1,)), Cycle((2, -3), bracket=True))),
             cf((2,), (1,)),  # cycles out of leader order
             cf((1, 3)),  # a label above n: no window can be built
+            cf((-1,)),  # a leader that is not positive
+            cf((1, 2), (1, 2)),  # a label in two cycles
         ],
         ids=str,
     )
