@@ -712,13 +712,15 @@ def psi_cud_d(cf: CycleForm) -> StepRecord:
 
 
 def psi_cud_bridge(cf: CycleForm) -> StepRecord:
-    """Swap a final singleton (n) with the bracket (n,-n) and back."""
+    """Swap a final singleton (n) with the bracket (n,-n) and back.
+    The membership of cf is not tested, only its last cycle."""
     n = cf.n
     before = stat_npk(cf)
-    if cf.cycles and cf.cycles[-1].bracket:
+    last = cf.cycles[-1:]
+    if last == (Cycle((n, -n), bracket=True),):
         image = CycleForm(cf.cycles[:-1] + (Cycle((n,)),))
         return StepRecord(cf, "bridge", "cud-b", n, n, image, before, stat_npk(image))
-    if cf.cycles[-1:] != (Cycle((n,)),):
+    if last != (Cycle((n,)),):
         raise ValueError("bridge step needs last cycle (n) or (n,-n)")
     image = CycleForm(cf.cycles[:-1] + (Cycle((n, -n), bracket=True),))
     return StepRecord(cf, "bridge", "cud-d", n, n, image, before, stat_npk(image))
@@ -779,7 +781,8 @@ def psi_vs_d(p: SignedPerm) -> StepRecord:
 
 
 def psi_vs_bridge(p: SignedPerm) -> StepRecord:
-    """Negate a leading n (type B, index n) to -n (type D, index n) or back."""
+    """Negate a leading n (type B, index n) to -n (type D, index n) or back.
+    The membership of p is not tested, only its first entry."""
     w = p.window
     before = stat_neg(p)
     if w[:1] == (p.n,):

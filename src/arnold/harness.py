@@ -129,16 +129,25 @@ def check(
 _TABLE_LISTS = {"table1.json": ("rows", "springer_b", "springer_d"), "table2.json": ("rows",)}
 
 
+@lru_cache(maxsize=None)
+def _packaged_table_text(name: str) -> str:
+    """The text of a table shipped with the package, read once per process."""
+    return resources.files("arnold").joinpath("golden", name).read_text()
+
+
 def _load_table(name: str, n_max: int, golden_dir: str | None) -> dict:
     """A stored table whose every per-n list covers n = 1..n_max, each of
     those rows holding a `neg` and a `pos` list; a table with a list
     missing or shorter is refused, so that a check never crashes on it or
     reports a range it did not compare.  So is a table1 number in that
-    range that is not an int: 1.0 and True compare equal to 1."""
+    range that is not an int: 1.0 and True compare equal to 1.  A
+    packaged table's text is cached, but each call parses and checks it
+    anew, so no caller shares a parsed table; a `golden_dir` table is
+    read on every call."""
     if golden_dir is not None:
         golden = json.loads((Path(golden_dir) / name).read_text())
     else:
-        golden = json.loads(resources.files("arnold.golden").joinpath(name).read_text())
+        golden = json.loads(_packaged_table_text(name))
     for key in _TABLE_LISTS[name]:
         stored = golden.get(key) if isinstance(golden, dict) else None
         if not isinstance(stored, list):

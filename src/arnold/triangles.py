@@ -24,7 +24,10 @@ shifted by t^-1 or t.  The first overflowing row is 21, and its message
 names 11633834560661913600.  With each row's two row sums,
 `check_hoffman_identities` stores the pair (P_n, Q_n) that satisfies both
 identities on them: a pair equal to it is answered with the stored report,
-and any other pair is compared with the row sums.
+and any other pair is compared with the row sums.  It also keeps a copy of
+the longest list of pairs whose every row was answered so (at most 19), and
+answers a call whose pairs equal the first n_max kept ones with the stored
+reports at once, comparing no polynomial.
 
 The derivative polynomials P_n, Q_n are defined by
     d^n/dx^n tan(x) = P_n(tan x)      and      d^n/dx^n sec(x) = Q_n(tan x) sec(x).
@@ -195,6 +198,9 @@ def _next_row_sums(sums: list) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, L
 
 _row_sums: list[tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly, IdentityReport]] = []
 
+# the longest `pairs` list of a call whose every row got its stored report
+_matched_pairs: list[tuple[LaurentPoly, LaurentPoly]] = []
+
 
 def check_hoffman_identities(n_max: int) -> list[IdentityReport]:
     """Check t*Q_n = sum_{k>0} V_{n,k} and P_n - t*Q_n = sum_{k>0} V_{n,-k}.
@@ -203,15 +209,28 @@ def check_hoffman_identities(n_max: int) -> list[IdentityReport]:
     the one stored with the row sums, which satisfies both identities, is
     answered with the stored report; any other pair is compared with the
     row sums.  The row sums and the stored pair depend on the row alone,
-    so they are stored as the rows are."""
+    so they are stored as the rows are.  A call whose every row got its
+    stored report keeps a copy of its pairs, and a later call whose pairs
+    equal the first n_max kept ones is answered with the stored reports
+    at once: list equality tests each pair for identity before value, so
+    the pairs `hoffman_pq` stores are compared with no polynomial."""
+    global _matched_pairs
     arnold_hoffman(n_max)  # a row past the first overflow raises before P and Q
     pairs = hoffman_pq(n_max)
     sums = _first_rows(_row_sums, n_max, _next_row_sums)
-    reports = []
+    matched = _matched_pairs
+    if n_max <= len(matched) and pairs == matched[:n_max]:
+        return [entry[-1] for entry in sums]
+    reports, all_stored = [], True
     for n, ((p, q), (pos_sum, neg_sum, q_want, p_want, report)) in enumerate(zip(pairs, sums), start=1):
         if q == q_want and p == p_want:
             reports.append(report)
         else:
+            all_stored = False
             tq = q.shifted(1)
             reports.append(IdentityReport(n, tq == pos_sum, p - tq == neg_sum))
+    if all_stored and len(reports) > len(matched):
+        with _grow_lock:  # another call may have kept a longer copy meanwhile
+            if len(reports) > len(_matched_pairs):
+                _matched_pairs = pairs[: len(reports)]
     return reports

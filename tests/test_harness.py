@@ -141,6 +141,17 @@ def test_golden_dir_override_detects_tampering(tmp_path):
     assert verify("table-arnold", 5).status == "pass"
 
 
+def test_a_packaged_table_is_read_once_and_parsed_on_every_call():
+    from arnold import harness
+
+    harness._load_table("table1.json", 5, None)["rows"].clear()
+    reads = harness._packaged_table_text.cache_info()
+    table = harness._load_table("table1.json", 5, None)
+    assert table == json.loads((GOLDEN_SRC / "table1.json").read_text())
+    after = harness._packaged_table_text.cache_info()
+    assert (after.hits, after.misses) == (reads.hits + 1, reads.misses)
+
+
 @pytest.mark.parametrize(
     "check_id, table",
     [

@@ -135,6 +135,13 @@ class TestSmallCases:
         assert rec.image.window == (-3, 1, 2)
         assert rec.stat_after - rec.stat_before == 1
 
+    def test_cycle_bridge_refuses_a_final_bracket_other_than_n(self):
+        # bridging (1,-3)[2,-2] would give (1,-3)(3), which loses the label 2
+        with pytest.raises(ValueError) as caught:
+            psi_cud_bridge(cf((1, -3), (2, -2), bracket_last=True))
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == "bridge step needs last cycle (n) or (n,-n)"
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_valley_bridge_maps_type_d_back_onto_type_b(self, n):
         # the harness bridges type-B members only, so this is the one run

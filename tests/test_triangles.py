@@ -373,6 +373,7 @@ STORE_BOUNDS = {
     "_hoffman_rows": 20,
     "_pq_rows": 19,
     "_row_sums": 19,
+    "_matched_pairs": 19,
 }
 PUBLIC = [entringer, euler_numbers, arnold_numbers, arnold_hoffman, hoffman_pq, check_hoffman_identities]
 
@@ -442,6 +443,49 @@ def test_rows_asked_for_in_any_order_equal_the_reference(fresh_stores):
             assert hoffman_pq(n) == pq_reference[:n]
             assert check_hoffman_identities(n) == reports[:n]
     _assert_reference_rows()
+
+
+def _assert_stored_reports(reports, n_max):
+    assert reports == _reference_reports(n_max, _hoffman_pq_reference(n_max))
+    assert all(r is entry[-1] for r, entry in zip(reports, triangles._row_sums[:n_max], strict=True))
+
+
+def test_a_repeat_call_compares_no_polynomial(fresh_stores):
+    check_hoffman_identities(19)
+    compared = []
+    real_eq = LaurentPoly.__eq__
+
+    def spy(self, other):
+        compared.append((self, other))
+        return real_eq(self, other)
+
+    sizes = (19, 5, 1, 12)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LaurentPoly, "__eq__", spy)
+        answers = [check_hoffman_identities(n) for n in sizes]
+    assert compared == []
+    for n, reports in zip(sizes, answers):
+        _assert_stored_reports(reports, n)
+
+
+@pytest.mark.parametrize("primed", [19, 1])
+@pytest.mark.parametrize("n_max", [8, 19])
+@pytest.mark.parametrize("i", [0, 10, 18])
+def test_a_pair_bumped_after_the_store_is_primed_gets_the_reference_report(fresh_stores, primed, n_max, i):
+    check_hoffman_identities(primed)
+    pairs = hoffman_pq(19)
+    p, q = pairs[i]
+    pairs[i] = (p, q + LaurentPoly({1: 1}))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(triangles, "hoffman_pq", lambda n: pairs[:n])
+        for _ in range(2):  # a list holding a bumped pair is never answered from the kept pairs
+            assert check_hoffman_identities(n_max) == _reference_reports(n_max, pairs)
+    _assert_stored_reports(check_hoffman_identities(n_max), n_max)
+
+
+def test_calls_that_grow_then_shrink_give_the_reference_reports(fresh_stores):
+    for n in (5, 19, 7):
+        _assert_stored_reports(check_hoffman_identities(n), n)
 
 
 GROWERS = ["_next_entringer", "_next_arnold", "_next_hoffman", "_next_pq", "_next_row_sums"]
