@@ -153,10 +153,7 @@ def is_alternating(w: Sequence[int]) -> bool:
     """w1 > w2 < w3 > ...; the filter of the alternating generator over
     permutations, so it reads order only and does not test that w is a
     window."""
-    return all(
-        (w[i] > w[i + 1]) if i % 2 == 0 else (w[i] < w[i + 1])
-        for i in range(len(w) - 1)
-    )
+    return len(w) < 2 or (w[0] > w[1] and _up_down(w[1:]))
 
 
 def _up_down(seq: Sequence[int]) -> bool:

@@ -21,13 +21,10 @@ polynomial rows and 19 (P_n, Q_n) pairs.
 The polynomial triangle takes the numeric step on `LaurentPoly` entries:
 each side sums the other side of the row below, read backwards and
 shifted by t^-1 or t.  The first overflowing row is 21, and its message
-names 11633834560661913600.  With each row's two row sums,
-`check_hoffman_identities` stores the pair (P_n, Q_n) that satisfies both
-identities on them: a pair equal to it is answered with the stored report,
-and any other pair is compared with the row sums.  It also keeps a copy of
-the longest list of pairs whose every row was answered so (at most 19), and
-answers a call whose pairs equal the first n_max kept ones with the stored
-reports at once, comparing no polynomial.
+names 11633834560661913600.  `check_hoffman_identities` stores each row's
+two row sums with the report of the stored pair (P_n, Q_n) on them, and
+answers a call whose pairs equal the stored ones with the stored reports;
+any other pair is compared with the row sums.
 
 The derivative polynomials P_n, Q_n are defined by
     d^n/dx^n tan(x) = P_n(tan x)      and      d^n/dx^n sec(x) = Q_n(tan x) sec(x).
@@ -184,53 +181,41 @@ class IdentityReport(NamedTuple):
         return self.q_side_ok and self.p_side_ok
 
 
-def _next_row_sums(sums: list) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly, IdentityReport]:
+def _report(n: int, pair: tuple[LaurentPoly, LaurentPoly], pos_sum: LaurentPoly,
+            neg_sum: LaurentPoly) -> IdentityReport:
+    """The report of the pair (P_n, Q_n) against row n's two row sums."""
+    p, q = pair
+    tq = q.shifted(1)
+    return IdentityReport(n, tq == pos_sum, p - tq == neg_sum)
+
+
+def _next_row_sums(sums: list) -> tuple[LaurentPoly, LaurentPoly, IdentityReport]:
     """The positive and negative row sums of row n = len(sums) + 1 of
     `arnold_hoffman`, positive side first (the positive sum of row 20 is
-    the first out of range); then the pair that satisfies both identities
-    on them, Q_n = pos_sum * t^-1 and P_n = pos_sum + neg_sum, and the
-    report of that pair."""
+    the first out of range), then the report of the stored (P_n, Q_n)."""
     n = len(sums) + 1
     row = arnold_hoffman(n)[n - 1]
     pos_sum, neg_sum = sum(row.pos, LaurentPoly.zero()), sum(row.neg, LaurentPoly.zero())
-    return pos_sum, neg_sum, pos_sum.shifted(-1), pos_sum + neg_sum, IdentityReport(n, True, True)
+    return pos_sum, neg_sum, _report(n, _first_rows(_pq_rows, n, _next_pq)[-1], pos_sum, neg_sum)
 
 
-_row_sums: list[tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly, IdentityReport]] = []
-
-# the longest `pairs` list of a call whose every row got its stored report
-_matched_pairs: list[tuple[LaurentPoly, LaurentPoly]] = []
+_row_sums: list[tuple[LaurentPoly, LaurentPoly, IdentityReport]] = []
 
 
 def check_hoffman_identities(n_max: int) -> list[IdentityReport]:
     """Check t*Q_n = sum_{k>0} V_{n,k} and P_n - t*Q_n = sum_{k>0} V_{n,-k}.
 
-    P and Q are read through `hoffman_pq` on every call.  A pair equal to
-    the one stored with the row sums, which satisfies both identities, is
-    answered with the stored report; any other pair is compared with the
-    row sums.  The row sums and the stored pair depend on the row alone,
-    so they are stored as the rows are.  A call whose every row got its
-    stored report keeps a copy of its pairs, and a later call whose pairs
-    equal the first n_max kept ones is answered with the stored reports
-    at once: list equality tests each pair for identity before value, so
-    the pairs `hoffman_pq` stores are compared with no polynomial."""
-    global _matched_pairs
+    P and Q are read through `hoffman_pq` on every call.  The row sums
+    depend on the row alone, so they are stored as the rows are, each with
+    the report of the stored pair (P_n, Q_n), compared once.  A call whose
+    pairs equal the stored ones is answered with the stored reports: list
+    equality tests each pair for identity before value, so the pairs
+    `hoffman_pq` returns are compared with no polynomial.  Any other call
+    compares each pair with the row sums."""
     arnold_hoffman(n_max)  # a row past the first overflow raises before P and Q
     pairs = hoffman_pq(n_max)
     sums = _first_rows(_row_sums, n_max, _next_row_sums)
-    matched = _matched_pairs
-    if n_max <= len(matched) and pairs == matched[:n_max]:
-        return [entry[-1] for entry in sums]
-    reports, all_stored = [], True
-    for n, ((p, q), (pos_sum, neg_sum, q_want, p_want, report)) in enumerate(zip(pairs, sums), start=1):
-        if q == q_want and p == p_want:
-            reports.append(report)
-        else:
-            all_stored = False
-            tq = q.shifted(1)
-            reports.append(IdentityReport(n, tq == pos_sum, p - tq == neg_sum))
-    if all_stored and len(reports) > len(matched):
-        with _grow_lock:  # another call may have kept a longer copy meanwhile
-            if len(reports) > len(_matched_pairs):
-                _matched_pairs = pairs[: len(reports)]
-    return reports
+    if pairs == _pq_rows[:n_max]:
+        return [report for _, _, report in sums]
+    return [_report(n, pair, pos_sum, neg_sum)
+            for n, (pair, (pos_sum, neg_sum, _)) in enumerate(zip(pairs, sums), start=1)]

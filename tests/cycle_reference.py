@@ -7,16 +7,16 @@ tree only for a plain cycle with a negative entry, and one write loop,
 shared by the cycle-up-down generator and `window_of`, which reads each
 cycle's bracket halves and label range in order and writes only a form
 that passes.  The snake and valley predicates of `arnold.families` also
-refuse non-windows now.  The definitions below are the ones those
-replaced; the tests hold the package equal to them, with the same
-exception type and message, wherever the old ones were sound.
+refuse non-windows now, and its alternation test reads the up-down rule
+of its cycle test.  The definitions below are the ones those replaced;
+the tests hold the package equal to them, with the same exception type
+and message, wherever the old ones were sound.
 """
 from __future__ import annotations
 
 from operator import neg
 from typing import Sequence
 
-from arnold.families import is_alternating
 from arnold.signed_perm import (
     CycleForm,
     MalformedCudCycleFormError,
@@ -125,6 +125,20 @@ def window_of(cf: CycleForm) -> SignedPerm:
     if written != n or 0 in window:
         raise ValueError(f"labels of {cf} are not 1..{n}, each in one cycle once")
     return from_window(window)
+
+
+def is_alternating(w: Sequence[int]) -> bool:
+    return all(
+        (w[i] > w[i + 1]) if i % 2 == 0 else (w[i] < w[i + 1])
+        for i in range(len(w) - 1)
+    )
+
+
+def up_down(seq: Sequence[int]) -> bool:
+    return all(
+        (seq[i] < seq[i + 1]) if i % 2 == 0 else (seq[i] > seq[i + 1])
+        for i in range(len(seq) - 1)
+    )
 
 
 def is_snake_b(w: Sequence[int]) -> bool:

@@ -19,12 +19,14 @@ from arnold.families import (
     RankOutOfRangeError,
     SizeCapExceededError,
     UnknownFamilyError,
+    _up_down,
     cud_distribution,
     enumerate_family,
     enumerate_indexed,
     family_index,
     flip,
     flip_classes,
+    is_alternating,
     is_cud_b,
     is_cud_d,
     is_snake_b,
@@ -485,6 +487,16 @@ def test_alternating_is_unsigned():
                 if all((p[i] > p[i + 1]) if i % 2 == 0 else (p[i] < p[i + 1]) for i in range(n - 1))
             ]
         )
+
+
+@pytest.mark.parametrize("rule, old", [(is_alternating, ref.is_alternating), (_up_down, ref.up_down)])
+def test_alternation_rules_equal_their_former_definitions(rule, old):
+    # every int tuple of length 0..6 with entries in -3..3, as a tuple and as a list
+    for n in range(7):
+        for w in product(range(-3, 4), repeat=n):
+            want = old(w)
+            assert rule(w) is want, w
+            assert rule(list(w)) is want, w
 
 
 @pytest.mark.parametrize(

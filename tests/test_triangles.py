@@ -373,7 +373,6 @@ STORE_BOUNDS = {
     "_hoffman_rows": 20,
     "_pq_rows": 19,
     "_row_sums": 19,
-    "_matched_pairs": 19,
 }
 PUBLIC = [entringer, euler_numbers, arnold_numbers, arnold_hoffman, hoffman_pq, check_hoffman_identities]
 
