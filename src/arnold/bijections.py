@@ -9,7 +9,8 @@ children, and the per-cycle trees are chained along empty right children.
 The window route: the classical min-split tree of the absolute window
 (left factor mapped to the *right* subtree), with empty children removed
 at the peak paired with each negated valley successor.  One builder makes
-both valley codes; type D also makes the node |w1| a labelled leaf.
+both valley codes from `valleys` and `peaks` of |w|; type D also makes the
+node |w1| a labelled leaf.
 
 The flip route: a min-split on absolute values whose child orientation is
 decided by the pivot sign together with which side holds the smaller
@@ -41,8 +42,8 @@ from .signed_perm import (
     CycleForm,
     SignedPerm,
     from_window,
-    peaks,  # not called here: perfbench/layers.py times it as bijections.peaks
-    valleys,  # likewise, as bijections.valleys
+    peaks,
+    valleys,
 )
 from .trees import block_code, split_code
 
@@ -159,35 +160,16 @@ def _make_leaf(code: list[int], label: int) -> None:
     code[i] = code[i + 1] = -1
 
 
-def _paired_peaks(w: tuple[int, ...]) -> list[int]:
-    """For each valley with a negated successor, the value of the unique
-    peak before the next valley.  Valleys and peaks are read in one pass
-    over |w| with +infinity before it and 0 after it, so position 1 is a
-    valley only when |w1| < |w2|, which no type-D member has."""
-    aw = [abs(v) for v in w]
-    out = []
-    valley = 0  # the last valley position, until its peak is found
-    prev, cur = float("inf"), aw[0]
-    for i, nxt in enumerate(aw[1:] + [0], start=1):
-        if prev > cur < nxt:
-            if valley:
-                raise MissingPeakError(f"no unique peak after valley position {valley} in {w}")
-            valley = i
-        elif prev < cur > nxt and valley:
-            if w[valley] < 0:  # w[valley] is the successor entry
-                out.append(cur)
-            valley = 0
-        prev, cur = cur, nxt
-    if valley:
-        raise MissingPeakError(f"no unique peak after valley position {valley} in {w}")
-    return out
-
-
 def _valley_code(p: SignedPerm, head: list[int]) -> tuple[int, ...]:
     """The min-split code of |w| with labelled leaves made at the labels of
-    `head` and then at each paired peak."""
-    code = algo3(p.abs_window())
-    for label in head + _paired_peaks(p.window):
+    `head` and then at the peak paired with each valley whose successor
+    (at 0-based index v for the valley at 1-based v) is negative.  On a
+    window, the valleys and peaks of |w| alternate starting with a valley,
+    so the i-th valley pairs with the i-th peak."""
+    aw = p.abs_window()
+    code = algo3(aw)
+    pairs = zip(sorted(valleys(aw)), sorted(peaks(aw)))
+    for label in head + [aw[q - 1] for v, q in pairs if p.window[v] < 0]:
         _make_leaf(code, label)
     return tuple(code)
 

@@ -4,14 +4,17 @@ recurrence maps between indexed families.
 
 The enumerators are generators: each family is built member by member from
 unsigned permutations (with the sign patterns its rules allow) or, for
-snakes, from prefixes that still obey the snake rules, and comes out in
-window order.  `windows()` and the `is_*` membership predicates are the
-literal definitions and serve as the test oracle; each type-D predicate is
-its type-B rule with one more rule on the head (a snake negated, w2 > |w1|;
-a valley head -k made k, with 0 < w2 < k; a final bracket).  The snake and
-valley predicates answer False for a tuple that `from_window` refuses, and
-the cycle predicates end with `is_canonical`.  The cycle-up-down generator
-walks and writes with `signed_perm._orbits` and `_window_entries`.
+snakes and alternating permutations, from prefixes that still obey the
+snake rules, and comes out in window order.  `windows()` and the `is_*`
+membership predicates are the literal definitions and serve as the test
+oracle; each type-D predicate is its type-B rule with one more rule on the
+head (a snake negated, w2 > |w1|; a valley head -k made k, with
+0 < w2 < k; a final bracket).  The snake and valley predicates answer
+False for a tuple that `from_window` refuses, and the cycle predicates end
+with `is_canonical`.  The valley rules read `signed_perm.valleys` of |w|:
+a valley at 1-based position i lets the entry at 0-based index i be
+negative.  The cycle-up-down generator walks and writes with
+`signed_perm._orbits` and `_window_entries`.
 Flip classes of permutations are grown by flood fill; a signed flip class
 is one of them with a set of values negated, and the 2^n over one unsigned
 class are built leaves up from the signings of its tree's subtrees, once
@@ -52,7 +55,7 @@ from .signed_perm import (
     stat_npk,
     stat_smax,  # not called here: perfbench/layers.py times it as families.stat_smax
     stat_spk,  # likewise, as families.stat_spk
-    valley_values,
+    valleys,
     window_of,
 )
 from .trees import SizeCapExceededError, check_size, complement, split_block, split_code
@@ -150,8 +153,8 @@ def unrank(r: int, n: int) -> SignedPerm:
 # membership predicates
 
 def is_alternating(w: Sequence[int]) -> bool:
-    """w1 > w2 < w3 > ...; the filter of the alternating generator over
-    permutations, so it reads order only and does not test that w is a
+    """w1 > w2 < w3 > ...; the literal rule of the alternating family and
+    of the snakes, so it reads order only and does not test that w is a
     window."""
     return len(w) < 2 or (w[0] > w[1] and _up_down(w[1:]))
 
@@ -214,11 +217,8 @@ def is_cud_d(cf: CycleForm) -> bool:
 def is_vs_b(w: Sequence[int]) -> bool:
     if not w or not _is_window(w):
         return False
-    vv = valley_values([abs(v) for v in w])
-    for i, v in enumerate(w):
-        if v < 0 and (i == 0 or abs(w[i - 1]) not in vv):
-            return False
-    return True
+    signable = valleys([abs(v) for v in w])
+    return all(i in signable for i, v in enumerate(w) if v < 0)
 
 
 def is_vs_d(w: Sequence[int]) -> bool:
@@ -426,13 +426,6 @@ def _cud_members(n: int, side: str) -> tuple[CycleForm, ...]:
     return tuple(cf for _, cf in found)
 
 
-def _valley_successors(p: tuple[int, ...]) -> list[int]:
-    """Positions of p whose entry follows a valley value: the entries a
-    valley signed permutation over p may negate."""
-    vv = valley_values(p)
-    return [i for i in range(1, len(p)) if p[i - 1] in vv]
-
-
 def _vs_members(n: int, side: str) -> tuple[SignedPerm, ...]:
     """Valley signed permutations of type `side`.  Type D negates p[0],
     which must exceed p[1], so p[0] is no valley and p[1] stays positive."""
@@ -443,7 +436,7 @@ def _vs_members(n: int, side: str) -> tuple[SignedPerm, ...]:
             if n > 1 and p[0] < p[1]:
                 continue
             head[0] = -p[0]
-        signable = _valley_successors(p)
+        signable = sorted(valleys(p))
         for signs in product((1, -1), repeat=len(signable)):
             w = head[:]
             for i, s in zip(signable, signs):
@@ -454,9 +447,10 @@ def _vs_members(n: int, side: str) -> tuple[SignedPerm, ...]:
 
 
 def _snakes(n: int, side: str) -> tuple[SignedPerm, ...]:
-    """Snakes of type `side`.  Prefixes grow in the candidate order of
-    `windows`, so members come out in window order, and a prefix is dropped
-    as soon as it breaks the alternation or the rule on its first entries."""
+    """Snakes of type `side`, "b" or "d", or for "a" the type-B snakes with
+    no negative entry (the alternating permutations).  Prefixes grow in the
+    candidate order of `windows`, so members come out in window order, and
+    a prefix is dropped as soon as it breaks a rule."""
     found = []
 
     def extend(prefix: tuple[int, ...], used: frozenset[int]) -> None:
@@ -466,12 +460,12 @@ def _snakes(n: int, side: str) -> tuple[SignedPerm, ...]:
             return
         for v in _candidates(n, used):
             if i == 0:
-                ok = (v > 0) == (side == "b")
+                ok = (v > 0) == (side != "d")
             elif i == 1 and side == "d":
                 ok = v > -prefix[0]
             else:
-                ok = (prefix[-1] > v) == ((i % 2 == 1) == (side == "b"))
-            if ok:
+                ok = (prefix[-1] > v) == ((i % 2 == 1) == (side != "d"))
+            if ok and (v > 0 or side != "a"):
                 extend(prefix + (v,), used | {abs(v)})
 
     extend((), frozenset())
@@ -481,7 +475,7 @@ def _snakes(n: int, side: str) -> tuple[SignedPerm, ...]:
 @lru_cache(maxsize=None)
 def _enumerate(family: str, n: int):
     if family == "alternating":
-        return tuple(SignedPerm(p) for p in permutations(range(1, n + 1)) if is_alternating(p))
+        return _snakes(n, "a")
     if family in ("fl-b", "fl-d"):
         return tuple(c for c in flip_classes(n) if (c.smax > 0) == (family == "fl-b"))
     kind, _, side = family.partition("-")
@@ -572,7 +566,7 @@ def vs_distribution(n: int) -> Counter:
     check_size(n)
     counts: Counter = Counter()
     for p in permutations(range(1, n + 1)):
-        signable = len(_valley_successors(p))
+        signable = len(valleys(p))
         for j in range(signable + 1):
             ways = comb(signable, j)
             counts[("b", p[0], j)] += ways

@@ -11,9 +11,12 @@ equals the tuple (window,), and `x._replace(...)` gives a changed copy.
 
 `SignedPerm` validates nothing; `from_window` does.  `cycle_form` and
 `stat_spk` refuse a window that `from_window` refuses, with
-InvalidWindowError, instead of looping or miscounting.  `stat_report`
-reads the window once for all its statistics, and takes the cycle form
-from its caller when the caller already holds it.
+InvalidWindowError, instead of looping or miscounting.  Only `valleys`
+and `peaks` find the turning points of a sequence, except `stat_report`:
+it reads the window once for all its statistics, valleys and peaks among
+them (through `valleys` and `peaks` it took 20-40% longer on the vs-b and
+cud-b members at n = 4), and takes the cycle form from its caller when
+the caller already holds it.
 
 Cycles are read as plain (entries, bracket) pairs, which a `Cycle` is
 too.  `_orbits` is the one orbit walk: `cycle_form` wraps its pairs, and
@@ -26,7 +29,6 @@ gives the verdict on the cycle-up-down shape that `stat_npk` raises and
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import starmap
 from operator import neg
 from typing import Iterable, NamedTuple, Sequence
@@ -298,7 +300,6 @@ def _cud_shape_error(cycles: Sequence[tuple[Sequence[int], bool]]) -> str | None
     return None
 
 
-@lru_cache(maxsize=1 << 16)
 def leaf_values(seq: tuple[int, ...]) -> frozenset[int]:
     """Labels of the leaves of the min-split tree of a tuple of distinct
     positive integers, the non-plane tree that `trees.block_code` writes.

@@ -7,10 +7,11 @@ tree only for a plain cycle with a negative entry, and one write loop,
 shared by the cycle-up-down generator and `window_of`, which reads each
 cycle's bracket halves and label range in order and writes only a form
 that passes.  The snake and valley predicates of `arnold.families` also
-refuse non-windows now, and its alternation test reads the up-down rule
-of its cycle test.  The definitions below are the ones those replaced;
-the tests hold the package equal to them, with the same exception type
-and message, wherever the old ones were sound.
+refuse non-windows now, its alternation test reads the up-down rule of its
+cycle test, and its valley predicate reads valley positions, not values.
+The definitions below are the ones those replaced; the tests hold the
+package equal to them, with the same exception type and message, wherever
+the old ones were sound.
 """
 from __future__ import annotations
 

@@ -8,6 +8,7 @@ from arnold.bijections import (
     MissingPeakError,
     NotInFamilyError,
     _make_leaf,
+    _valley_code,
     algo2,
     algo3,
     images,
@@ -229,6 +230,16 @@ class TestValleyMaps:
         assert code == [2, 0, -1, -1]
         with pytest.raises(MissingPeakError, match="^node 2 does not carry two empty leaves$"):
             _make_leaf(code, 2)
+
+    def test_pairing_matches_the_former_scan_on_every_window(self):
+        # pairing the i-th valley of |w| with its i-th peak makes the same
+        # labelled leaves as the one-pass scan it replaced, members or not
+        for n in range(1, 7):
+            for w in windows(n):
+                code = algo3([abs(v) for v in w])
+                for label in ref.scan_paired_peaks(w):
+                    _make_leaf(code, label)
+                assert _valley_code(SignedPerm(w), []) == tuple(code), w
 
     def test_four_signings_of_51324(self):
         # the valley successors of 51324 carry the free signs

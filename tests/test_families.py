@@ -430,6 +430,7 @@ def test_generators_match_literal_filters(n):
     ws = list(windows(n))
     cfs = [cycle_form(SignedPerm(w)) for w in ws]
     want = {
+        "alternating": [SignedPerm(w) for w in ws if min(w) > 0 and is_alternating(w)],
         "snakes-b": [SignedPerm(w) for w in ws if is_snake_b(w)],
         "snakes-d": [SignedPerm(w) for w in ws if is_snake_d(w)],
         "cud-a": [cf for w, cf in zip(ws, cfs) if min(w) > 0 and is_cud_b(cf)],
@@ -532,6 +533,14 @@ def test_literal_predicates_refuse_non_windows(predicate, old):
             else:
                 want = old(w)
             assert predicate(w) is want, w
+
+
+def test_valley_predicate_equals_its_former_definition_on_every_window():
+    # is_vs_b reads valley positions where it read valley values; the sweep
+    # above holds it to the same answer on the int tuples up to length 4
+    for n in range(1, 7):
+        for w in windows(n):
+            assert is_vs_b(w) is ref.is_vs_b(w), w
 
 
 @pytest.mark.parametrize(

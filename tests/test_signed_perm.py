@@ -370,8 +370,8 @@ class TestValleysPeaks:
         assert valleys((1, 2, 3)) == frozenset({1})
 
     def test_scan_oracle(self):
-        # independent position scan of the definition
-        def brute(seq):
+        # independent position scans of the two docstrings
+        def brute_valleys(seq):
             out = set()
             for i in range(1, len(seq) + 1):
                 if i == 1 and len(seq) > 1 and seq[0] < seq[1]:
@@ -380,9 +380,19 @@ class TestValleysPeaks:
                     out.add(i)
             return frozenset(out)
 
-        for n in range(1, 7):
-            for p in permutations(range(1, n + 1)):
-                assert valleys(p) == brute(p)
+        def brute_peaks(seq):
+            out = set()
+            for i in range(1, len(seq) + 1):
+                if i == len(seq) and len(seq) > 1 and seq[-1] > seq[-2]:
+                    out.add(i)
+                elif 2 <= i <= len(seq) - 1 and seq[i - 2] < seq[i - 1] > seq[i]:
+                    out.add(i)
+            return frozenset(out)
+
+        for marks, brute in ((valleys, brute_valleys), (peaks, brute_peaks)):
+            for n in range(1, 7):
+                for p in permutations(range(1, n + 1)):
+                    assert marks(p) == brute(p), (marks.__name__, p)
 
     def test_seven_element_scan(self):
         assert valley_values((7, 5, 1, 3, 4, 2, 6)) == frozenset({1, 2})
@@ -403,6 +413,9 @@ class TestValleysPeaks:
                 )
                 kinds = [k for _, k in marks]
                 assert all(a != b for a, b in zip(kinds, kinds[1:])), p
+                # the first mark is a valley and the last a peak (a falling
+                # sequence has none), so the i-th valley pairs with the i-th peak
+                assert not kinds or (kinds[0] == "v" and kinds[-1] == "p"), p
                 # exactly one peak between consecutive valleys
                 vs = sorted(valleys(p))
                 ps = sorted(peaks(p))

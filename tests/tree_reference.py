@@ -5,6 +5,8 @@ recursive form the codes replaced: a `Node` per labelled node and `EMPTY`
 for an empty leaf, the recursive generator, and the readers of a tree
 written from the definitions.  The tests compare the code-valued functions
 against it; `code_of` and `tree_of` convert between the two forms.
+`scan_paired_peaks` is the one-pass valley and peak scan that the valley
+maps used before they read `valleys` and `peaks`.
 """
 from __future__ import annotations
 
@@ -317,6 +319,29 @@ def paired_peaks(w, start):
         for v in sorted(valleys(aw))
         if v >= start and w[v] < 0
     ]
+
+
+def scan_paired_peaks(w: tuple[int, ...]) -> list[int]:
+    """The one-pass scan the valley maps used to pair peaks with: for each
+    valley with a negated successor, the value of the unique peak before
+    the next valley, reading |w| with +infinity before it and 0 after it."""
+    aw = [abs(v) for v in w]
+    out = []
+    valley = 0  # the last valley position, until its peak is found
+    prev, cur = float("inf"), aw[0]
+    for i, nxt in enumerate(aw[1:] + [0], start=1):
+        if prev > cur < nxt:
+            if valley:
+                raise MissingPeakError(f"no unique peak after valley position {valley} in {w}")
+            valley = i
+        elif prev < cur > nxt and valley:
+            if w[valley] < 0:  # w[valley] is the successor entry
+                out.append(cur)
+            valley = 0
+        prev, cur = cur, nxt
+    if valley:
+        raise MissingPeakError(f"no unique peak after valley position {valley} in {w}")
+    return out
 
 
 def phi_vs(p):
