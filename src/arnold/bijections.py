@@ -10,7 +10,10 @@ The window route: the classical min-split tree of the absolute window
 (left factor mapped to the *right* subtree), with empty children removed
 at the peak paired with each negated valley successor.  One builder makes
 both valley codes from `valleys` and `peaks` of |w|; type D also makes the
-node |w1| a labelled leaf.
+node |w1| a labelled leaf.  What the builder reads of |w|, its min-split
+code and valley-peak pairs, is the same for every signing of |w|, so a
+memo keeps it per |w| (`_valley_setup`), bounded like `trees.block_code`
+at 1 << 16 entries.
 
 The flip route: a min-split on absolute values whose child orientation is
 decided by the pivot sign together with which side holds the smaller
@@ -34,6 +37,7 @@ its generated members unguarded (a kernel, or `phi_f`), for the harness and
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from . import families as fam
@@ -160,16 +164,26 @@ def _make_leaf(code: list[int], label: int) -> None:
     code[i] = code[i + 1] = -1
 
 
+@lru_cache(maxsize=1 << 16)
+def _valley_setup(aw: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """What the valley maps read of |w| = aw: its `algo3` code and, for
+    each valley v (1-based) in order, (v, label of the peak paired with
+    it).  On a window, the valleys and peaks of |w| alternate starting with
+    a valley, so the i-th valley pairs with the i-th peak.  Every signing
+    of aw reads this one value, so the code is a tuple, which `_valley_code`
+    copies before editing."""
+    pairs = zip(sorted(valleys(aw)), sorted(peaks(aw)))
+    return tuple(algo3(aw)), tuple((v, aw[q - 1]) for v, q in pairs)
+
+
 def _valley_code(p: SignedPerm, head: list[int]) -> tuple[int, ...]:
     """The min-split code of |w| with labelled leaves made at the labels of
     `head` and then at the peak paired with each valley whose successor
-    (at 0-based index v for the valley at 1-based v) is negative.  On a
-    window, the valleys and peaks of |w| alternate starting with a valley,
-    so the i-th valley pairs with the i-th peak."""
-    aw = p.abs_window()
-    code = algo3(aw)
-    pairs = zip(sorted(valleys(aw)), sorted(peaks(aw)))
-    for label in head + [aw[q - 1] for v, q in pairs if p.window[v] < 0]:
+    (at 0-based index v for the valley at 1-based v) is negative."""
+    w = p.window
+    split, pairs = _valley_setup(p.abs_window())
+    code = list(split)
+    for label in head + [peak for v, peak in pairs if w[v] < 0]:
         _make_leaf(code, label)
     return tuple(code)
 

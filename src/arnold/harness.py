@@ -37,11 +37,19 @@ member's smax and spk with the word-level kernels of `stat_smax` and
 whose sort order and peak positions it sets up once per unsigned
 permutation |w|.  The first check to read a pass pays for it, and each
 result keeps its own exception, so that a crash fails only the checks
-that read what crashed.  What a run shares lives in
-`_shared` until `verify_all` returns or raises; `verify` on its own
-(`verify --check`) computes fresh only the result its check reads.  The
-triangle rows need no sharing here: `triangles` builds each row once per
-process.
+that read what crashed.  The cycle, valley and flip bijection checks map
+onto the same complete increasing trees, so they also share one verdict
+per tree code and size, `is_complete_increasing` then `classify`
+(`_tree_verdicts`): a run judges each tree once, not once per family.
+What a run shares lives in `_shared` until `verify_all` returns or
+raises; `verify` on its own (`verify --check`) computes fresh only the
+result its check reads, and judges every image itself.
+
+The triangle rows and the min-split codes need no sharing here:
+`triangles` builds each row once per process, and `trees.block_code` and
+the valley maps (`bijections._valley_setup`) keep theirs in bounded
+process-wide memos, keyed by a cycle's absolute values or by |w|.
+Nothing keyed by a cycle form or a tree code outlives a run.
 """
 from __future__ import annotations
 
@@ -186,6 +194,24 @@ def _attempt(f: Callable, *args):
         return f(*args)
     except Exception as exc:
         return exc
+
+
+def _tree_verdicts(n: int) -> dict:
+    """The verdicts of size n that `_verdict` reads and fills: tree code ->
+    its `trees.classify`, or None where the code is not a complete
+    increasing tree of size n.  Within a `verify_all` run the cycle, valley
+    and flip bijection checks, whose images are the same trees, share one
+    such dict per n; outside one each caller gets an empty dict."""
+    if _shared is None:
+        return {}
+    return _shared.setdefault(("trees", n), {})
+
+
+def _verdict(verdicts: dict, code: tuple[int, ...], n: int) -> tr.TreeClass | None:
+    """verdicts[code], made the first time it is read."""
+    if code not in verdicts:
+        verdicts[code] = tr.classify(code) if tr.is_complete_increasing(code, n) else None
+    return verdicts[code]
 
 
 def _pass_result(family: str, n: int, name: str):
@@ -398,13 +424,14 @@ def _bijection_details(family: str, n: int, items: list) -> tuple[str, ...]:
     kind = "o" if side == "b" else "*"
     details, codes = [], []
     by_index: Counter = Counter()
+    verdicts = _tree_verdicts(n)
     for m, code in items:
         index = fam.family_index(family, m)
         by_index[index] += 1
-        if not tr.is_complete_increasing(code, n):
+        c = _verdict(verdicts, code, n)
+        if c is None:
             details.append(f"{family} n={n}: invalid image tree for {m}")
             continue
-        c = tr.classify(code)
         if c.kind != kind or c.rightmost_label != index:
             details.append(
                 f"{family} n={n}: {m} lands at ({c.kind},{c.rightmost_label}), "
@@ -483,6 +510,7 @@ def _flip_bijection_details(n: int, rows: list) -> tuple[str, ...]:
     """That every member of a class maps to one tree, and the classes
     bijectively, smax to rightmost label, onto the trees."""
     details, images = [], []
+    verdicts = _tree_verdicts(n)
     for cls, trees in rows:
         if isinstance(trees, Exception):
             raise trees
@@ -490,10 +518,10 @@ def _flip_bijection_details(n: int, rows: list) -> tuple[str, ...]:
             details.append(f"fl n={n}: members of {cls.canon} map to different trees")
             continue
         (code,) = trees
-        if not tr.is_complete_increasing(code, n):
+        c = _verdict(verdicts, code, n)
+        if c is None:
             details.append(f"fl n={n}: invalid image tree for class {cls.canon}")
             continue
-        c = tr.classify(code)
         want_kind = "o" if cls.smax > 0 else "*"
         if c.kind != want_kind or c.rightmost_label != abs(cls.smax):
             details.append(
@@ -536,23 +564,6 @@ def _emp_spk_details(n: int, rows: list) -> tuple[str, ...]:
     return tuple(details)
 
 
-class _ByPermutation(dict):
-    """make(u) by unsigned permutation u, each made the first time it is read."""
-
-    def __init__(self, make: Callable):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, u: tuple[int, ...]):
-        made = self[u] = self.make(u)
-        return made
-
-
-def _values(read: Callable, setups: _ByPermutation, pairs: list) -> set:
-    """The set of read(w, setups[u]) over the (member w, u = |w|) pairs."""
-    return {read(w, setups[u]) for w, u in pairs}
-
-
 def _flip_pass(n: int, names: Iterable[str] | None) -> dict:
     """Results `names` (all if None) of one walk of the flip classes of
     size n, in canon order, which reads each class's members once: "bij",
@@ -564,13 +575,17 @@ def _flip_pass(n: int, names: Iterable[str] | None) -> dict:
     the result of every one.
 
     What a member's tree and statistics need of it beyond its signs depends
-    only on u = |w|, so the walk makes it once per u, and only for the
-    results asked for: u's split code for the trees, its positions in
-    increasing value for smax, its peak positions (`_abs_peaks`) for spk.
-    smax is then `_smax_walk` over the member's own word and spk
-    `_negatives_at` those peaks, the kernels of `stat_smax` and `stat_spk`.
-    smax is never read off the split code: `flip_classes` builds it from
-    the signings of the tree's subtrees, so that would test nothing."""
+    only on u = |w|, so the walk sets it up once per u, with one lookup per
+    member, and only the parts that the results asked for read: u's split
+    code for the trees, its positions in increasing value for smax, its
+    peak positions (`_abs_peaks`) for spk.  smax is then `_smax_walk` over
+    the member's own word and spk `_negatives_at` those peaks, the kernels
+    of `stat_smax` and `stat_spk`.  A part whose making raised holds that
+    exception; its reader fails on it, and the part's exception is
+    reported in place of the reader's, so that it fails only the results
+    that read it.  smax is never read off the split code: `flip_classes`
+    builds it from the signings of the tree's subtrees, so that would test
+    nothing."""
     parts = {
         "bij": _flip_bijection_details,
         "smax": lambda n, rows: _constant_details("smax", n, rows),
@@ -580,32 +595,47 @@ def _flip_pass(n: int, names: Iterable[str] | None) -> dict:
     rows: dict[str, list] = {name: [] for name in names or parts}
     oriented = "bij" in rows or "emp" in rows
     every = rows.keys() != {"emp"}  # "emp" alone reads the canonical member only
+    makes = (
+        tr.split_code if oriented else None,
+        (lambda u: sorted(range(n), key=u.__getitem__)) if "smax" in rows else None,
+        _abs_peaks if "spk" in rows else None,
+    )
     stats = [
-        (name, read, _ByPermutation(make))
-        for name, read, make in (
-            ("smax", _smax_walk, lambda u: sorted(range(n), key=u.__getitem__)),
-            ("spk", _negatives_at, _abs_peaks),
-        )
+        (name, read, k)
+        for name, read, k in (("smax", _smax_walk, 1), ("spk", _negatives_at, 2))
         if name in rows
     ]
-    orient, split = bij.orient_flip_code, _ByPermutation(tr.split_code)
+    setups: dict[tuple[int, ...], tuple] = {}
+    orient = bij.orient_flip_code
     try:
         for cls in fam.flip_classes(n):
             members = cls.members if every else (cls.canon,)
-            pairs = [(w, tuple(map(abs, w))) for w in members]
+            pairs = []
+            for w in members:
+                u = tuple(map(abs, w))
+                setup = setups.get(u)
+                if setup is None:
+                    setup = setups[u] = tuple(make and _attempt(make, u) for make in makes)
+                pairs.append((w, setup))
             codes, error = [], None
-            for w, u in pairs if oriented else ():
+            for w, setup in pairs if oriented else ():
+                split = setup[0]
                 try:
-                    code = orient(split[u], w)  # one split code serves every signing of u
+                    code = orient(split, w)  # one split code serves every signing of u
                 except Exception as exc:
-                    code, error = exc, error or exc
+                    code = split if isinstance(split, Exception) else exc
+                    error = error or code
                 codes.append(code)
             if "bij" in rows:
                 rows["bij"].append((cls, error or set(codes)))
             if "emp" in rows:
                 rows["emp"].append((cls, codes[members.index(cls.canon)]))
-            for name, read, setups in stats:
-                rows[name].append((cls, _attempt(_values, read, setups, pairs)))
+            for name, read, k in stats:
+                try:
+                    found = {read(w, setup[k]) for w, setup in pairs}
+                except Exception as exc:
+                    found = next((s[k] for _, s in pairs if isinstance(s[k], Exception)), exc)
+                rows[name].append((cls, found))
     except Exception as exc:
         return dict.fromkeys(rows, exc)
     return {name: _attempt(parts[name], n, found) for name, found in rows.items()}
@@ -813,8 +843,9 @@ def verify_all(max_n: int | None = None, golden_dir: str | None = None) -> list[
     ceiling capped by max_n.  A check that raises anything but
     SizeCapExceededError is reported with status "error" and the
     exception in its details, and the remaining checks still run.  The
-    checks of one run share each member pass (`_pass_result`), which the
-    first check to read it computes."""
+    checks of one run share each member pass (`_pass_result`) and each
+    tree verdict (`_tree_verdicts`), which the first check to read it
+    computes."""
     global _shared
     _shared = {}
     try:

@@ -256,10 +256,6 @@ def peaks(seq: Sequence[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-def valley_values(seq: Sequence[int]) -> frozenset[int]:
-    return frozenset(seq[i - 1] for i in valleys(seq))
-
-
 def peak_values(seq: Sequence[int]) -> frozenset[int]:
     return frozenset(seq[i - 1] for i in peaks(seq))
 

@@ -11,7 +11,8 @@ refuse non-windows now, its alternation test reads the up-down rule of its
 cycle test, and its valley predicate reads valley positions, not values.
 The definitions below are the ones those replaced; the tests hold the
 package equal to them, with the same exception type and message, wherever
-the old ones were sound.
+the old ones were sound.  `valley_values`, which only the former valley
+predicate reads, moved here from `arnold.signed_perm` with it.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from arnold.signed_perm import (
     cycle_form,
     from_window,
     leaf_values,
-    valley_values,
+    valleys,
 )
 
 
@@ -148,6 +149,12 @@ def is_snake_b(w: Sequence[int]) -> bool:
 
 def is_snake_d(w: Sequence[int]) -> bool:
     return is_snake_b(tuple(-v for v in w)) and (len(w) < 2 or w[1] > -w[0])
+
+
+def valley_values(seq: Sequence[int]) -> frozenset[int]:
+    """The entries of seq at its `valleys`, which the valley predicate
+    below reads."""
+    return frozenset(seq[i - 1] for i in valleys(seq))
 
 
 def is_vs_b(w: Sequence[int]) -> bool:

@@ -9,6 +9,7 @@ from arnold.bijections import (
     NotInFamilyError,
     _make_leaf,
     _valley_code,
+    _valley_setup,
     algo2,
     algo3,
     images,
@@ -32,7 +33,9 @@ from arnold.signed_perm import (
     from_window,
     leaf_values,
     peak_values,
+    peaks,
     stat_npk,
+    valleys,
 )
 from arnold.trees import (
     block_code,
@@ -240,6 +243,30 @@ class TestValleyMaps:
                 for label in ref.scan_paired_peaks(w):
                     _make_leaf(code, label)
                 assert _valley_code(SignedPerm(w), []) == tuple(code), w
+
+    def test_memo_holds_the_split_code_and_valley_peak_pairs_of_every_absolute_window(self):
+        # the labels agree with the former scan on the signing whose every
+        # valley successor is negated
+        for n in range(1, 8):
+            for aw in permutations(range(1, n + 1)):
+                split, pairs = _valley_setup(aw)
+                assert split == tuple(algo3(aw)), aw
+                assert [v for v, _ in pairs] == sorted(valleys(aw)), aw
+                assert [label for _, label in pairs] == [aw[q - 1] for q in sorted(peaks(aw))], aw
+                assert [label for _, label in pairs] == ref.scan_paired_peaks(tuple(-v for v in aw)), aw
+        assert _valley_setup.cache_info().maxsize == block_code.cache_info().maxsize == 1 << 16
+
+    @pytest.mark.parametrize(
+        "kernel, signed", [(phi_vs_b_kernel, (5, 1, -3, 2, -4)), (phi_vs_d_kernel, (-5, 1, -3, 2, 4))]
+    )
+    def test_a_signing_leaves_the_memo_unedited_for_its_twin(self, kernel, signed):
+        # both members read one memo entry; the labelled leaves of the first
+        # must not reach the plain min-split code of the second
+        aw = (5, 1, 3, 2, 4)
+        assert kernel(SignedPerm(signed)).count(-1) == 4
+        assert phi_vs_b_kernel(SignedPerm(aw)) == tuple(algo3(aw))
+        assert _valley_setup(aw)[0] == tuple(algo3(aw))
+        assert _valley_setup.cache_info().misses == 1
 
     def test_four_signings_of_51324(self):
         # the valley successors of 51324 carry the free signs

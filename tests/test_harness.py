@@ -998,6 +998,35 @@ def _summary(r):
     return (r.check_id, r.n_range, r.status, r.details)
 
 
+def _valley_image_from_the_other_side(monkeypatch):
+    # [2,1] takes the image of the type-D member [-2,1], a labelled-ended
+    # tree that bij-cud-d validates earlier in a verify_all run
+    import arnold.bijections as bijections
+    from arnold.signed_perm import SignedPerm
+
+    real = bijections.phi_vs_b_kernel
+
+    def fault(p):
+        return bijections.phi_vs_d_kernel(SignedPerm((-2, 1))) if p.window == (2, 1) else real(p)
+
+    monkeypatch.setattr(bijections, "phi_vs_b_kernel", fault)
+
+
+def _one_invalid_image_in_two_families(monkeypatch):
+    # the first cud-b and vs-b members of size 2 map to one code that is no
+    # tree, which bij-cud-b judges before bij-vs-b reads it in a run
+    import arnold.bijections as bijections
+    import arnold.families as families
+
+    for family, kernel in (("cud-b", "phi_cud_b_kernel"), ("vs-b", "phi_vs_b_kernel")):
+        real, first = getattr(bijections, kernel), families.enumerate_family(family, 2)[0]
+
+        def fault(m, real=real, first=first):
+            return (2, 2, 0, 0) if m == first else real(m)
+
+        monkeypatch.setattr(bijections, kernel, fault)
+
+
 @pytest.mark.parametrize(
     "fault, failing",
     [
@@ -1005,8 +1034,12 @@ def _summary(r):
         (_one_member_oriented_with_a_wrong_sign, {"bij-fl"}),
         (lambda mp: _statistic_off_on_one_member(mp, "smax"), {"smax-well-defined"}),
         (lambda mp: _statistic_off_on_one_member(mp, "spk"), {"spk-well-defined"}),
+        (_valley_image_from_the_other_side, {"bij-vs-b"}),
+        (_one_invalid_image_in_two_families, {
+            "bij-cud-b", "bij-vs-b", "cor-rightmost-cycle-min", "cor-rightmost-ltr-min",
+        }),
     ],
-    ids=["clean", "orient", "smax", "spk"],
+    ids=["clean", "orient", "smax", "spk", "image", "invalid"],
 )
 def test_shared_and_solo_runs_agree(monkeypatch, fault, failing):
     fault(monkeypatch)
@@ -1014,6 +1047,78 @@ def test_shared_and_solo_runs_agree(monkeypatch, fault, failing):
     assert {r.check_id for r in shared if r.status == "fail"} == failing
     for r in shared:
         assert _summary(r) == _summary(verify(r.check_id, 4))
+
+
+@pytest.mark.parametrize(
+    "fault, want",
+    [
+        (_valley_image_from_the_other_side, {
+            "bij-vs-b": ("vs-b n=2: [2,1] lands at (*,2), expected (o,2)",),
+        }),
+        (_one_invalid_image_in_two_families, {
+            "bij-cud-b": ("cud-b n=2: invalid image tree for (1,-2)",),
+            "bij-vs-b": ("vs-b n=2: invalid image tree for [1,-2]",),
+        }),
+    ],
+    ids=["image", "invalid"],
+)
+def test_a_faulty_image_is_reported_when_its_tree_was_judged_earlier_in_the_run(
+    monkeypatch, fault, want
+):
+    fault(monkeypatch)
+    shared = {r.check_id: r.details for r in verify_all(2) if r.check_id.startswith("bij-")}
+    assert shared == {check_id: want.get(check_id, ()) for check_id in shared}
+    for check_id, details in want.items():
+        assert verify(check_id, 2).details == details
+
+
+def _run_verdicts(monkeypatch, max_n):
+    """The tree verdicts of each size that a verify_all(max_n) run holds
+    after its last check, read by one more check appended to the registry."""
+    import arnold.harness as harness
+
+    held = {}
+
+    def read_verdicts(n):
+        held.update((m, dict(harness._tree_verdicts(m))) for m in range(1, max_n + 1))
+        return ()
+
+    monkeypatch.setattr(harness, "CHECKS", [*CHECKS, CHECKS[-1]._replace(
+        check_id="read-verdicts", default_max_n=1, run=read_verdicts, report_only=False
+    )])
+    verify_all(max_n)
+    return held
+
+
+def test_a_runs_tree_verdicts_are_those_of_every_image(monkeypatch):
+    # cud-*, vs-* and fl each map onto the same trees, judged once a run
+    import arnold.bijections as bijections
+    import arnold.families as families
+    import arnold.harness as harness
+    import arnold.trees as trees
+    from arnold.trees import classify, is_complete_increasing
+
+    judged = _recorded(monkeypatch, trees, "is_complete_increasing")
+    held = _run_verdicts(monkeypatch, 5)
+    assert sorted(judged) == sorted((code, n) for n in held for code in held[n])
+    for n in range(1, 6):
+        images = {code for family in ("cud-b", "cud-d", "vs-b", "vs-d")
+                  for _, code in bijections.images(family, n)}
+        images |= {bijections.phi_f(cls) for cls in families.flip_classes(n)}
+        assert held[n].keys() == images
+        assert len(images) == sum(harness._tree_distribution(n).values())
+        for code, verdict in held[n].items():
+            assert verdict == (classify(code) if is_complete_increasing(code, n) else None)
+
+
+def _no_verdict_survives(monkeypatch):
+    """After a verify_all run, a check run alone judges every image afresh."""
+    import arnold.bijections as bijections
+    import arnold.trees as trees
+
+    judged = _recorded(monkeypatch, trees, "is_complete_increasing")
+    assert verify("bij-vs-b", 3).status == "pass"
+    assert judged == [(code, n) for n in (1, 2, 3) for _, code in bijections.images("vs-b", n)]
 
 
 def _always(*args):
@@ -1091,6 +1196,7 @@ def test_one_run_walks_each_member_family_once_per_size(monkeypatch):
     families = ("cud-b", "cud-d", "vs-b", "vs-d")
     assert sorted(log) == sorted((family, n) for family in families for n in (1, 2, 3))
     assert harness._shared is None
+    _no_verdict_survives(monkeypatch)
     log.clear()
     assert verify("cor-rightmost-cycle-min", 3).status == "pass"
     assert log == [(family, n) for n in (1, 2, 3) for family in ("cud-b", "cud-d")]
@@ -1170,6 +1276,7 @@ def test_what_a_run_shares_ends_with_a_run_that_raises(monkeypatch):
     with pytest.raises(SizeCapExceededError):
         verify_all(3)
     assert harness._shared is None
+    _no_verdict_survives(monkeypatch)
     log = _recorded(monkeypatch, bijections, "images")
     assert verify("bij-cud-b", 3).status == "pass"
     assert log == [("cud-b", n) for n in (1, 2, 3)]
