@@ -196,22 +196,26 @@ def _attempt(f: Callable, *args):
         return exc
 
 
-def _tree_verdicts(n: int) -> dict:
-    """The verdicts of size n that `_verdict` reads and fills: tree code ->
-    its `trees.classify`, or None where the code is not a complete
-    increasing tree of size n.  Within a `verify_all` run the cycle, valley
-    and flip bijection checks, whose images are the same trees, share one
-    such dict per n; outside one each caller gets an empty dict."""
+def _tree_verdicts(n: int) -> dict | None:
+    """The verdicts of size n that `_verdict` reads and fills, tree code ->
+    verdict, shared by the cycle, valley and flip bijection checks of a
+    `verify_all` run, whose images are the same trees; None outside one,
+    where a check keeps no verdict."""
     if _shared is None:
-        return {}
+        return None
     return _shared.setdefault(("trees", n), {})
 
 
-def _verdict(verdicts: dict, code: tuple[int, ...], n: int) -> tr.TreeClass | None:
-    """verdicts[code], made the first time it is read."""
-    if code not in verdicts:
-        verdicts[code] = tr.classify(code) if tr.is_complete_increasing(code, n) else None
-    return verdicts[code]
+def _verdict(verdicts: dict | None, code: tuple[int, ...], n: int) -> tr.TreeClass | None:
+    """`trees.classify` of a complete increasing tree of size n, None for
+    any other code; read from `verdicts` if it holds the code, and kept
+    there if it does not."""
+    if verdicts is not None and code in verdicts:
+        return verdicts[code]
+    verdict = tr.classify(code) if tr.is_complete_increasing(code, n) else None
+    if verdicts is not None:
+        verdicts[code] = verdict
+    return verdict
 
 
 def _pass_result(family: str, n: int, name: str):
