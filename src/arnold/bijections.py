@@ -148,10 +148,12 @@ def phi_cud_d(cf: CycleForm) -> tuple[int, ...]:
 def algo3(seq: Sequence[int]) -> list[int]:
     """Code of the min-split tree of a sequence of distinct positive
     integers, with the left factor becoming the right subtree; all leaves
-    are empty.  It is a list, which the valley maps edit in place."""
+    are empty.  Any other sequence raises MalformedSequenceError."""
     s = tuple(seq)
     if not s:
         raise MalformedSequenceError("empty sequence")
+    if min(s) < 1 or len(set(s)) != len(s):
+        raise MalformedSequenceError("values must be distinct and positive")
     code = split_code(s)
     code[::2], code[1::2] = code[1::2], code[::2]
     return code

@@ -1,20 +1,19 @@
 """Exhaustive enumerators for the combinatorial families, flip equivalence
-classes, perfect ranking of signed permutations, and the one-step
-recurrence maps between indexed families.
+classes, and the one-step recurrence maps between indexed families.
 
 The enumerators are generators: each family is built member by member from
 unsigned permutations (with the sign patterns its rules allow) or, for
 snakes and alternating permutations, from prefixes that still obey the
-snake rules, and comes out in window order.  `windows()` and the `is_*`
-membership predicates are the literal definitions and serve as the test
-oracle; each type-D predicate is its type-B rule with one more rule on the
-head (a snake negated, w2 > |w1|; a valley head -k made k, with
-0 < w2 < k; a final bracket).  The snake and valley predicates answer
-False for a tuple that `from_window` refuses, and the cycle predicates end
-with `is_canonical`.  The valley rules read `signed_perm.valleys` of |w|:
-a valley at 1-based position i lets the entry at 0-based index i be
-negative.  The cycle-up-down generator walks and writes with
-`signed_perm._orbits` and `_window_entries`.
+snake rules, and comes out in window order.  The `is_*` predicates are
+the literal membership rules of the cycle and valley families, which the
+checked maps and steps call and the tests hold the generators to; each
+type-D rule is its type-B rule with one more rule on the head (a valley
+head -k made k, with 0 < w2 < k; a final bracket).  The valley
+predicates answer False for a tuple that `from_window` refuses, and the
+cycle predicates end with `is_canonical`.  The valley rules read
+`signed_perm.valleys` of |w|: a valley at 1-based position i lets the
+entry at 0-based index i be negative.  The cycle-up-down generator walks
+and writes with `signed_perm._orbits` and `_window_entries`.
 Flip classes of permutations are grown by flood fill; a signed flip class
 is one of them with a set of values negated, and the 2^n over one unsigned
 class are built leaves up from the signings of its tree's subtrees, once
@@ -36,7 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache, partial
 from itertools import groupby, permutations, product
-from math import comb, factorial
+from math import comb
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -73,15 +72,8 @@ FAMILIES = (
     "fl-d",
 )
 
-class IllegalFlipError(ValueError):
-    pass
-
 
 class IndexOutOfRangeError(ValueError):
-    pass
-
-
-class RankOutOfRangeError(ValueError):
     pass
 
 
@@ -90,8 +82,9 @@ class UnknownFamilyError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# window iteration and perfect ranking
+# window iteration
 
+# not called here: perfbench/layers.py traces it as families.windows
 def windows(n: int) -> Iterator[tuple[int, ...]]:
     """All 2^n * n! windows in lexicographic order of the integer tuple."""
 
@@ -115,43 +108,10 @@ def _candidates(n: int, used: set[int]) -> list[int]:
     return neg + pos
 
 
-def rank(p: SignedPerm) -> int:
-    """Position of the window in lexicographic order over all of size n."""
-    n = p.n
-    used: set[int] = set()
-    r = 0
-    for i, v in enumerate(p.window):
-        cands = _candidates(n, used)
-        block = factorial(n - 1 - i) * (1 << (n - 1 - i))
-        r += cands.index(v) * block
-        used.add(abs(v))
-    return r
-
-
-def unrank(r: int, n: int) -> SignedPerm:
-    """Inverse of rank: unrank(0, n) is the lexicographically least window.
-
-    >>> unrank(0, 2).window
-    (-2, -1)
-    """
-    total = factorial(n) * (1 << n)
-    if not 0 <= r < total:
-        raise RankOutOfRangeError(f"rank {r} outside [0, {total})")
-    used: set[int] = set()
-    out = []
-    for i in range(n):
-        cands = _candidates(n, used)
-        block = factorial(n - 1 - i) * (1 << (n - 1 - i))
-        d, r = divmod(r, block)
-        v = cands[d]
-        out.append(v)
-        used.add(abs(v))
-    return SignedPerm(tuple(out))
-
-
 # ---------------------------------------------------------------------------
 # membership predicates
 
+# not called here: perfbench/layers.py times it as families.is_alternating
 def is_alternating(w: Sequence[int]) -> bool:
     """w1 > w2 < w3 > ...; the literal rule of the alternating family and
     of the snakes, so it reads order only and does not test that w is a
@@ -167,9 +127,9 @@ def _up_down(seq: Sequence[int]) -> bool:
     )
 
 
-# The snake, cycle and valley predicates refuse empty input: no family
-# has a member of size 0.  The snake and valley predicates also refuse
-# what `from_window` refuses.
+# The cycle and valley predicates refuse empty input: no family has a
+# member of size 0.  The valley predicates also refuse what `from_window`
+# refuses.
 
 def _is_window(w: Sequence[int]) -> bool:
     try:
@@ -177,19 +137,6 @@ def _is_window(w: Sequence[int]) -> bool:
     except InvalidWindowError:
         return False
     return True
-
-
-def _snake_b(w: Sequence[int]) -> bool:
-    return bool(w) and w[0] > 0 and is_alternating(w)
-
-
-def is_snake_b(w: Sequence[int]) -> bool:
-    return _is_window(w) and _snake_b(w)
-
-
-def is_snake_d(w: Sequence[int]) -> bool:
-    # the negation of a type-B snake, with w2 > |w1|
-    return _is_window(w) and _snake_b(tuple(-v for v in w)) and (len(w) < 2 or w[1] > -w[0])
 
 
 def _cycles_up_down(cf: CycleForm) -> bool:
@@ -232,19 +179,6 @@ def is_vs_d(w: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 # flips and flip classes
 
-def flip(obj, k: int):
-    """Reverse the length-k prefix.  Legal when k = 1, k = n, or the entry
-    after the prefix is smaller in absolute value than everything in it."""
-    win = obj.window if isinstance(obj, SignedPerm) else tuple(obj)
-    n = len(win)
-    if not 1 <= k <= n:
-        raise IllegalFlipError(f"k={k} outside 1..{n}")
-    if 1 < k < n and abs(win[k]) >= min(abs(v) for v in win[:k]):
-        raise IllegalFlipError(f"entry after prefix is not a new minimum (k={k})")
-    out = tuple(reversed(win[:k])) + win[k:]
-    return SignedPerm(out) if isinstance(obj, SignedPerm) else out
-
-
 class FlipClass(NamedTuple):
     """A signed flip class.  `stored` holds its sorted members as a tuple,
     or as a callable that `members` calls to build them on read; equality
@@ -281,7 +215,8 @@ class FlipClass(NamedTuple):
 def unsigned_flip_classes(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Flip classes of ordinary permutations, as sorted member tuples, grown
     by flood fill: each class walks its own member list, appending the
-    unseen images of its legal flips (see `flip`; k = 1 is the identity).
+    unseen images of its legal flips: the whole word reversed, and each
+    prefix of length k > 1 reversed whose next entry is below all of it.
     Starts come in lexicographic order, so each is the least member of its
     class and the classes come out sorted."""
     check_size(n)

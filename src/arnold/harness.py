@@ -669,7 +669,7 @@ def check_lemma_emp_spk(n: int) -> tuple[str, ...]:
 def check_lemma_peak_leaf(n: int) -> Iterator[str]:
     labels = range(1, n + 1)
     for p in permutations(labels):
-        code = bij.algo3(p)
+        code = tr.split_code(p)
         found = {v for v in labels if not (code[2 * v - 2] or code[2 * v - 1])}
         if found - {p[0]} != set(peak_values(p)):
             yield f"n={n} perm {p}: double-empty labels {sorted(found)}"

@@ -113,6 +113,10 @@ class TestAlgo2:
         with pytest.raises(MalformedCycleError):
             algo2((-1, 2))
 
+    def test_repeated_absolute_values_are_refused(self):
+        with pytest.raises(MalformedCycleError, match="distinct absolute values"):
+            algo2((1, -3, 3))
+
     def test_root_right_child_is_empty(self):
         for cf in enumerate_family("cud-b", 4):
             for c in cf.cycles:
@@ -194,6 +198,16 @@ class TestAlgo3:
 
     def test_singleton(self):
         assert serialize(tree_of(algo3((4,)), 4)) == "4(.,.)"
+
+    @pytest.mark.parametrize(
+        "seq, message",
+        [((3, 3), "distinct and positive"), ((2, 1, 2), "distinct and positive"),
+         ((0, 1), "distinct and positive"), ((2, -1), "distinct and positive"),
+         ((), "empty sequence")],
+    )
+    def test_malformed_sequence_is_refused(self, seq, message):
+        with pytest.raises(MalformedSequenceError, match=message):
+            algo3(seq)
 
     def test_peak_nodes_have_two_empty_children(self):
         def double_empty_labels(t, acc):

@@ -132,7 +132,7 @@ def test_report_only_check_never_fails():
 
 
 def test_golden_dir_override_detects_tampering(tmp_path):
-    for name in ("table1.json", "table2.json", "small_families.json"):
+    for name in ("table1.json", "table2.json"):
         shutil.copy(GOLDEN_SRC / name, tmp_path / name)
     data = json.loads((tmp_path / "table1.json").read_text())
     data["rows"][4]["pos"][0] = 58
@@ -167,7 +167,7 @@ def test_table_check_refuses_range_beyond_stored_rows(check_id, table):
 
 
 def test_verify_all_reports_short_golden_table_as_error(tmp_path):
-    for name in ("table1.json", "table2.json", "small_families.json"):
+    for name in ("table1.json", "table2.json"):
         shutil.copy(GOLDEN_SRC / name, tmp_path / name)
     data = json.loads((tmp_path / "table2.json").read_text())
     del data["rows"][3:]
@@ -494,7 +494,7 @@ def test_class_statistic_mismatch_is_reported(monkeypatch):
 def _golden_copy(tmp_path, name, edit):
     """A golden directory holding the shipped tables, with `edit` applied
     to the parsed `name`."""
-    for table in ("table1.json", "table2.json", "small_families.json"):
+    for table in ("table1.json", "table2.json"):
         shutil.copy(GOLDEN_SRC / table, tmp_path / table)
     data = json.loads((tmp_path / name).read_text())
     edit(data)
@@ -526,6 +526,34 @@ def test_wrong_stored_polynomial_is_reported(tmp_path):
     assert verify("table-polys", 5, golden_dir=golden).details == (
         "row 2 differs from the stored polynomials",
     )
+
+
+@pytest.mark.parametrize(
+    "dp, dq, failing, detail",
+    [
+        # Q_3 + 1 with P_3 + t: t*Q_3 is off by t, P_3 - t*Q_3 is not
+        ({1: 1}, {0: 1}, "hoffman-q", "n=3: t*Q_n differs from the positive-side row sum"),
+        # P_3 + 1: only P_3 - t*Q_3 is off
+        ({0: 1}, {}, "hoffman-p", "n=3: P_n - t*Q_n differs from the negative-side row sum"),
+    ],
+    ids=["q", "p"],
+)
+def test_a_bumped_hoffman_pair_fails_only_its_identity(monkeypatch, dp, dq, failing, detail):
+    from arnold import triangles
+    from arnold.laurent import LaurentPoly
+
+    real = triangles.hoffman_pq
+
+    def bumped(n_max):
+        pairs = real(n_max)
+        p, q = pairs[2]
+        return pairs[:2] + [(p + LaurentPoly(dp), q + LaurentPoly(dq))] + pairs[3:]
+
+    monkeypatch.setattr(triangles, "hoffman_pq", bumped)
+    (passing,) = {"hoffman-q", "hoffman-p"} - {failing}
+    result = verify(failing, 5)
+    assert (result.status, result.details) == ("fail", (detail,))
+    assert verify(passing, 5).status == "pass"
 
 
 def test_numeric_entry_off_from_its_polynomial_is_reported(monkeypatch):
@@ -1135,8 +1163,11 @@ def _always(*args):
         ("bijections", "orient_flip_code", _always, {"bij-fl", "lemma-emp-spk"}),
         # not the canonical member of its class, whose code alone the lemma reads
         ("bijections", "orient_flip_code", lambda split, w: w == (3, 1, -2), {"bij-fl"}),
-        # the flip trees are built from split codes; the statistics never read them
-        ("trees", "split_code", _always, {"bij-fl", "lemma-emp-spk", "knuth-flip-euler"}),
+        # the flip trees and the peak-leaf lemma are built from split codes; the
+        # statistics never read them
+        ("trees", "split_code", _always, {
+            "bij-fl", "lemma-emp-spk", "lemma-peak-leaf", "knuth-flip-euler",
+        }),
         # the walks themselves: every reader of the pass errs
         ("bijections", "images", _always, {
             "bij-cud-b", "bij-cud-d", "bij-vs-b", "bij-vs-d", "cor-rightmost-cycle-min",

@@ -9,6 +9,7 @@ def test_zero_coefficients_are_dropped():
     assert LaurentPoly({0: 0, 2: 1}) == LaurentPoly({2: 1})
     assert LaurentPoly().is_zero
     assert not LaurentPoly({1: 1}).is_zero
+    assert not LaurentPoly({0: 0}) and LaurentPoly({-1: -1})
 
 
 @pytest.mark.parametrize(
